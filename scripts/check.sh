@@ -8,10 +8,11 @@
 # smoke test that the instrumented hot path still builds and runs — it
 # covers both the run-active and the walk-sampling-enabled paths; the
 # recorded overhead comparison lives in EXPERIMENTS.md.
-# samplecheck.sh then asserts observation does not perturb the
-# experiment: the full medium paperbench report is byte-identical with
-# 1-in-64 walk sampling on and off, and cmd/walkprof round-trips the
-# collected sample file. hostcheck.sh does the same for scheduling:
+# samplecheck.sh then locks behaviour and asserts observation does not
+# perturb the experiment: the medium paperbench report must match the
+# sha256 digests in scripts/golden_medium.sha256, it is byte-identical
+# with 1-in-64 walk sampling on and off, and cmd/walkprof round-trips
+# the collected sample file. hostcheck.sh does the same for scheduling:
 # the whole-host consolidation sweep (stdout and sample file) is
 # byte-identical across -j {1,8} x -shards {1,4}.
 # The scheme exhaustiveness lint and conformance suite run first: every

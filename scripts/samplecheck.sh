@@ -7,6 +7,13 @@
 # the report states about the simulation must match exactly. The
 # collected sample file must then survive a cmd/walkprof round trip:
 # schema accepted, every table rendered, collapsed stacks written.
+#
+# The sampling-off report is also the repo's behaviour lock: the sha256
+# of its stripped stdout and of every -out file must equal the digests
+# checked in at scripts/golden_medium.sha256. Re-recording them is an
+# explicit, reviewed step (like scripts/bench_baseline.json):
+#   GOLDEN_RECORD=1 sh scripts/samplecheck.sh
+# rewrites the file from the current tree's report.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,6 +28,25 @@ go build -o "$tmp/walkprof" ./cmd/walkprof
 "$tmp/paperbench" -scale medium -quiet -out "$tmp/on" \
     -sample 64 -samples "$tmp/walks.jsonl" \
     | grep -v '^— paperbench completed' > "$tmp/on.txt"
+
+golden=scripts/golden_medium.sha256
+{
+    printf '%s  stdout\n' "$(sha256sum < "$tmp/off.txt" | cut -d' ' -f1)"
+    (cd "$tmp/off" && find . -type f | LC_ALL=C sort | sed 's|^\./||' | xargs sha256sum)
+} > "$tmp/digests"
+if [ "${GOLDEN_RECORD:-}" = 1 ]; then
+    {
+        echo "# sha256 of 'paperbench -scale medium' stdout (wall-clock line stripped)"
+        echo "# and of every -out file. Checked by scripts/samplecheck.sh; re-record"
+        echo "# with GOLDEN_RECORD=1 sh scripts/samplecheck.sh, and review the change."
+        cat "$tmp/digests"
+    } > "$golden"
+    echo "samplecheck: recorded $golden"
+elif ! grep -v '^#' "$golden" | cmp -s - "$tmp/digests"; then
+    echo "samplecheck: medium paperbench report drifted from $golden" >&2
+    grep -v '^#' "$golden" | diff - "$tmp/digests" >&2 || true
+    exit 1
+fi
 
 if ! cmp -s "$tmp/off.txt" "$tmp/on.txt"; then
     echo "samplecheck: medium paperbench stdout differs with sampling on" >&2
@@ -43,4 +69,4 @@ if ! [ -s "$tmp/report.txt" ] || ! [ -s "$tmp/walks.folded" ]; then
     exit 1
 fi
 
-echo "samplecheck: report identical with sampling on; walkprof round trip OK"
+echo "samplecheck: report matches $golden and is identical with sampling on; walkprof round trip OK"
