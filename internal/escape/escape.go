@@ -38,7 +38,6 @@ type Filter struct {
 	rows     [][inputBits]uint16
 	bankBits uint
 	inserts  int
-	gen      uint64
 }
 
 // New creates the paper's 256-bit 4-hash filter; its H3 matrices derive
@@ -89,7 +88,6 @@ func (f *Filter) Insert(pfn uint64) {
 		f.banks[h][bit/64] |= 1 << (bit % 64)
 	}
 	f.inserts++
-	f.gen++
 }
 
 // MayContain is the hardware probe: true means the page must take the
@@ -112,17 +110,10 @@ func (f *Filter) Clear() {
 		}
 	}
 	f.inserts = 0
-	f.gen++
 }
 
 // Inserts returns how many pages have been inserted.
 func (f *Filter) Inserts() int { return f.inserts }
-
-// Gen returns a monotonic mutation counter: any operation that can
-// change a future MayContain answer (Insert, Clear, LoadBits) bumps
-// it. Consumers that cache decisions derived from filter probes (the
-// MMU's miss memo) compare generations to detect mutation.
-func (f *Filter) Gen() uint64 { return f.gen }
 
 // Bits serializes the filter contents (context save).
 func (f *Filter) Bits() [][]uint64 {
@@ -147,7 +138,6 @@ func (f *Filter) LoadBits(b [][]uint64) {
 		copy(f.banks[h], b[h])
 	}
 	f.inserts = 0
-	f.gen++
 }
 
 // PopCount returns the number of set bits, a coarse fullness metric.

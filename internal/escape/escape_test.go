@@ -205,6 +205,21 @@ func TestLoadBitsGeometryMismatchPanics(t *testing.T) {
 	b.LoadBits(a.Bits())
 }
 
+// TestLoadBitsRejectsBankMismatch: the outer geometry check is not
+// enough — a bank of the wrong width must also panic rather than
+// silently truncate the copy.
+func TestLoadBitsRejectsBankMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadBits accepted a short bank")
+		}
+	}()
+	f := New(7)
+	b := f.Bits()
+	b[0] = b[0][:len(b[0])-1]
+	f.LoadBits(b)
+}
+
 func TestPopCountBounded(t *testing.T) {
 	f := New(11)
 	r := trace.NewRand(12)

@@ -8,10 +8,9 @@ import (
 	"vdirect/internal/telemetry/walkprof"
 )
 
-// Edge paths of the batched block loop and the fused miss path: large-
-// page handover, pure last-page tails, mid-walk nested faults, the
-// memo oracle's invalidation and verification machinery, and the
-// per-scheme L2-hit fast exits.
+// Edge paths of the batched block loop and the 2D walk: large-page
+// handover, pure last-page tails, mid-walk nested faults, nested skip
+// clamping, and the per-scheme L2-hit fast exits.
 
 // TestTranslateBlockLargePageHandover drives a native cell whose guest
 // table mixes 4K and 2M leaves through TranslateBlock and checks it
@@ -57,7 +56,6 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 			if err := per.gPT.Map(fault.Addr&^(addr.PageSize4K-1), 0xC00000, addr.Page4K); err != nil {
 				t.Fatal(err)
 			}
-			per.m.bumpEpoch()
 		}
 	}
 
@@ -73,7 +71,6 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 		if err := blk.gPT.Map(fault.Addr&^(addr.PageSize4K-1), 0xC00000, addr.Page4K); err != nil {
 			t.Fatal(err)
 		}
-		blk.m.bumpEpoch()
 	}
 	for i := range outBlk {
 		if outBlk[i].HPA != outPer[i].HPA || outBlk[i].L1Hit != outPer[i].L1Hit {
@@ -215,8 +212,12 @@ func TestSampledWalkFaultRefund(t *testing.T) {
 }
 
 // TestFusedWalkNestedFaults drives the two nested-fault exits of the
-// fused miss path: the final gPA missing from the nested table, and a
-// guest-table reference whose nested mapping the VMM pulled.
+// 2D walk: the final gPA missing from the nested table, and a guest-
+// table reference whose nested mapping the VMM pulled — the latter
+// both plain and under a period-1 sampler, which must refund the
+// faulting walk's tick instead of recording it. (The names date from
+// the hand-fused copy of the walk and its separate general path; both
+// subtests now run the one walker, walk2D.)
 func TestFusedWalkNestedFaults(t *testing.T) {
 	t.Run("final-gpa", func(t *testing.T) {
 		e := newEnv(t, 16, Config{})
@@ -233,65 +234,53 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 			t.Fatalf("NestedFaults = %d, want 1", st.NestedFaults)
 		}
 	})
-	t.Run("table-ref", func(t *testing.T) {
-		e := newEnv(t, 16, Config{})
-		e.mapGuest(t, 0x400000, 0x800000, 2)
-		if _, fault := e.m.Translate(0x400000); fault != nil {
-			t.Fatal(fault)
+	for _, sampled := range []bool{false, true} {
+		name := "table-ref"
+		if sampled {
+			name = "table-ref-general"
 		}
-		// Pull the nested mapping under the guest PT-level node, then
-		// invalidate nested state as a real VMM unmap would. The walk
-		// cache precheck still succeeds (the guest table is intact), so
-		// the fault surfaces inside the fast-path reference loop.
-		_, _, refs, ok := e.gPT.Walk(0x401000, nil)
-		if !ok || len(refs) == 0 {
-			t.Fatal("guest walk failed")
-		}
-		node := refs[len(refs)-1].Addr &^ (addr.PageSize4K - 1)
-		if err := e.nPT.Unmap(node, addr.Page4K); err != nil {
-			t.Fatal(err)
-		}
-		e.m.InvalidateNested()
-		_, fault := e.m.Translate(0x401000)
-		if fault == nil || fault.Kind != FaultNested {
-			t.Fatalf("fault = %v, want nested at the PT node", fault)
-		}
-		if fault.Addr&^(addr.PageSize4K-1) != node {
-			t.Fatalf("fault addr %#x not in unmapped node page %#x", fault.Addr, node)
-		}
-	})
-	t.Run("table-ref-general", func(t *testing.T) {
-		// Same unmapped-node fault through the general (sampled) path:
-		// walkGuestTableSkip's nested loop and nestedWalk2D's fault exit.
-		e := newEnv(t, 16, Config{})
-		e.mapGuest(t, 0x400000, 0x800000, 2)
-		if _, fault := e.m.Translate(0x400000); fault != nil {
-			t.Fatal(fault)
-		}
-		_, _, refs, ok := e.gPT.Walk(0x401000, nil)
-		if !ok || len(refs) == 0 {
-			t.Fatal("guest walk failed")
-		}
-		node := refs[len(refs)-1].Addr &^ (addr.PageSize4K - 1)
-		if err := e.nPT.Unmap(node, addr.Page4K); err != nil {
-			t.Fatal(err)
-		}
-		e.m.InvalidateNested()
-		s := sampleEverything(e.m) // sampler disables the fused gate
-		_, fault := e.m.Translate(0x401000)
-		if fault == nil || fault.Kind != FaultNested {
-			t.Fatalf("fault = %v, want nested", fault)
-		}
-		if s.Len() != 0 {
-			t.Fatalf("faulting 2D walk recorded %d samples", s.Len())
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, 16, Config{})
+			e.mapGuest(t, 0x400000, 0x800000, 2)
+			if _, fault := e.m.Translate(0x400000); fault != nil {
+				t.Fatal(fault)
+			}
+			// Pull the nested mapping under the guest PT-level node, then
+			// invalidate nested state as a real VMM unmap would. The guest
+			// walk cache still holds the path (the guest table is intact),
+			// so the fault surfaces inside the fixed-array reference loop.
+			_, _, refs, ok := e.gPT.Walk(0x401000, nil)
+			if !ok || len(refs) == 0 {
+				t.Fatal("guest walk failed")
+			}
+			node := refs[len(refs)-1].Addr &^ (addr.PageSize4K - 1)
+			if err := e.nPT.Unmap(node, addr.Page4K); err != nil {
+				t.Fatal(err)
+			}
+			e.m.InvalidateNested()
+			var s *walkprof.Sampler
+			if sampled {
+				s = sampleEverything(e.m)
+			}
+			_, fault := e.m.Translate(0x401000)
+			if fault == nil || fault.Kind != FaultNested {
+				t.Fatalf("fault = %v, want nested at the PT node", fault)
+			}
+			if fault.Addr&^(addr.PageSize4K-1) != node {
+				t.Fatalf("fault addr %#x not in unmapped node page %#x", fault.Addr, node)
+			}
+			if s != nil && s.Len() != 0 {
+				t.Fatalf("faulting 2D walk recorded %d samples", s.Len())
+			}
+		})
+	}
 }
 
 // TestNestedWalkSkipClamp: a nested 2M leaf walked while the nested
 // PDE cache covers its block yields a skip level (3) past the walk's
 // last reference (index 2) — the clamp must charge exactly the leaf.
-// Exercised on both the fused path and the general (sampled) path.
+// Exercised unobserved and again with a sampler attached: both runs go
+// through the same walker, and both must resolve inside the 2M block.
 func TestNestedWalkSkipClamp(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	// Prime the nested PDE cache for the 2M block at gPA 0x800000 with
@@ -312,7 +301,7 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fused path: a fresh gVA whose gPA sits in the repacked block.
+	// A fresh gVA whose gPA sits in the repacked block.
 	if err := e.gPT.Map(0x402000, 0x801000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +310,10 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 		t.Fatal(fault)
 	}
 	if want := uint64(0x40000000 + 0x1008); res.HPA != want {
-		t.Fatalf("fused 2M-block hPA = %#x, want %#x", res.HPA, want)
+		t.Fatalf("2M-block hPA = %#x, want %#x", res.HPA, want)
 	}
 
-	// General path: another page in the block with a sampler attached.
+	// Another page in the block with a sampler attached.
 	if err := e.gPT.Map(0x404000, 0x802000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
@@ -334,57 +323,6 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 		t.Fatal(fault)
 	}
 	if want := uint64(0x40000000 + 0x2010); res.HPA != want {
-		t.Fatalf("general 2M-block hPA = %#x, want %#x", res.HPA, want)
+		t.Fatalf("sampled 2M-block hPA = %#x, want %#x", res.HPA, want)
 	}
-}
-
-// TestMemoEscapeGenDrift: a direct escape-filter mutation (the OS/VMM
-// writes filters without an MMU call) must age out the whole memo on
-// the next probe — the drifted generation forces a miss even for a
-// page recorded in the same epoch regime.
-func TestMemoEscapeGenDrift(t *testing.T) {
-	e := newEnv(t, 16, Config{})
-	e.m.SetMemoCheck(true)
-	e.mapGuest(t, 0x400000, 0x800000, 1)
-	if _, fault := e.m.Translate(0x400000); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits, misses := e.m.MemoStats(); hits != 0 || misses != 1 {
-		t.Fatalf("after first miss: memo %d/%d", hits, misses)
-	}
-	e.m.GuestEscapeFilter().Insert(0x123)
-	e.m.FlushTLBs()
-	if _, fault := e.m.Translate(0x400000); fault != nil {
-		t.Fatal(fault)
-	}
-	if hits, misses := e.m.MemoStats(); hits != 0 || misses != 2 {
-		t.Fatalf("after drifted probe: memo %d/%d, want 0/2", hits, misses)
-	}
-	if g := e.m.escV.Gen() + e.m.escG.Gen(); e.m.memoEscGen != g {
-		t.Fatalf("memoEscGen %d not resynced to %d", e.m.memoEscGen, g)
-	}
-}
-
-// TestMemoVerifyPanics pins the oracle's two divergence checks: a
-// replayed frame differing from the recorded one, and a recorded miss
-// class that the fused gate could never have produced.
-func TestMemoVerifyPanics(t *testing.T) {
-	mustPanic := func(t *testing.T, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("memoVerify did not panic")
-			}
-		}()
-		f()
-	}
-	m := New(Config{})
-	t.Run("hpa-mismatch", func(t *testing.T) {
-		e := &memoEntry{hpa: 0x1000, aux: memoAux(5, 2, walkprof.ClassWalkNeither)}
-		mustPanic(t, func() { m.memoVerify(e, 0xABC000, 0x2000) })
-	})
-	t.Run("class-mismatch", func(t *testing.T) {
-		e := &memoEntry{hpa: 0x1000, aux: memoAux(5, 2, walkprof.ClassWalk1D)}
-		mustPanic(t, func() { m.memoVerify(e, 0xABC000, 0x1008) })
-	})
 }

@@ -222,38 +222,7 @@ type MMU struct {
 	lastVBase uint64 // 4K-aligned gVA
 	lastHBase uint64 // 4K-aligned hPA
 
-	// Miss-outcome memo (memo.go): per-(ASID, 4K VPN) records of fully
-	// resolved misses, invalidated wholesale by memoEpoch. A hit
-	// licenses the fused straight-line replay of the miss path; every
-	// modeled micro-op still re-executes there, so the memo can steer
-	// only host-side structure, never simulated outcomes.
-	memo      []memoEntry
-	memoEpoch uint64
-	// memoEscGen mirrors escV.Gen()+escG.Gen() as of the last epoch
-	// sync; a drift detected on the miss path bumps the epoch, making
-	// escape-filter mutation an invalidation source even though the
-	// filters are mutated directly, not through MMU methods.
-	memoEscGen uint64
-	memoHits   uint64
-	memoMisses uint64
-	// memoCheck engages the memo: entries are recorded, probed, and
-	// each fused replay's result cross-checked against the recorded
-	// outcome (panic on divergence). Off by default: the exact-replay
-	// doctrine means a memo hit licenses nothing skippable, so in
-	// production the probe would spend a host cache line per miss to
-	// learn what the replay recomputes anyway — measured at ~10% of the
-	// GUPS hot path. The memo therefore runs as a differential-testing
-	// oracle, not an accelerator; see DESIGN.md §5.
-	memoCheck bool
 }
-
-// bumpEpoch invalidates the miss memo wholesale. Every operation that
-// can change how a future miss resolves — flushes, ASID switches,
-// invalidations, table/segment/scheme register writes, fault service —
-// lands here; correctness does not depend on the list being complete
-// (the fused replay re-reads all modeled state), only the memo's
-// recorded outcomes' freshness does.
-func (m *MMU) bumpEpoch() { m.memoEpoch++ }
 
 // New builds an MMU with the given hardware configuration.
 func New(cfg Config) *MMU {
@@ -276,7 +245,6 @@ func New(cfg Config) *MMU {
 func (m *MMU) SetGuestPageTable(t *pagetable.Table) {
 	m.gPT = t
 	m.lastValid = false
-	m.bumpEpoch()
 }
 
 // SetNestedPageTable installs the second-dimension table and enables
@@ -285,7 +253,6 @@ func (m *MMU) SetNestedPageTable(t *pagetable.Table) {
 	m.nPT = t
 	m.virtualized = t != nil
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -297,7 +264,6 @@ func (m *MMU) SetNestedPageTable(t *pagetable.Table) {
 func (m *MMU) SetFlatNested(on bool) {
 	m.flatNested = on
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -308,7 +274,6 @@ func (m *MMU) FlatNested() bool { return m.flatNested }
 func (m *MMU) SetGuestSegment(r segment.Registers) {
 	m.segs.Guest = r
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -316,7 +281,6 @@ func (m *MMU) SetGuestSegment(r segment.Registers) {
 func (m *MMU) SetVMMSegment(r segment.Registers) {
 	m.segs.VMM = r
 	m.lastValid = false
-	m.bumpEpoch()
 	m.updateScheme()
 }
 
@@ -363,7 +327,6 @@ func (m *MMU) ResetStats() { m.stats = Stats{} }
 // nested invalidation would.
 func (m *MMU) FlushTLBs() {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.Flush()
 	m.l2.Flush()
 	m.pwc.Flush()
@@ -374,7 +337,6 @@ func (m *MMU) FlushTLBs() {
 // guest segment registers change; guest-visible translations flush.
 func (m *MMU) ContextSwitch(gpt *pagetable.Table, guestSeg segment.Registers) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.gPT = gpt
 	m.segs.Guest = guestSeg
 	m.updateScheme()
@@ -391,7 +353,6 @@ func (m *MMU) ContextSwitch(gpt *pagetable.Table, guestSeg segment.Registers) {
 // regardless.
 func (m *MMU) ContextSwitchASID(gpt *pagetable.Table, guestSeg segment.Registers, asid uint16) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.gPT = gpt
 	m.segs.Guest = guestSeg
 	m.updateScheme()
@@ -407,7 +368,6 @@ func (m *MMU) ContextSwitchASID(gpt *pagetable.Table, guestSeg segment.Registers
 // unconditionally (the flushed ASID may be the active one).
 func (m *MMU) FlushASID(a uint16) {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.FlushASID(a)
 	m.l2.FlushASID(a)
 	m.pwc.FlushASID(a)
@@ -424,7 +384,6 @@ func (m *MMU) FlushASID(a uint16) {
 // optimistic cost for one walk.
 func (m *MMU) InvalidatePage(gva uint64, s addr.PageSize) {
 	m.lastValid = false
-	m.bumpEpoch()
 	base := addr.PageBase(gva, s)
 	for off := uint64(0); off < s.Bytes(); off += addr.PageSize4K {
 		m.l1.Invalidate(base + off)
@@ -436,7 +395,6 @@ func (m *MMU) InvalidatePage(gva uint64, s addr.PageSize) {
 // composite and nested translations derived from the nPT are stale.
 func (m *MMU) InvalidateNested() {
 	m.lastValid = false
-	m.bumpEpoch()
 	m.l1.Flush()
 	m.l2.Flush()
 	m.pwc.Flush()
@@ -474,9 +432,8 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 	}
 	m.stats.L1Misses++
 
-	res, fault := m.missResolve(gva)
+	res, fault := m.scheme.TranslateMiss(m, gva)
 	if fault != nil {
-		m.bumpEpoch() // the fault will be serviced before the retry
 		return Result{}, fault
 	}
 	m.lastValid, m.lastVBase, m.lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
@@ -580,10 +537,9 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
 		m.stats.L1Misses++
-		res, fault := m.missResolve(gva)
+		res, fault := m.scheme.TranslateMiss(m, gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			m.bumpEpoch() // the fault will be serviced before the retry
 			return missAt, fault
 		}
 		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
@@ -639,10 +595,9 @@ func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
 		m.stats.L1Misses++
-		res, fault := m.missResolve(gva)
+		res, fault := m.scheme.TranslateMiss(m, gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			m.bumpEpoch() // the fault will be serviced before the retry
 			return i, fault
 		}
 		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
@@ -654,13 +609,6 @@ func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int
 	m.stats.L1Hits += l1Hits
 	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 	return len(evs), nil
-}
-
-// translateMiss handles everything past an L1 miss by dispatching to
-// the active scheme: segment fast paths, the L2 probe, and the
-// scheme's walk machine.
-func (m *MMU) translateMiss(gva uint64) (Result, *Fault) {
-	return m.scheme.TranslateMiss(m, gva)
 }
 
 // dualFastPath is the Dual Direct 0D path, shared by the schemes whose
@@ -741,7 +689,7 @@ func (m *MMU) escapeGuest(va uint64) bool {
 // majority pays only the inlined countdown — counter snapshots and
 // argument setup happen only for selected misses (a selected walk that
 // faults refunds its tick to the next miss). The wrapper is duplicated
-// per walker (walk1D/walk2D/walkFlat) rather than taking a function
+// in walkFlat (walk2D observes inline) rather than taking a function
 // value, which would allocate on the hot path.
 func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
 	m.stats.Walks++
@@ -767,29 +715,122 @@ func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
 	return res, fault
 }
 
-// walk2D invokes the 2D walk state machine of Figure 5(b).
-func (m *MMU) walk2D(gva uint64, cycles uint64) (Result, *Fault) {
+// walk2D resolves an L1 miss for every nested2DScheme (Dual Direct
+// reaches it once its 0D path declines): the shared L2 probe, then the
+// one 2D walk state machine of Figure 5(b). The segment registers
+// decide which dimensions flatten: a covered gVA resolves to gPA by
+// OFFSET_G, a covered gPA to hPA by OFFSET_V, and whatever they do not
+// absorb walks a page table, the guest table's references each
+// nested-translated first (the 5×4 of the 24-reference walk).
+//
+// The body is straight-line: the segment and ablation (DisablePWC,
+// DisableNestedTLB) branches are plain ifs that a given configuration
+// always takes the same way, and a guest walk whose 2M prefix is
+// walk-cached emits its references into a fixed array (Probe4K/Emit)
+// instead of the slice-building WalkFrom. Observation is a nil check on
+// the way out — the telemetry probe and walkprof sampler see the walk's
+// reference and cycle totals, and a sampled walk that faults refunds
+// its tick — so an observed run executes exactly the code an
+// unobserved one does.
+func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
+	var cycles uint64
+	if res, hit := m.probeL2(gva, &cycles); hit {
+		return res, nil
+	}
 	m.stats.Walks++
 	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.nestedWalk2D(gva, cycles)
+	refs0 := m.stats.WalkMemRefs
+
+	// First dimension. The guest base-bound check happens once per walk
+	// (Δ_GD = 1); the guest escape filter is the §V extension ("escape
+	// filters at both levels so the guest OS can escape pages as well").
+	guestCovered := false
+	if m.segs.Guest.Enabled() {
+		guestCovered = m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)
+		cycles += m.cfg.SegmentCheckCycles
+		m.stats.SegmentChecks++
 	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
-	res, fault := m.nestedWalk2D(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
+	var gpa uint64
+	gsize := addr.Page4K
+	if guestCovered {
+		m.stats.GuestSegHits++
+		gpa = m.segs.Guest.Translate(gva)
+	} else if fp, hit := m.gPT.Probe4K(gva); hit {
+		// A present 4K leaf under a walk-cached PT node: its reference
+		// addresses come out as a fixed array. Probe4K touches no modeled
+		// state, so probing it ahead of the guest PWC reorders nothing.
+		skip := 0
+		if !m.cfg.DisablePWC {
+			skip = m.pwc.SkipLevel(gva)
+		}
+		pa, refs, nref := fp.Emit(gva, skip)
+		for i := 0; i < nref; i++ {
+			hpa, _, f := m.nestedTranslate(refs[i], &cycles)
+			if f != nil {
+				m.stats.WalkMemRefs += uint64(i)
+				return m.walkFault(f, cycles, refs0, sampled)
+			}
+			cycles += m.ptc.Access(hpa)
+		}
+		m.stats.WalkMemRefs += uint64(nref)
+		if !m.cfg.DisablePWC {
+			m.pwc.FillFrom(gva, skip, addr.LvlPT)
+		}
+		gpa = pa
+	} else {
+		pa, size, ok, fault := m.walkGuestTable(gva, &cycles, true)
+		if fault == nil && !ok {
+			m.stats.GuestFaults++
+			fault = &Fault{Kind: FaultGuest, Addr: gva}
+		}
+		if fault != nil {
+			return m.walkFault(fault, cycles, refs0, sampled)
+		}
+		gpa, gsize = pa, size
+	}
+
+	// Second dimension for the final gPA.
+	vmmCovered := m.segs.VMM.Enabled() && m.segs.VMM.Contains(gpa)
+	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
+	if fault != nil {
+		return m.walkFault(fault, cycles, refs0, sampled)
+	}
+	m.classifyMiss(guestCovered, vmmCovered)
+	m.stats.WalkCycles += cycles
+	m.insertComposite(gva, hpa, gsize, nsize)
+	if m.probe != nil || sampled {
+		m.observeWalk(gva, cycles, refs0, sampled)
+	}
+	return Result{HPA: hpa, Cycles: cycles}, nil
+}
+
+// walkFault ends a 2D walk that faulted: its cycles are charged and the
+// probe observes it, while a sampled walk refunds its tick so the retry
+// after fault service is what gets sampled.
+func (m *MMU) walkFault(f *Fault, cycles, refs0 uint64, sampled bool) (Result, *Fault) {
+	m.stats.WalkCycles += cycles
 	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
+		m.probe.Refs.Observe(m.stats.WalkMemRefs - refs0)
+		m.probe.Cycles.Observe(cycles)
 	}
 	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, m.walkClass, drefs, dcyc, m.asid)
-		}
+		m.sampler.Refund()
 	}
-	return res, fault
+	return Result{}, f
+}
+
+// observeWalk hands a completed 2D walk's reference and cycle totals to
+// the installed observers.
+func (m *MMU) observeWalk(gva, cycles, refs0 uint64, sampled bool) {
+	drefs := m.stats.WalkMemRefs - refs0
+	if m.probe != nil {
+		m.probe.Refs.Observe(drefs)
+		m.probe.Cycles.Observe(cycles)
+	}
+	if sampled {
+		m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
+			m.walkSize, m.walkClass, drefs, cycles, m.asid)
+	}
 }
 
 // walkFlat invokes the flattened 2D walk (scheme_flat.go).
@@ -847,13 +888,6 @@ func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64,
 	if !m.cfg.DisablePWC {
 		skip = m.pwc.SkipLevel(va)
 	}
-	return m.walkGuestTableSkip(va, cycles, nested, skip)
-}
-
-// walkGuestTableSkip is walkGuestTable with the PWC skip level already
-// probed — the fused miss path (memo.go) interposes other work between
-// the probe and the walk.
-func (m *MMU) walkGuestTableSkip(va uint64, cycles *uint64, nested bool, skip int) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
 	m.refBuf = m.refBuf[:0]
 	pa, size, refs, ok := m.gPT.WalkFrom(va, skip, m.refBuf)
 	m.refBuf = refs
@@ -907,114 +941,54 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 		}
 		m.stats.NestedTLBMisses++
 	}
-	// Nested page-table walk: up to 4 references, reduced by the
-	// nested paging-structure caches. The ref buffer is reused across
-	// walks (separate from the guest-walk buffer, which is live while a
-	// 2D walk translates its table references through this path).
+	// Nested page-table walk: up to 4 references, reduced by the nested
+	// paging-structure caches. A faulting walk must leave the nested
+	// PWC's LRU state untouched, so the PWC is probed only once success
+	// is certain: before emitting a walk-cache fast walk (which cannot
+	// fault), after the general walk otherwise. The ref buffer is
+	// separate from the guest-walk buffer, which is live while a 2D walk
+	// translates its table references through this path.
 	m.stats.NestedWalks++
-	m.nrefBuf = m.nrefBuf[:0]
+	var refs [addr.Levels]uint64
 	var hpa uint64
-	var nsize addr.PageSize
-	var refs []pagetable.Ref
-	var ok bool
-	skip := 0
-	fast := false
-	if !m.cfg.DisablePWC {
-		// WalkFast runs the walk-cache path and calls back for the skip
-		// level only once success is guaranteed, so the nested PWC is
-		// probed up front (the probe order relative to the walk is
-		// unobservable — the walk never touches the PWC) and the walk
-		// skips materializing references the charging loop would drop.
-		// A fault, which under the old order returned before the PWC
-		// probe, is impossible on the fast path; the general path below
-		// keeps probe-after-walk for that case.
-		hpa, nsize, refs, fast = m.nPT.WalkFast(gpa, func() int {
+	nsize := addr.Page4K
+	var n, skip, leafLvl int
+	if fp, hit := m.nPT.Probe4K(gpa); hit {
+		if !m.cfg.DisablePWC {
 			skip = m.npwc.SkipLevel(gpa)
-			return skip
-		}, m.nrefBuf)
-	}
-	if fast {
-		m.nrefBuf = refs
-		ok = true
-	} else {
-		hpa, nsize, refs, ok = m.nPT.Walk(gpa, m.nrefBuf)
-		m.nrefBuf = refs // keep the buffer anchored at its start
-		if ok && !m.cfg.DisablePWC {
-			skip = m.npwc.SkipLevel(gpa)
-			if skip > len(refs)-1 {
-				skip = len(refs) - 1
-			}
 		}
-		refs = refs[skip:]
+		hpa, refs, n = fp.Emit(gpa, skip)
+		leafLvl = addr.LvlPT
+	} else {
+		var rs []pagetable.Ref
+		var ok bool
+		hpa, nsize, rs, ok = m.nPT.Walk(gpa, m.nrefBuf[:0])
+		m.nrefBuf = rs
+		if !ok {
+			m.stats.NestedFaults++
+			return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
+		}
+		if !m.cfg.DisablePWC {
+			skip = min(m.npwc.SkipLevel(gpa), len(rs)-1)
+		}
+		for i, r := range rs[skip:] {
+			refs[i] = r.Addr
+		}
+		n, leafLvl = len(rs)-skip, rs[len(rs)-1].Level
 	}
-	if !ok {
-		m.stats.NestedFaults++
-		return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
-	}
-	m.stats.WalkMemRefs += uint64(len(refs))
+	m.stats.WalkMemRefs += uint64(n)
 	cyc := *cycles
-	for _, ref := range refs {
-		cyc += m.ptc.Access(ref.Addr)
+	for _, a := range refs[:n] {
+		cyc += m.ptc.Access(a)
 	}
 	*cycles = cyc
 	if !m.cfg.DisablePWC {
-		m.npwc.FillFrom(gpa, skip, refs[len(refs)-1].Level)
+		m.npwc.FillFrom(gpa, skip, leafLvl)
 	}
 	if !m.cfg.DisableNestedTLB {
 		m.l2.InsertNested(gpa&^(addr.PageSize4K-1), hpa&^(addr.PageSize4K-1))
 	}
 	return hpa, nsize, nil
-}
-
-// nestedWalk2D is the two-dimensional walk of Figure 2, flattened in
-// one or both dimensions when segments cover the relevant ranges.
-func (m *MMU) nestedWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
-	// The guest escape filter is the §V extension ("escape filters at
-	// both levels so the guest OS can escape pages as well"): a covered
-	// gVA that hits it walks the guest page table instead.
-	guestCovered := m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) &&
-		!m.escapeGuest(gva)
-	if m.segs.Guest.Enabled() {
-		// The guest base-bound check happens once per walk (Δ_GD = 1).
-		cycles += m.cfg.SegmentCheckCycles
-		m.stats.SegmentChecks++
-	}
-
-	var gpa uint64
-	var gsize addr.PageSize
-	if guestCovered {
-		// First dimension flattened: gPA = gVA + OFFSET_G.
-		m.stats.GuestSegHits++
-		gpa = m.segs.Guest.Translate(gva)
-		gsize = addr.Page4K
-	} else {
-		// Walk the guest page table; each reference is a gPA needing
-		// nested translation first (the 5×4 of the 24-reference walk).
-		pa, size, ok, fault := m.walkGuestTable(gva, &cycles, true)
-		if fault != nil {
-			m.stats.WalkCycles += cycles
-			return Result{}, fault
-		}
-		if !ok {
-			m.stats.GuestFaults++
-			m.stats.WalkCycles += cycles
-			return Result{}, &Fault{Kind: FaultGuest, Addr: gva}
-		}
-		gpa, gsize = pa, size
-	}
-
-	// Second dimension for the final gPA.
-	vmmCovered := m.segs.VMM.Enabled() && m.segs.VMM.Contains(gpa)
-	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
-	if fault != nil {
-		m.stats.WalkCycles += cycles
-		return Result{}, fault
-	}
-
-	m.classifyMiss(guestCovered, vmmCovered)
-	m.stats.WalkCycles += cycles
-	m.insertComposite(gva, hpa, gsize, nsize)
-	return Result{HPA: hpa, Cycles: cycles}, nil
 }
 
 // classifyMiss updates the Table I / Table IV fraction counters and

@@ -151,7 +151,7 @@ func (m *MMU) walkGuestTableFlat(va uint64, cycles *uint64) (pa uint64, size add
 	return pa, size, ok, nil
 }
 
-// flatWalk2D mirrors nestedWalk2D with the flattened guest-table
+// flatWalk2D mirrors walk2D with the flattened guest-table
 // walker: segment flattening, fault handling, miss classification, and
 // TLB fills are identical, so the scheme differs from the baseline
 // only in what each interior guest reference costs.

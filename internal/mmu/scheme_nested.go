@@ -2,7 +2,7 @@ package mmu
 
 // nested2DScheme is the shared miss path of the virtualized schemes
 // that resolve through the 2D walk machine: probe the L2, then walk.
-// Which dimensions the walk flattens is decided inside nestedWalk2D by
+// Which dimensions the walk flattens is decided inside walk2D by
 // the segment registers, exactly as Figure 5(b)'s hardware does — the
 // embedding schemes differ in identity (name, cost table,
 // requirements), not in miss-path code.
@@ -11,11 +11,7 @@ type nested2DScheme struct{}
 func (nested2DScheme) Virtualized() bool { return true }
 
 func (nested2DScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
-	var cycles uint64
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
-	}
-	return m.walk2D(gva, cycles)
+	return m.walk2D(gva)
 }
 
 // baseVirtualizedScheme is the unmodified 2D baseline: no segments,
@@ -107,8 +103,5 @@ func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, ok := m.dualFastPath(gva, &cycles); ok {
 		return res, nil
 	}
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
-	}
-	return m.walk2D(gva, cycles)
+	return m.walk2D(gva)
 }

@@ -11,28 +11,34 @@ import (
 // The thrash differential drives a conflict-miss-heavy workload — far
 // more live pages per L1 set than the TLB has ways — through per-event
 // Translate on one stack and TranslateBlock on an identical one, with
-// flushes, page invalidations, and tagged context switches landing at
-// the same event boundaries on both. Under eviction pressure the
-// batched path's run detection, last-page restore, and memo epochs all
-// get exercised on entries that keep disappearing; the contract is the
-// same as TestTranslateBlockMatchesPerEvent: batching must be invisible
-// in every counter, every result, and (in the sampled variant) every
-// walkprof sample.
+// flushes, remaps with their page invalidations, and tagged context
+// switches landing at the same event boundaries on both. Under eviction
+// pressure the batched path's run detection and last-page restore get
+// exercised on entries that keep disappearing; the contract is the same
+// as TestTranslateBlockMatchesPerEvent: batching must be invisible in
+// every counter, every result, and (in the sampled variant) every
+// walkprof sample. Both runners also hold every resolved hPA to ground
+// truth — the software translation through the active guest table and
+// the nested table — so an invalidation both stacks skip alike (a stale
+// TLB entry outliving a remap) fails too, not only a divergence.
 
 // thrashOp kinds. Access steps carry a VA; switch steps carry the
-// target ASID (0 → space A's page table, 1 → space B's).
+// target ASID (0 → space A's page table, 1 → space B's); remap steps
+// move the active space's page at va to gPA gpa.
 const (
 	thrashAccess = iota
 	thrashFlushTLBs
 	thrashInvlPage
 	thrashSwitch
 	thrashFlushASID
+	thrashRemap
 )
 
 type thrashOp struct {
 	kind int
 	va   uint64
 	asid uint16
+	gpa  uint64
 }
 
 // thrashState is one MMU stack plus the second address space and the
@@ -49,8 +55,7 @@ type thrashState struct {
 // 4 ways = 16 sets and the shared L2 is 512 / 4 = 128 sets, so VPNs
 // striding 128 collide in one set of *both* levels. Twelve pages per
 // set against 4 ways guarantees steady conflict evictions all the way
-// down — re-sweeps miss L1 and L2 and re-walk, which is what arms the
-// memo oracle. Two set offsets keep the pressure from being purely
+// down — re-sweeps miss L1 and L2 and re-walk. Two set offsets keep the pressure from being purely
 // one-set pathological.
 func thrashVAs() []uint64 {
 	var vas []uint64
@@ -102,8 +107,23 @@ func (s *thrashState) serviceFault(t *testing.T, fault *Fault) {
 	}
 }
 
+// checkTruth holds a resolved access to the software translation of
+// its VA through the active guest table and the nested table.
+func (s *thrashState) checkTruth(t *testing.T, va uint64, res Result) {
+	t.Helper()
+	gpa, _, ok := s.active.Translate(va)
+	if !ok {
+		t.Fatalf("va %#x resolved to %#x but the active space does not map it", va, res.HPA)
+	}
+	hpa, _, ok := s.e.nPT.Translate(gpa)
+	if !ok || res.HPA != hpa {
+		t.Fatalf("va %#x (ASID %d) resolved to hPA %#x, ground truth %#x", va, s.asid, res.HPA, hpa)
+	}
+}
+
 // applyThrashOp performs one non-access mutation on this stack.
-func (s *thrashState) applyThrashOp(op thrashOp) {
+func (s *thrashState) applyThrashOp(t *testing.T, op thrashOp) {
+	t.Helper()
 	switch op.kind {
 	case thrashFlushTLBs:
 		s.e.m.FlushTLBs()
@@ -118,14 +138,22 @@ func (s *thrashState) applyThrashOp(op thrashOp) {
 		s.active, s.asid = pt, op.asid
 	case thrashFlushASID:
 		s.e.m.FlushASID(op.asid)
+	case thrashRemap:
+		if err := s.active.Remap(op.va, op.gpa); err != nil {
+			t.Fatalf("remapping %#x: %v", op.va, err)
+		}
 	}
 }
 
 // thrashScript builds the deterministic adversarial sequence: rounds of
 // conflict-set sweeps with a different mutation landing between rounds —
-// full flush, INVLPG of the page just about to be re-touched, tagged
-// switches between the two spaces (each space keeps its own ASID, so no
-// PCID-slot reuse), and cross-ASID shootdowns of the inactive space.
+// full flush, remap plus INVLPG of the page just about to be re-touched,
+// tagged switches between the two spaces (each space keeps its own ASID,
+// so no PCID-slot reuse), and a remap of the space being left followed
+// by INVPCID of its ASID. Each remap is re-touched right after its
+// invalidation, while the stale translation is still resident in the
+// L2, so an invalidation that fails to reach either TLB level serves
+// the old frame.
 func thrashScript() []thrashOp {
 	vas := thrashVAs()
 	var script []thrashOp
@@ -140,28 +168,34 @@ func thrashScript() []thrashOp {
 	}
 	for r := 0; r < 8; r++ {
 		// Two back-to-back sweeps: the second re-walks the pages the
-		// first's conflict evictions threw out, inside the same memo
-		// epoch — that is what gives the memo oracle hits to verify
-		// before the mutation below stales everything again.
+		// first's conflict evictions threw out before the mutation below
+		// stales everything again.
 		sweep(r)
 		sweep(r + 5)
+		last := vas[(len(vas)-1+r+5)%len(vas)] // the second sweep's final page
+		remap := thrashOp{kind: thrashRemap, va: last, gpa: 0xE00000 + uint64(r)<<12}
 		switch r % 4 {
 		case 0:
 			script = append(script, thrashOp{kind: thrashFlushTLBs})
 		case 1:
-			// Invalidate the page the next sweep touches first, then one
-			// access straddling the invalidation to force an immediate
-			// re-walk of a just-hot page.
-			va := vas[(r+1)%len(vas)]
+			// Remap and invalidate the page the sweep touched last, then
+			// one access straddling the invalidation to force an
+			// immediate re-walk of a just-hot page.
 			script = append(script,
-				thrashOp{kind: thrashAccess, va: va},
-				thrashOp{kind: thrashInvlPage, va: va},
-				thrashOp{kind: thrashAccess, va: va})
+				thrashOp{kind: thrashAccess, va: last},
+				remap,
+				thrashOp{kind: thrashInvlPage, va: last},
+				thrashOp{kind: thrashAccess, va: last})
 		case 2:
 			script = append(script, thrashOp{kind: thrashSwitch, asid: 1})
 		case 3:
+			// Space B is active (switched to in the previous round):
+			// remap its last-touched page, shoot down its whole ASID,
+			// and re-touch the page before leaving.
 			script = append(script,
+				remap,
 				thrashOp{kind: thrashFlushASID, asid: 1},
+				thrashOp{kind: thrashAccess, va: last},
 				thrashOp{kind: thrashSwitch, asid: 0})
 		}
 	}
@@ -178,12 +212,13 @@ func runThrashPerEvent(t *testing.T, s *thrashState, script []thrashOp) []Result
 	var out []Result
 	for _, op := range script {
 		if op.kind != thrashAccess {
-			s.applyThrashOp(op)
+			s.applyThrashOp(t, op)
 			continue
 		}
 		for attempt := 0; ; attempt++ {
 			res, fault := s.e.m.Translate(op.va)
 			if fault == nil {
+				s.checkTruth(t, op.va, res)
 				out = append(out, res)
 				break
 			}
@@ -222,6 +257,11 @@ func runThrashBlock(t *testing.T, s *thrashState, script []thrashOp) []Result {
 		if done != len(evs) {
 			t.Fatalf("block run completed %d of %d events", done, len(evs))
 		}
+		// Mappings only grow within a run (fault service), so every
+		// result can be checked against the tables as the run left them.
+		for i, va := range runVAs {
+			s.checkTruth(t, va, sub[i])
+		}
 		out = append(out, sub...)
 		runVAs = runVAs[:0]
 	}
@@ -231,35 +271,29 @@ func runThrashBlock(t *testing.T, s *thrashState, script []thrashOp) []Result {
 			continue
 		}
 		flush()
-		s.applyThrashOp(op)
+		s.applyThrashOp(t, op)
 	}
 	flush()
 	return out
 }
 
 // TestTranslateBlockThrashDifferential is the adversarial batching
-// differential. The memocheck variant additionally arms the per-page
-// memo as a self-verifying oracle (SetMemoCheck), so every fused walk
-// whose memoized outcome survives an epoch is cross-checked against
-// the walk it just re-executed — through flushes, INVLPGs, and ASID
-// churn designed to stale the memo.
+// differential, run on the default hardware and again with the PWCs and
+// nested TLB disabled, so the walk's uncached branches face the same
+// churn.
 func TestTranslateBlockThrashDifferential(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		memoCheck bool
+		name string
+		cfg  Config
 	}{
-		{"plain", false},
-		{"memocheck", true},
+		{"plain", Config{}},
+		{"uncached", Config{DisablePWC: true, DisableNestedTLB: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			script := thrashScript()
 
-			per := newThrashState(t, Config{})
-			blk := newThrashState(t, Config{})
-			if tc.memoCheck {
-				per.e.m.SetMemoCheck(true)
-				blk.e.m.SetMemoCheck(true)
-			}
+			per := newThrashState(t, tc.cfg)
+			blk := newThrashState(t, tc.cfg)
 
 			perResults := runThrashPerEvent(t, per, script)
 			blkResults := runThrashBlock(t, blk, script)
@@ -281,18 +315,6 @@ func TestTranslateBlockThrashDifferential(t *testing.T) {
 			// touches should miss L1 even in steady state.
 			if st := per.e.m.Stats(); st.L1Misses < st.Accesses/3 {
 				t.Errorf("workload not adversarial: only %d L1 misses in %d accesses", st.L1Misses, st.Accesses)
-			}
-			if tc.memoCheck {
-				// The oracle is only meaningful if some memoized outcomes
-				// survived to be verified.
-				hits, misses := per.e.m.MemoStats()
-				if hits == 0 {
-					t.Errorf("memo oracle never hit (misses=%d); churn script defeats its own check", misses)
-				}
-				bh, bm := blk.e.m.MemoStats()
-				if bh != hits || bm != misses {
-					t.Errorf("memo traffic diverges: per-event %d/%d, block %d/%d", hits, misses, bh, bm)
-				}
 			}
 		})
 	}
@@ -384,9 +406,7 @@ func TestInvalidatePageCrossASID(t *testing.T) {
 // TestTranslateBlockThrashSampled repeats the thrash differential with
 // period-1 walkprof samplers installed on both stacks and requires the
 // two sample streams to be element-wise identical — VPN, size, class,
-// refs, cycles, and ASID per miss, in order. A sampler disables the
-// fused-walk gate, so this variant also pins that the *unfused* batched
-// path replays exactly under eviction pressure.
+// refs, cycles, and ASID per miss, in order.
 func TestTranslateBlockThrashSampled(t *testing.T) {
 	script := thrashScript()
 

@@ -241,13 +241,6 @@ func NewHarnessNested(nested addr.PageSize) (*Harness, error) {
 		m.SetNestedPageTable(vm.NPT)
 		m.SetGuestSegment(proc.Seg)
 		m.SetVMMSegment(h.vmmRegs)
-		// Engage the miss memo and its cross-check: whenever an op
-		// stream steers a stack into the fused-eligible configuration
-		// (unsegmented nested paging — the pressure geometry once both
-		// segments are off), every replayed miss is verified against the
-		// recorded outcome, so an invalidation gap in the memo's epoch
-		// scheme panics the fuzz target instead of hiding.
-		m.SetMemoCheck(true)
 	}
 
 	// Mirror architectural state into the oracle. The nested map is
@@ -420,10 +413,10 @@ func (h *Harness) step(r *opReader) error {
 			// INVLPG of an arbitrary page: pure cache surgery (the
 			// mapping itself is untouched, so surviving entries stay
 			// valid and the oracle model needs no update). Exercises
-			// per-page invalidation against the last-page cache and the
-			// miss memo's epoch — a page whose memo entry survived an
-			// INVLPG stale would trip the memoCheck cross-check on its
-			// next recorded replay.
+			// per-page invalidation against the last-page cache and both
+			// TLB levels. Unmaps and remaps go through the same
+			// InvalidatePage, where an entry it failed to drop would
+			// serve a translation the flat-map reference disagrees with.
 			va := addr.PageBase(h.decodeVA(r.next(), r.next()), addr.Page4K)
 			for _, m := range h.mmus {
 				m.InvalidatePage(va, addr.Page4K)

@@ -63,6 +63,7 @@ func namedSeeds() []namedSeed {
 		{"seed-multi-process", seedMultiProcess()},
 		{"seed-memo-churn", seedMemoChurn()},
 		{"seed-flat-nested", seedFlatNested()},
+		{"seed-unmap-retouch", seedUnmapRetouch()},
 	}
 }
 
@@ -227,19 +228,19 @@ func seedFlatNested() []byte {
 	return b
 }
 
-// seedMemoChurn drives the fused-eligible configuration (unsegmented
-// nested paging) through every miss-memo invalidation source while
-// re-touching a small page set hot enough to keep recorded entries
-// live: full flushes, INVPCID, tagged and untagged context switches,
-// single-page INVLPG of the hot pages, segment re-enable/disable and
-// flat-walk flips. The harness runs with SetMemoCheck on, so a memo
-// entry surviving any of these operations stale is a panic, not a
-// silent wrong record.
+// seedMemoChurn drives unsegmented nested paging through every TLB
+// invalidation source while re-touching a small page set hot enough to
+// keep its entries resident: full flushes, INVPCID, tagged and untagged
+// context switches, single-page INVLPG of the hot pages, segment
+// re-enable/disable and flat-walk flips. Every access is checked
+// against the oracle's flat-map reference, so an entry surviving any of
+// these operations stale is a translation divergence. (The name dates
+// from the per-page miss memo this seed was written to churn; the seed
+// outlived it and kept its name so fuzz corpora stay comparable.)
 func seedMemoChurn() []byte {
 	b := []byte{flagPlainOnly}
 	// Drop both segments: VMM toggle off, guest segment resized to zero
-	// pages. From here the pressure stack's misses take the fused path
-	// and the memo records/verifies each one.
+	// pages. From here every miss of both stacks takes the base 2D walk.
 	b = append(b, opToggleVMM, opResize, 0)
 	touch := func(k int) {
 		for i := 0; i < 6; i++ {
@@ -264,15 +265,34 @@ func seedMemoChurn() []byte {
 		b = append(b, opSub, subSwitch, byte(i+1))
 		touch(i + 5)
 		b = append(b,
-			opResize, 64, // re-cover: gate off, memo cold
+			opResize, 64, // re-cover: Guest Direct
 			opAccess, 0, byte(i*7),
-			opResize, 0, // uncover: gate back on
+			opResize, 0, // uncover: base 2D again
 		)
 		touch(i + 6)
-		b = append(b, opSub, subToggleFlat) // flat: gate off
+		b = append(b, opSub, subToggleFlat) // flat walker
 		touch(i + 7)
-		b = append(b, opSub, subToggleFlat) // back: gate on, epoch moved
+		b = append(b, opSub, subToggleFlat) // back to the base 2D walk
 		touch(i + 8)
+	}
+	return b
+}
+
+// seedUnmapRetouch re-touches each paged-region page right after its
+// unmap, in the unsegmented 2D configuration. The touch before the
+// unmap leaves the translation in both TLB levels, so an InvalidatePage
+// that missed either one would serve the freed frame where the oracle
+// predicts a guest fault; the demand-paged retry then must resolve to
+// the new frame.
+func seedUnmapRetouch() []byte {
+	b := []byte{flagPlainOnly, opToggleVMM, opResize, 0}
+	for i := 0; i < 12; i++ {
+		b = append(b,
+			opMap, 0, byte(i),
+			opAccess, 2, byte(i),
+			opUnmap, 0, byte(i),
+			opAccess, 2, byte(i),
+		)
 	}
 	return b
 }

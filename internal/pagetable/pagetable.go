@@ -397,43 +397,6 @@ func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.Pag
 	panic("pagetable: walk fell off the tree")
 }
 
-// WalkFast attempts the walk-cache fast path only: if the 2M prefix's
-// PT node is cached, current, and holds a present leaf for va, it
-// performs the cached walk — emitting references for levels ≥ skipOf()
-// plus the leaf — and returns fast=true. Otherwise it touches nothing
-// and returns fast=false for the caller to fall back to Walk.
-//
-// skipOf runs only once success is guaranteed, so a skip source that
-// must not be probed on walks that fault (the nested PWC, whose LRU
-// state a fault-path probe would perturb) can be deferred into it: a
-// fast walk cannot fault, making probe-before-emit observationally
-// identical to probe-after-walk.
-func (t *Table) WalkFast(va uint64, skipOf func() int, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, fast bool) {
-	e := &t.wc[va>>21&wcMask]
-	if e.tag != va>>21 || e.gen != t.gen {
-		return 0, 0, refs, false
-	}
-	n := e.pt
-	idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-	w := n.words[idx]
-	if w&peP == 0 {
-		return 0, 0, refs, false
-	}
-	skip := skipOf()
-	if skip > addr.LvlPT {
-		skip = addr.LvlPT
-	}
-	for lvl := skip; lvl < addr.LvlPT; lvl++ {
-		refs = append(refs, Ref{Addr: e.refs[lvl], Level: lvl})
-	}
-	refs = append(refs, Ref{Addr: n.frame<<addr.PageShift4K + idx*8, Level: addr.LvlPT})
-	if w&peA == 0 {
-		n.words[idx] = w | peA
-	}
-	return w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1),
-		addr.Page4K, refs, true
-}
-
 // FastProbe is a handle to a confirmed 4K-leaf walk-cache path,
 // returned by Probe4K and consumed by Emit. It exists so a caller can
 // interpose modeled side effects (a PWC skip probe, which must not run
@@ -469,7 +432,7 @@ func (t *Table) Probe4K(va uint64) (FastProbe, bool) {
 // addresses for levels [skip, LvlPT] in walk order (fixed array, no
 // slice traffic), the leaf accessed-bit store-on-flip, and the
 // translated physical address — identical modeled behaviour to
-// WalkFast with the same skip.
+// WalkFrom's walk-cache path with the same skip.
 func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint64, n int) {
 	if skip > addr.LvlPT {
 		skip = addr.LvlPT

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -154,4 +156,39 @@ func localFrom(h *Histogram) *Local {
 	l.sum = h.sum.Load()
 	l.m = h.m.Load()
 	return &l
+}
+
+// FuzzParseManifest: ParseManifest rejects arbitrary bytes with an
+// error, never a panic, and any manifest it accepts is a fixed point of
+// one encode/parse round trip.
+func FuzzParseManifest(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "manifest_v2.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"schema_version":2,"tool":"vmemsim","args":[],"config":{},"start":"2026-01-02T03:04:05+01:00"}`))
+	f.Add([]byte(`{"schema_version":1}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted manifest: %v", err)
+		}
+		back, err := ParseManifest(first)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v", err)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the manifest:\n%s\nvs\n%s", first, second)
+		}
+	})
 }

@@ -104,7 +104,14 @@ func ReadTrace(r io.Reader) (*Slice, error) {
 	if count > maxEvents {
 		return nil, fmt.Errorf("%w: implausible event count %d", ErrBadTraceFile, count)
 	}
-	evs := make([]Event, 0, count)
+	// The header's count is untrusted: preallocate at most a bounded
+	// prefix and let append grow with events actually read, so a short
+	// stream claiming billions of events fails on EOF, not on OOM.
+	prealloc := count
+	if prealloc > 1<<16 {
+		prealloc = 1 << 16
+	}
+	evs := make([]Event, 0, prealloc)
 	var rec [16]byte
 	for i := uint64(0); i < count; i++ {
 		b, err := br.ReadByte()

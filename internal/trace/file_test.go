@@ -102,3 +102,62 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestReadTraceHugeCountShortStream: a header claiming 2^32 events on a
+// stream that ends right after it must fail with an error, without
+// first allocating room for the claimed count.
+func TestReadTraceHugeCountShortStream(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(fileMagic[:])
+	buf.Write([]byte{0, 0, 0, 0})             // name length 0
+	buf.Write([]byte{0, 0, 0, 0, 1, 0, 0, 0}) // event count 2^32
+	if buf.Len() != 20 {
+		t.Fatalf("stream is %d bytes, want 20", buf.Len())
+	}
+	if _, err := ReadTrace(&buf); err == nil {
+		t.Fatal("stream ending after a 2^32-event header accepted")
+	}
+}
+
+// FuzzReadTrace: arbitrary bytes are rejected with an error, never a
+// panic or an allocation sized by the header, and any stream ReadTrace
+// accepts survives a WriteTo/ReadTrace round trip unchanged.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	NewSlice("seed", []Event{
+		{Kind: Access, VA: 0x40001234},
+		{Kind: Access, VA: 0x40005678, Write: true},
+		{Kind: Alloc, VA: 0x20000000, Size: 64 << 10},
+		{Kind: Free, VA: 0x20000000, Size: 64 << 10},
+	}).WriteTo(&buf)
+	f.Add(buf.Bytes())
+	f.Add(append(append([]byte{}, fileMagic[:]...), 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0))
+	f.Add([]byte("notmagic"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := s.WriteTo(&out); err != nil {
+			t.Fatalf("re-serializing an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("round trip rejected: %v", err)
+		}
+		if back.Name() != s.Name() || back.Len() != s.Len() {
+			t.Fatalf("round trip meta: %q/%d, want %q/%d", back.Name(), back.Len(), s.Name(), s.Len())
+		}
+		for {
+			want, ok := s.Next()
+			got, _ := back.Next()
+			if !ok {
+				break
+			}
+			if got != want {
+				t.Fatalf("round trip event %+v, want %+v", got, want)
+			}
+		}
+	})
+}
