@@ -231,3 +231,28 @@ func TestPopCountBounded(t *testing.T) {
 		t.Errorf("PopCount = %d, want in [4, 64]", pc)
 	}
 }
+
+// goldenPFNs covers zero, small frames, frames at the top of the 40-bit
+// input, and frames with bits above it (which H3 ignores).
+var goldenPFNs = []uint64{0, 1, 0x2a, 0xfff, 0x12345, 0x3_0000_0000, 0xf_ffff_ffff, 0xff_ffff_ffff, 1 << 40, 0xdead_beef_cafe_f00d}
+
+// TestGoldenBits pins the filter contents of the MMU's two hardware
+// instances (seeds 1 and 2) after a fixed insert list. Any change to the
+// H3 draw sequence or to how hash evaluates it changes these words.
+func TestGoldenBits(t *testing.T) {
+	want := map[uint64][]uint64{
+		1: {0x0001242001001401, 0x4100820020040019, 0x4200000c28000091, 0x0008008031010401},
+		2: {0x3000800200020c03, 0x2000860080410011, 0xd000800400010009, 0x0000009004918201},
+	}
+	for seed, w := range want {
+		f := New(seed)
+		for _, pfn := range goldenPFNs {
+			f.Insert(pfn)
+		}
+		for h, bank := range f.Bits() {
+			if len(bank) != 1 || bank[0] != w[h] {
+				t.Errorf("New(%d) bank %d = %#016x, want %#016x", seed, h, bank, w[h])
+			}
+		}
+	}
+}

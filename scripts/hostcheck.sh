@@ -7,6 +7,15 @@
 # {1,8}x{1,4} must produce the same stdout (only the trailing
 # wall-clock line stripped) and the same encoded sample file as the
 # serial run.
+#
+# The serial run is also the host sweep's behaviour lock: the sha256 of
+# its stripped stdout and of its sample file must equal the digests
+# checked in at scripts/golden_host.sha256. The sweep is where escape
+# filters actually fill (page retirement), so it pins the filter's hash
+# as well as the consolidation driver. Re-recording is an explicit,
+# reviewed step, as for scripts/golden_medium.sha256:
+#   GOLDEN_RECORD=1 sh scripts/hostcheck.sh
+# rewrites the file from the current tree's serial run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,4 +53,24 @@ if ! [ -s "$tmp/walks-1-1.jsonl" ]; then
     exit 1
 fi
 
-echo "hostcheck: host sweep byte-identical across -j {1,8} x -shards {1,4}"
+golden=scripts/golden_host.sha256
+{
+    printf '%s  stdout\n' "$(sha256sum < "$tmp/out-1-1.txt" | cut -d' ' -f1)"
+    printf '%s  walks.jsonl\n' "$(sha256sum < "$tmp/walks-1-1.jsonl" | cut -d' ' -f1)"
+} > "$tmp/digests"
+if [ "${GOLDEN_RECORD:-}" = 1 ]; then
+    {
+        echo "# sha256 of 'paperbench -scale small -only host -sample 64' stdout"
+        echo "# (wall-clock line stripped) and of its -samples file. Checked by"
+        echo "# scripts/hostcheck.sh; re-record with GOLDEN_RECORD=1 sh"
+        echo "# scripts/hostcheck.sh, and review the change."
+        cat "$tmp/digests"
+    } > "$golden"
+    echo "hostcheck: recorded $golden"
+elif ! grep -v '^#' "$golden" | cmp -s - "$tmp/digests"; then
+    echo "hostcheck: host sweep drifted from $golden" >&2
+    grep -v '^#' "$golden" | diff - "$tmp/digests" >&2 || true
+    exit 1
+fi
+
+echo "hostcheck: host sweep matches $golden and is byte-identical across -j {1,8} x -shards {1,4}"
