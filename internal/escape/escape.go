@@ -16,7 +16,11 @@
 // exactly what Figure 13 quantifies.
 package escape
 
-import "vdirect/internal/trace"
+import (
+	"math/bits"
+
+	"vdirect/internal/trace"
+)
 
 // Geometry of the paper's filter.
 const (
@@ -24,6 +28,8 @@ const (
 	NumHashes  = 4
 	bankBits   = FilterBits / NumHashes // 64 bits per bank
 	inputBits  = 40                     // page-frame numbers up to 2^40 (4K frames of a 2^52 space)
+	chunkBits  = 4                      // input bits per lookup table
+	chunks     = inputBits / chunkBits  // lookup tables per hash function
 )
 
 // Filter is a partitioned Bloom filter; the paper's instance is 256
@@ -33,9 +39,11 @@ const (
 type Filter struct {
 	// banks[h] holds bank h's bits, packed in uint64 words.
 	banks [][]uint64
-	// rows: for each hash function and each input bit, a bank index —
-	// the H3 construction (XOR of rows selected by set input bits).
-	rows     [][inputBits]uint16
+	// tab[h][k][v] is hash h's H3 contribution from input bits
+	// 4k..4k+3 when they read v: the XOR of the rows those set bits
+	// select. H3 is linear over GF(2), so XORing one entry per chunk
+	// gives the same bank index as XORing one row per set input bit.
+	tab      [][chunks][1 << chunkBits]uint16
 	bankBits uint
 	inserts  int
 }
@@ -46,6 +54,11 @@ func New(seed uint64) *Filter { return NewSized(FilterBits, NumHashes, seed) }
 
 // NewSized creates a filter of totalBits partitioned over hashes banks
 // (totalBits/hashes must be a power of two), for sizing studies.
+//
+// A bad geometry panics: it is a programming error, not input. The only
+// production caller is mmu.New, with mmu.Config.EscapeFilterBits
+// (default FilterBits) over NumHashes banks, and no CLI flag or config
+// parser sets that field; sizing studies set it in code.
 func NewSized(totalBits, hashes int, seed uint64) *Filter {
 	if hashes <= 0 || totalBits <= 0 || totalBits%hashes != 0 {
 		panic("escape: bad filter geometry")
@@ -56,29 +69,45 @@ func NewSized(totalBits, hashes int, seed uint64) *Filter {
 	}
 	f := &Filter{
 		banks:    make([][]uint64, hashes),
-		rows:     make([][inputBits]uint16, hashes),
+		tab:      make([][chunks][1 << chunkBits]uint16, hashes),
 		bankBits: per,
 	}
 	words := (per + 63) / 64
-	r := trace.NewRand(seed ^ 0xE5CA9EF117E4)
-	for h := 0; h < hashes; h++ {
+	for h, rows := range h3Rows(hashes, per, seed) {
 		f.banks[h] = make([]uint64, words)
-		for b := 0; b < inputBits; b++ {
-			f.rows[h][b] = uint16(r.Uint64n(uint64(per)))
+		for k := range f.tab[h] {
+			t := &f.tab[h][k]
+			for v := 1; v < len(t); v++ {
+				t[v] = t[v&(v-1)] ^ rows[chunkBits*k+bits.TrailingZeros(uint(v))]
+			}
 		}
 	}
 	return f
 }
 
-// hash computes the H3 hash for function h over the page frame number.
-func (f *Filter) hash(h int, pfn uint64) uint {
-	var out uint16
-	for b := 0; b < inputBits; b++ {
-		if pfn&(1<<uint(b)) != 0 {
-			out ^= f.rows[h][b]
+// h3Rows draws the H3 matrices: for each hash function and each input
+// bit, a bank index below per. The hash of a frame is the XOR of the
+// rows its set bits select; NewSized folds them into f.tab.
+func h3Rows(hashes int, per uint, seed uint64) [][inputBits]uint16 {
+	r := trace.NewRand(seed ^ 0xE5CA9EF117E4)
+	rows := make([][inputBits]uint16, hashes)
+	for i := range rows {
+		for b := range rows[i] {
+			rows[i][b] = uint16(r.Uint64n(uint64(per)))
 		}
 	}
-	return uint(out)
+	return rows
+}
+
+// hash computes the H3 hash for function h over the page frame number's
+// low inputBits bits, one table load per 4-bit chunk. The loads are
+// written out: Go 1.24 does not unroll a loop over the chunks, which
+// measured 1.3–1.6× slower per probe.
+func (f *Filter) hash(h int, pfn uint64) uint {
+	t := &f.tab[h]
+	return uint(t[0][pfn&15] ^ t[1][pfn>>4&15] ^ t[2][pfn>>8&15] ^ t[3][pfn>>12&15] ^
+		t[4][pfn>>16&15] ^ t[5][pfn>>20&15] ^ t[6][pfn>>24&15] ^ t[7][pfn>>28&15] ^
+		t[8][pfn>>32&15] ^ t[9][pfn>>36&15])
 }
 
 // Insert marks a page frame number as escaped.
@@ -127,6 +156,11 @@ func (f *Filter) Bits() [][]uint64 {
 // LoadBits restores filter contents (context restore) into a filter of
 // identical geometry. The insert count is not architectural and resets
 // to zero.
+//
+// A bank count or bank width that differs from f's panics: restoring
+// another geometry's context is a programming error, not input. Callers
+// pass the Bits of a filter of the same geometry; no CLI flag, config
+// parser or file reader reaches LoadBits.
 func (f *Filter) LoadBits(b [][]uint64) {
 	if len(b) != len(f.banks) {
 		panic("escape: LoadBits geometry mismatch")

@@ -256,3 +256,54 @@ func TestGoldenBits(t *testing.T) {
 		}
 	}
 }
+
+// h3Reference is the H3 definition the tables must reproduce: the XOR
+// of the rows selected by the frame's set input bits, one bit at a time.
+func h3Reference(rows [][inputBits]uint16, h int, pfn uint64) uint {
+	var out uint16
+	for b := 0; b < inputBits; b++ {
+		if pfn&(1<<uint(b)) != 0 {
+			out ^= rows[h][b]
+		}
+	}
+	return uint(out)
+}
+
+// checkH3 fails t if any of f's hash functions disagrees with the
+// bit-at-a-time H3 definition on pfn.
+func checkH3(t testing.TB, f *Filter, rows [][inputBits]uint16, pfn uint64) {
+	t.Helper()
+	for h := range rows {
+		if got, want := f.hash(h, pfn), h3Reference(rows, h, pfn); got != want {
+			t.Fatalf("%d-bit %d-hash filter: hash %d of %#x = %d, H3 rows give %d",
+				f.bankBits*uint(len(f.banks)), len(f.banks), h, pfn, got, want)
+		}
+	}
+}
+
+// TestHashMatchesH3Rows pins the chunk tables to the H3 rows they are
+// built from, for every hash function of several geometries, on random
+// full 64-bit frames (bits at and above inputBits must be ignored).
+func TestHashMatchesH3Rows(t *testing.T) {
+	for _, g := range []struct{ bits, hashes int }{{64, 4}, {256, 4}, {1024, 4}, {256, 1}, {512, 8}} {
+		seed := uint64(g.bits*31 + g.hashes)
+		f := NewSized(g.bits, g.hashes, seed)
+		rows := h3Rows(g.hashes, uint(g.bits/g.hashes), seed)
+		r := trace.NewRand(seed + 1)
+		for i := 0; i < 100_000; i++ {
+			checkH3(t, f, rows, r.Uint64())
+		}
+	}
+}
+
+// FuzzH3Table checks the paper's filter geometry against the H3
+// definition for any seed and frame.
+func FuzzH3Table(f *testing.F) {
+	f.Add(uint64(1), uint64(0))
+	f.Add(uint64(2), uint64(0xff_ffff_ffff))
+	f.Add(uint64(0), uint64(1<<40))
+	f.Add(uint64(0xE5CA9EF117E4), uint64(0xdead_beef_cafe_f00d))
+	f.Fuzz(func(t *testing.T, seed, pfn uint64) {
+		checkH3(t, New(seed), h3Rows(NumHashes, bankBits, seed), pfn)
+	})
+}

@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
-# Benchmark regression gate for the translation hot path. Three
+# Benchmark regression gate for the translation hot path. Five
 # benches stand guard: BenchmarkCellBlock (a full simulation cell on
 # the block path — the number the paper-scale runs live on),
 # BenchmarkSetAssocLookupHit (the TLB probe itself, the innermost
-# loop), and BenchmarkTelemetryOverheadSampledOn (the same full cell
+# loop), BenchmarkTelemetryOverheadSampledOn (the same full cell
 # with 1-in-64 walk sampling enabled, so the sampler's hot-path cost
-# can't creep), and BenchmarkHostQuantum (a whole consolidated-host
+# can't creep), BenchmarkHostQuantum (a whole consolidated-host
 # cell — four guests admitted, replayed, and churned over one shared
-# physical memory — guarding the host layer's end-to-end cost).
+# physical memory — guarding the host layer's end-to-end cost), and
+# BenchmarkMayContainMiss (the escape-filter probe on random frames,
+# the Dual Direct 0D path's one per-miss cost).
 # Each runs count=5 with a fixed iteration count and the BEST run is
 # compared against scripts/bench_baseline.json — min-of-N is the noise-
 # robust statistic on shared runners, where a single run can eat a
@@ -58,4 +60,5 @@ gate BenchmarkCellBlock ./internal/replay/ 10x
 gate BenchmarkSetAssocLookupHit ./internal/tlb/ 2000000x
 gate BenchmarkTelemetryOverheadSampledOn ./internal/replay/ 10x
 gate BenchmarkHostQuantum ./internal/host/ 5x
+gate BenchmarkMayContainMiss ./internal/escape/ 20000000x
 exit $status
