@@ -251,7 +251,7 @@ func TestGoldenBits(t *testing.T) {
 		}
 		for h, bank := range f.Bits() {
 			if len(bank) != 1 || bank[0] != w[h] {
-				t.Errorf("New(%d) bank %d = %#016x, want %#016x", seed, h, bank, w[h])
+				t.Errorf("New(%d) bank %d = %#x, want [%#016x]", seed, h, bank, w[h])
 			}
 		}
 	}
