@@ -10,7 +10,9 @@
 #
 # The sampling-off report is also the repo's behaviour lock: the sha256
 # of its stripped stdout and of every -out file must equal the digests
-# checked in at scripts/golden_medium.sha256. Re-recording them is an
+# checked in at scripts/golden_medium.sha256. So must the sha256 of the
+# 1-in-64 sample file, which pins every figure cell's sample stream,
+# down to how faulted walks advance the stride. Re-recording them is an
 # explicit, reviewed step (like scripts/bench_baseline.json):
 #   GOLDEN_RECORD=1 sh scripts/samplecheck.sh
 # rewrites the file from the current tree's report.
@@ -33,12 +35,14 @@ golden=scripts/golden_medium.sha256
 {
     printf '%s  stdout\n' "$(sha256sum < "$tmp/off.txt" | cut -d' ' -f1)"
     (cd "$tmp/off" && find . -type f | LC_ALL=C sort | sed 's|^\./||' | xargs sha256sum)
+    printf '%s  walks.jsonl\n' "$(sha256sum < "$tmp/walks.jsonl" | cut -d' ' -f1)"
 } > "$tmp/digests"
 if [ "${GOLDEN_RECORD:-}" = 1 ]; then
     {
-        echo "# sha256 of 'paperbench -scale medium' stdout (wall-clock line stripped)"
-        echo "# and of every -out file. Checked by scripts/samplecheck.sh; re-record"
-        echo "# with GOLDEN_RECORD=1 sh scripts/samplecheck.sh, and review the change."
+        echo "# sha256 of 'paperbench -scale medium' stdout (wall-clock line stripped),"
+        echo "# of every -out file, and of the -sample 64 walks.jsonl. Checked by"
+        echo "# scripts/samplecheck.sh; re-record with GOLDEN_RECORD=1 sh"
+        echo "# scripts/samplecheck.sh, and review the change."
         cat "$tmp/digests"
     } > "$golden"
     echo "samplecheck: recorded $golden"
