@@ -169,9 +169,12 @@ func TestSchemeL2HitFastExit(t *testing.T) {
 	}
 }
 
-// TestSampledWalkFaultRefund: a period-1 sampler must refund the tick
-// of a faulting walk (no sample recorded) and record successful walks,
-// in the 1D and flattened walk wrappers.
+// TestSampledWalkFaultRefund: a period-1 sampler must not record a
+// faulting walk, and must record successful walks, on the 1D and
+// flattened walk paths. (The name and subtests date from the walk1D and
+// walkFlat observer wrappers and the sampler's tick-and-refund protocol;
+// the wrappers are gone, and every miss is now offered to the sampler,
+// with a faulted flag, from the one observation site, MMU.miss.)
 func TestSampledWalkFaultRefund(t *testing.T) {
 	t.Run("walk1D", func(t *testing.T) {
 		e := newEnv(t, 16, Config{})
@@ -214,8 +217,8 @@ func TestSampledWalkFaultRefund(t *testing.T) {
 // TestFusedWalkNestedFaults drives the two nested-fault exits of the
 // 2D walk: the final gPA missing from the nested table, and a guest-
 // table reference whose nested mapping the VMM pulled — the latter
-// both plain and under a period-1 sampler, which must refund the
-// faulting walk's tick instead of recording it. (The names date from
+// both plain and under a period-1 sampler, which must not record the
+// faulting walk. (The names date from
 // the hand-fused copy of the walk and its separate general path; both
 // subtests now run the one walker, walk2D.)
 func TestFusedWalkNestedFaults(t *testing.T) {

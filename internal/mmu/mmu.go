@@ -187,23 +187,23 @@ type MMU struct {
 
 	stats Stats
 
-	// probe, when non-nil, receives per-walk memory-reference and cycle
-	// deltas for telemetry histograms. It is single-goroutine state like
-	// the rest of the MMU; nil (the default) keeps pageWalk at one nil
-	// check of overhead.
-	probe *telemetry.WalkProbe
-
-	// sampler, when non-nil, receives a deterministic 1-in-N sample of
-	// resolved L1 misses (walkprof, the simulated BadgerTrap). Like the
-	// probe it lives entirely on the miss path: disabled sampling costs
-	// one nil check per miss and nothing per L1 hit.
-	sampler *walkprof.Sampler
+	// probe, when non-nil, receives every page walk's memory-reference
+	// and cycle deltas for telemetry histograms; sampler, when non-nil,
+	// is offered every L1 miss and keeps a deterministic 1-in-N sample
+	// (walkprof, the simulated BadgerTrap). Both are single-goroutine
+	// state like the rest of the MMU, fed only by miss. observed caches
+	// "either is installed", so an unobserved miss pays one branch and
+	// an L1 hit nothing.
+	probe    *telemetry.WalkProbe
+	sampler  *walkprof.Sampler
+	observed bool
 	// asid is the active address-space tag stamped into samples; it
 	// tracks ContextSwitchASID and stays 0 for single-process cells.
 	asid uint16
-	// walkClass/walkSize carry the last completed walk's miss class and
-	// effective page size from classifyMiss/insertComposite out to the
-	// sampling point in the walk wrappers.
+	// walkClass/walkSize are the last resolved miss's §VII class and
+	// effective page size, set by the path that resolved it (the 0D
+	// paths, probeL2, nativeWalk, classifyMiss and insertComposite) and
+	// read by miss for the sampler.
 	walkClass walkprof.MissClass
 	walkSize  addr.PageSize
 
@@ -305,17 +305,23 @@ func (m *MMU) ActiveScheme() Scheme { return m.scheme }
 
 // SetWalkProbe installs (or, with nil, removes) a per-walk telemetry
 // probe. The probe observes each page walk's memory-reference count and
-// cycle cost as deltas of the MMU's own counters, so it cannot drift
-// from the reported statistics.
-func (m *MMU) SetWalkProbe(p *telemetry.WalkProbe) { m.probe = p }
+// cycle cost, faulted walks included, as deltas of the MMU's own
+// counters, so it cannot drift from the reported statistics.
+func (m *MMU) SetWalkProbe(p *telemetry.WalkProbe) {
+	m.probe = p
+	m.observed = m.probe != nil || m.sampler != nil
+}
 
 // SetWalkSampler installs (or, with nil, removes) a walkprof sampler.
-// Every resolved L1 miss — segment fast path, L2 hit, or completed walk
-// — is offered to it with the miss's classification and exact cost
-// deltas; the sampler decides (deterministically) which to record.
-// Faulting walks are not offered: the access retries after service and
-// the retry's resolution is what gets sampled.
-func (m *MMU) SetWalkSampler(s *walkprof.Sampler) { m.sampler = s }
+// Every L1 miss — segment fast path, L2 hit, or walk — is offered to it
+// with the miss's classification and exact cost deltas; the sampler
+// decides (deterministically) which to record. A faulted miss is never
+// recorded: the access retries after service and the retry's
+// resolution is what gets sampled.
+func (m *MMU) SetWalkSampler(s *walkprof.Sampler) {
+	m.sampler = s
+	m.observed = m.probe != nil || m.sampler != nil
+}
 
 // Stats returns a copy of the accumulated counters.
 func (m *MMU) Stats() Stats { return m.stats }
@@ -430,14 +436,39 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 		m.lastValid, m.lastVBase, m.lastHBase = true, vbase, hpa&^(addr.PageSize4K-1)
 		return Result{HPA: hpa, L1Hit: true}, nil
 	}
-	m.stats.L1Misses++
 
-	res, fault := m.scheme.TranslateMiss(m, gva)
+	res, fault := m.miss(gva)
 	if fault != nil {
 		return Result{}, fault
 	}
 	m.lastValid, m.lastVBase, m.lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
 	return res, nil
+}
+
+// miss resolves one L1 miss through the active scheme. Every miss, from
+// Translate or TranslateBlock, enters here, and this is the only place
+// the observers see it: a miss's references and cycles are the
+// WalkMemRefs and WalkCycles deltas across the scheme call, it walked
+// when Walks moved, and its class and size are what the resolving path
+// left in walkClass and walkSize. The probe observes every walk; the
+// sampler is offered every miss, faulted or not.
+func (m *MMU) miss(gva uint64) (Result, *Fault) {
+	m.stats.L1Misses++
+	if !m.observed {
+		return m.scheme.TranslateMiss(m, gva)
+	}
+	walks0, refs0, cyc0 := m.stats.Walks, m.stats.WalkMemRefs, m.stats.WalkCycles
+	res, fault := m.scheme.TranslateMiss(m, gva)
+	refs, cycles := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
+	if m.probe != nil && m.stats.Walks != walks0 {
+		m.probe.Refs.Observe(refs)
+		m.probe.Cycles.Observe(cycles)
+	}
+	if m.sampler != nil {
+		m.sampler.Offer(fault != nil, string(m.scheme.Name()), gva>>addr.PageShift4K,
+			m.walkSize, m.walkClass, refs, cycles, m.asid)
+	}
+	return res, fault
 }
 
 // TranslateBlock translates a block of access events in one call,
@@ -536,8 +567,7 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		m.stats.Accesses += accesses
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
-		m.stats.L1Misses++
-		res, fault := m.scheme.TranslateMiss(m, gva)
+		res, fault := m.miss(gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 			return missAt, fault
@@ -552,8 +582,7 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 			m.stats.Accesses += accesses
 			m.stats.L1Hits += l1Hits
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			n, f := m.translateBlockFrom(evs, out, i)
-			return n, f
+			return m.translateBlockFrom(evs, out, i)
 		}
 	}
 	m.stats.Accesses += accesses
@@ -564,50 +593,18 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 
 // translateBlockFrom is the per-event block loop, used for the whole
 // block when large-page L1 entries exist (from > 0 resumes after the
-// batched loop handed over mid-block). Probe-for-probe it is exactly
-// per-event Translate.
+// batched loop handed over mid-block): per-event Translate, stopping at
+// the first fault with that event's index.
 func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int, *Fault) {
-	var accesses, l1Hits uint64
-	lastValid, lastVBase, lastHBase := m.lastValid, m.lastVBase, m.lastHBase
 	for i := from; i < len(evs); i++ {
-		gva := uint64(evs[i].VA)
-		accesses++
-		vbase := gva &^ (addr.PageSize4K - 1)
-		if lastValid && vbase == lastVBase {
-			l1Hits++
-			if out != nil {
-				out[i] = Result{HPA: lastHBase + (gva - vbase), L1Hit: true}
-			}
-			continue
-		}
-		if hpa, _, hit := m.l1.Lookup(gva); hit {
-			l1Hits++
-			lastValid, lastVBase, lastHBase = true, vbase, hpa&^(addr.PageSize4K-1)
-			if out != nil {
-				out[i] = Result{HPA: hpa, L1Hit: true}
-			}
-			continue
-		}
-		// Slow path: flush the local counters first so the walk machinery
-		// (and any telemetry probe reading counter deltas) sees exact
-		// stats, exactly as per-event Translate would.
-		m.stats.Accesses += accesses
-		m.stats.L1Hits += l1Hits
-		accesses, l1Hits = 0, 0
-		m.stats.L1Misses++
-		res, fault := m.scheme.TranslateMiss(m, gva)
+		res, fault := m.Translate(uint64(evs[i].VA))
 		if fault != nil {
-			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 			return i, fault
 		}
-		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
 		if out != nil {
 			out[i] = res
 		}
 	}
-	m.stats.Accesses += accesses
-	m.stats.L1Hits += l1Hits
-	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 	return len(evs), nil
 }
 
@@ -635,10 +632,7 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (Result, bool) {
 	m.stats.WalkCycles += *cycles
 	hpa := m.segs.VMM.Translate(gpa)
 	m.l1.Insert(gva, hpa, addr.Page4K)
-	if m.sampler != nil && m.sampler.Tick() {
-		m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-			addr.Page4K, walkprof.ClassZeroD, 0, *cycles, m.asid)
-	}
+	m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
 	return Result{HPA: hpa, Cycles: *cycles, ZeroD: true}, true
 }
 
@@ -651,10 +645,7 @@ func (m *MMU) probeL2(gva uint64, cycles *uint64) (Result, bool) {
 		*cycles += m.cfg.L2HitCycles
 		m.stats.WalkCycles += *cycles
 		m.l1.Insert(gva, hpa, addr.Page4K)
-		if m.sampler != nil && m.sampler.Tick() {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				addr.Page4K, walkprof.ClassL2Hit, 0, *cycles, m.asid)
-		}
+		m.walkClass, m.walkSize = walkprof.ClassL2Hit, addr.Page4K
 		return Result{HPA: hpa, Cycles: *cycles, L2Hit: true}, true
 	}
 	m.stats.L2Misses++
@@ -682,39 +673,6 @@ func (m *MMU) escapeGuest(va uint64) bool {
 	return false
 }
 
-// walk1D invokes the native 1D walk state machine, charging cycles on
-// top of the cost already accumulated. The telemetry probe and walkprof
-// sampler, when installed, observe each walk's reference and cycle
-// deltas. The sampler ticks before the walk so the 1-in-N unsampled
-// majority pays only the inlined countdown — counter snapshots and
-// argument setup happen only for selected misses (a selected walk that
-// faults refunds its tick to the next miss). The wrapper is duplicated
-// in walkFlat (walk2D observes inline) rather than taking a function
-// value, which would allocate on the hot path.
-func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
-	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.nativeWalk(gva, cycles)
-	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
-	res, fault := m.nativeWalk(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
-	}
-	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, walkprof.ClassWalk1D, drefs, dcyc, m.asid)
-		}
-	}
-	return res, fault
-}
-
 // walk2D resolves an L1 miss for every nested2DScheme (Dual Direct
 // reaches it once its 0D path declines): the shared L2 probe, then the
 // one 2D walk state machine of Figure 5(b). The segment registers
@@ -727,19 +685,15 @@ func (m *MMU) walk1D(gva uint64, cycles uint64) (Result, *Fault) {
 // DisableNestedTLB) branches are plain ifs that a given configuration
 // always takes the same way, and a guest walk whose 2M prefix is
 // walk-cached emits its references into a fixed array (Probe4K/Emit)
-// instead of the slice-building WalkFrom. Observation is a nil check on
-// the way out — the telemetry probe and walkprof sampler see the walk's
-// reference and cycle totals, and a sampled walk that faults refunds
-// its tick — so an observed run executes exactly the code an
-// unobserved one does.
+// instead of the slice-building WalkFrom. Nothing here observes: miss
+// reads the walk's totals off the counters, so an observed run executes
+// exactly the code an unobserved one does.
 func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 	var cycles uint64
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
 	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	refs0 := m.stats.WalkMemRefs
 
 	// First dimension. The guest base-bound check happens once per walk
 	// (Δ_GD = 1); the guest escape filter is the §V extension ("escape
@@ -768,7 +722,8 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 			hpa, _, f := m.nestedTranslate(refs[i], &cycles)
 			if f != nil {
 				m.stats.WalkMemRefs += uint64(i)
-				return m.walkFault(f, cycles, refs0, sampled)
+				m.stats.WalkCycles += cycles
+				return Result{}, f
 			}
 			cycles += m.ptc.Access(hpa)
 		}
@@ -784,7 +739,8 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 			fault = &Fault{Kind: FaultGuest, Addr: gva}
 		}
 		if fault != nil {
-			return m.walkFault(fault, cycles, refs0, sampled)
+			m.stats.WalkCycles += cycles
+			return Result{}, fault
 		}
 		gpa, gsize = pa, size
 	}
@@ -793,74 +749,21 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 	vmmCovered := m.segs.VMM.Enabled() && m.segs.VMM.Contains(gpa)
 	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
 	if fault != nil {
-		return m.walkFault(fault, cycles, refs0, sampled)
+		m.stats.WalkCycles += cycles
+		return Result{}, fault
 	}
 	m.classifyMiss(guestCovered, vmmCovered)
 	m.stats.WalkCycles += cycles
 	m.insertComposite(gva, hpa, gsize, nsize)
-	if m.probe != nil || sampled {
-		m.observeWalk(gva, cycles, refs0, sampled)
-	}
 	return Result{HPA: hpa, Cycles: cycles}, nil
 }
 
-// walkFault ends a 2D walk that faulted: its cycles are charged and the
-// probe observes it, while a sampled walk refunds its tick so the retry
-// after fault service is what gets sampled.
-func (m *MMU) walkFault(f *Fault, cycles, refs0 uint64, sampled bool) (Result, *Fault) {
-	m.stats.WalkCycles += cycles
-	if m.probe != nil {
-		m.probe.Refs.Observe(m.stats.WalkMemRefs - refs0)
-		m.probe.Cycles.Observe(cycles)
-	}
-	if sampled {
-		m.sampler.Refund()
-	}
-	return Result{}, f
-}
-
-// observeWalk hands a completed 2D walk's reference and cycle totals to
-// the installed observers.
-func (m *MMU) observeWalk(gva, cycles, refs0 uint64, sampled bool) {
-	drefs := m.stats.WalkMemRefs - refs0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(cycles)
-	}
-	if sampled {
-		m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-			m.walkSize, m.walkClass, drefs, cycles, m.asid)
-	}
-}
-
-// walkFlat invokes the flattened 2D walk (scheme_flat.go).
-func (m *MMU) walkFlat(gva uint64, cycles uint64) (Result, *Fault) {
-	m.stats.Walks++
-	sampled := m.sampler != nil && m.sampler.Tick()
-	if m.probe == nil && !sampled {
-		return m.flatWalk2D(gva, cycles)
-	}
-	refs0, cyc0 := m.stats.WalkMemRefs, m.stats.WalkCycles
-	res, fault := m.flatWalk2D(gva, cycles)
-	drefs, dcyc := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
-	if m.probe != nil {
-		m.probe.Refs.Observe(drefs)
-		m.probe.Cycles.Observe(dcyc)
-	}
-	if sampled {
-		if fault != nil {
-			m.sampler.Refund()
-		} else {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				m.walkSize, m.walkClass, drefs, dcyc, m.asid)
-		}
-	}
-	return res, fault
-}
-
 // nativeWalk is the 1D walk: up to 4 references through the PTE cache,
-// reduced by the paging-structure caches.
+// reduced by the paging-structure caches, charged on top of the cost
+// already accumulated.
 func (m *MMU) nativeWalk(va uint64, cycles uint64) (Result, *Fault) {
+	m.stats.Walks++
+	m.walkClass = walkprof.ClassWalk1D
 	pa, size, ok, _ := m.walkGuestTable(va, &cycles, false)
 	if !ok {
 		m.stats.GuestFaults++
@@ -992,7 +895,7 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 }
 
 // classifyMiss updates the Table I / Table IV fraction counters and
-// records the walk's class for the walkprof sampler (the §VII taxonomy
+// sets the walk's class for the walkprof sampler (the §VII taxonomy
 // and these counters are the same classification, so they cannot
 // disagree).
 func (m *MMU) classifyMiss(guestCovered, vmmCovered bool) {

@@ -108,7 +108,9 @@ type Scheme interface {
 	// TranslateMiss resolves one access past an L1 miss: segment fast
 	// paths, the L2 probe, and the scheme's walk machine. It must
 	// accumulate cycle cost locally and flush stats exactly once per
-	// resolution (the TranslateBlock contract).
+	// resolution (the TranslateBlock contract), count Walks once per
+	// walk, and leave a resolved miss's class and page size in the MMU's
+	// walkClass and walkSize, which is all the observers read.
 	TranslateMiss(m *MMU, gva uint64) (Result, *Fault)
 	// WalkCost is the scheme's closed-form cost-table entry.
 	WalkCost(in CostInput) WalkCost

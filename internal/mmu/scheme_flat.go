@@ -74,7 +74,7 @@ func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
-	return m.walkFlat(gva, cycles)
+	return m.flatWalk2D(gva, cycles)
 }
 
 // flatTableBase places the flat tables in a synthetic host-physical
@@ -156,6 +156,7 @@ func (m *MMU) walkGuestTableFlat(va uint64, cycles *uint64) (pa uint64, size add
 // TLB fills are identical, so the scheme differs from the baseline
 // only in what each interior guest reference costs.
 func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
+	m.stats.Walks++
 	guestCovered := m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) &&
 		!m.escapeGuest(gva)
 	if m.segs.Guest.Enabled() {

@@ -25,7 +25,7 @@ func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	if res, hit := m.probeL2(gva, &cycles); hit {
 		return res, nil
 	}
-	return m.walk1D(gva, cycles)
+	return m.nativeWalk(gva, cycles)
 }
 
 // directSegmentScheme is the unvirtualized direct segment (§III): a
@@ -67,11 +67,8 @@ func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 		pa := m.segs.Guest.Translate(gva)
 		m.l1.Insert(gva, pa, addr.Page4K)
 		m.l2.InsertGuest(gva, pa)
-		if m.sampler != nil && m.sampler.Tick() {
-			m.sampler.Record(string(m.scheme.Name()), gva>>addr.PageShift4K,
-				addr.Page4K, walkprof.ClassZeroD, 0, cycles, m.asid)
-		}
+		m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
 		return Result{HPA: pa, Cycles: cycles, ZeroD: true}, nil
 	}
-	return m.walk1D(gva, cycles)
+	return m.nativeWalk(gva, cycles)
 }

@@ -70,7 +70,7 @@ func TestSessionSamplingLifecycle(t *testing.T) {
 	// Simulate one committed cell so the file has content.
 	smp := p.Sampler("cell", 0, 0)
 	for i := 0; i < 200; i++ {
-		smp.Miss("Base", uint64(i), addr.Page4K, walkprof.ClassWalkNeither, 24, 100, 0)
+		smp.Offer(false, "Base", uint64(i), addr.Page4K, walkprof.ClassWalkNeither, 24, 100, 0)
 	}
 	p.Commit(smp)
 	if err := s.Close(nil); err != nil {

@@ -14,8 +14,8 @@
 // discipline as telemetry's Local histogram shards. A cell's sample
 // stream is therefore a pure function of that cell's access stream and
 // seed, so output is byte-identical at any scheduler parallelism or
-// shard count, and a disabled profiler costs the MMU exactly one nil
-// check per miss.
+// shard count, and a disabled profiler costs the MMU at most one
+// branch per miss.
 //
 // Lifecycle mirrors telemetry: Enable installs a process-wide Profile,
 // cells attach per-cell Samplers and commit them once at completion,
@@ -138,30 +138,22 @@ type Sampler struct {
 	samples   []Sample
 }
 
-// Tick offers one resolved L1 miss to the stride and reports whether
-// this miss is the period-th one to record. It is the entire hot-path
-// cost of an enabled sampler — a decrement and a branch, small enough
-// to inline — so callers build Record's arguments only for the 1-in-N
-// sampled misses. The stride is deterministic — no clock, no RNG — so
-// the sample stream is a pure function of the cell's miss stream and
-// the sampler's seed.
-func (s *Sampler) Tick() bool {
-	s.countdown--
-	if s.countdown != 0 {
-		return false
+// Offer hands one L1 miss to the stride, which records every period-th
+// miss. A miss that faulted is never recorded: it consumes a countdown
+// step unless it is the one due, in which case the countdown stays due
+// and the next miss records instead. The access retries after fault
+// service, so the retry's resolution is what gets sampled. The stride is
+// deterministic — no clock, no RNG — so the sample stream is a pure
+// function of the cell's miss stream and the sampler's seed.
+func (s *Sampler) Offer(faulted bool, scheme string, vpn uint64, size addr.PageSize, class MissClass, refs, cycles uint64, asid uint16) {
+	if s.countdown > 1 {
+		s.countdown--
+		return
+	}
+	if faulted {
+		return
 	}
 	s.countdown = s.period
-	return true
-}
-
-// Refund re-arms the fire the last Tick consumed, for callers that
-// tick before the walk and then see it fault: the fault stays out of
-// the sample stream, and the next offered miss records instead of the
-// scheduled sample being silently absorbed.
-func (s *Sampler) Refund() { s.countdown = 1 }
-
-// Record stores the sampled miss Tick selected.
-func (s *Sampler) Record(scheme string, vpn uint64, size addr.PageSize, class MissClass, refs, cycles uint64, asid uint16) {
 	s.samples = append(s.samples, Sample{
 		VPN:    vpn,
 		Size:   size,
@@ -171,14 +163,6 @@ func (s *Sampler) Record(scheme string, vpn uint64, size addr.PageSize, class Mi
 		Cycles: cycles,
 		ASID:   asid,
 	})
-}
-
-// Miss is Tick + Record in one call, for callers whose argument setup
-// is already cheap (tests, synthetic feeds).
-func (s *Sampler) Miss(scheme string, vpn uint64, size addr.PageSize, class MissClass, refs, cycles uint64, asid uint16) {
-	if s.Tick() {
-		s.Record(scheme, vpn, size, class, refs, cycles, asid)
-	}
 }
 
 // Reset discards recorded samples and rewinds the stride to its seeded

@@ -13,7 +13,38 @@ import (
 // identical calls produce identical streams.
 func feed(s *Sampler, n int) {
 	for i := 0; i < n; i++ {
-		s.Miss("Base", uint64(i)>>2, addr.Page4K, ClassWalkNeither, 24, uint64(100+i%7), 0)
+		s.Offer(false, "Base", uint64(i)>>2, addr.Page4K, ClassWalkNeither, 24, uint64(100+i%7), 0)
+	}
+}
+
+// TestOfferFaultedMisses pins how faulted misses advance the stride: a
+// faulted miss consumes a countdown step unless it is the one due, and
+// then the next miss records instead. The reference is the countdown
+// written out, decrement first, with the due fault handing its sample on.
+func TestOfferFaultedMisses(t *testing.T) {
+	p := &Profile{period: 4, streams: make(map[CellKey][][]Sample)}
+	s := p.Sampler("cell", 0, 2)
+	countdown := uint64(2%4 + 1)
+	var want []uint64
+	for i := uint64(0); i < 200; i++ {
+		faulted := i%3 == 0 || i%7 == 0
+		s.Offer(faulted, "Base", i, addr.Page4K, ClassWalkNeither, 24, 100, 0)
+		countdown--
+		if countdown == 0 {
+			countdown = 4
+			if faulted {
+				countdown = 1
+			} else {
+				want = append(want, i)
+			}
+		}
+	}
+	var got []uint64
+	for _, smp := range s.Samples() {
+		got = append(got, smp.VPN)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded misses %v, want %v", got, want)
 	}
 }
 
@@ -122,7 +153,7 @@ func TestSnapshotDuplicateStreamsSorted(t *testing.T) {
 		b := p.Sampler("cell", 0, 0)
 		feed(a, 10)
 		for i := 100; i < 110; i++ { // different content
-			b.Miss("DS", uint64(i), addr.Page2M, ClassWalk1D, 4, 40, 1)
+			b.Offer(false, "DS", uint64(i), addr.Page2M, ClassWalk1D, 4, 40, 1)
 		}
 		if swap {
 			p.Commit(b)
@@ -183,7 +214,7 @@ func TestFileRoundtrip(t *testing.T) {
 	feed(s, 5000)
 	s2 := p.Sampler("seq/2M+2M", 3, 7)
 	for i := 0; i < 300; i++ {
-		s2.Miss("VMD", uint64(i)<<9, addr.Page2M, ClassWalkVMMOnly, 12, 60, 3)
+		s2.Offer(false, "VMD", uint64(i)<<9, addr.Page2M, ClassWalkVMMOnly, 12, 60, 3)
 	}
 	p.Commit(s)
 	p.Commit(s2)
@@ -238,11 +269,11 @@ func testDump() Dump {
 		if i%5 == 0 {
 			cls = ClassL2Hit
 		}
-		a.Miss("Base", uint64(i*977)%(1<<20), addr.Page4K, cls, 24, uint64(50+i%40), 0)
+		a.Offer(false, "Base", uint64(i*977)%(1<<20), addr.Page4K, cls, 24, uint64(50+i%40), 0)
 	}
 	b := p.Sampler("gups/4K+4K", 1, 2)
 	for i := 0; i < 800; i++ {
-		b.Miss("Dual", uint64(i), addr.Page4K, ClassZeroD, 0, 1, 2)
+		b.Offer(false, "Dual", uint64(i), addr.Page4K, ClassZeroD, 0, 1, 2)
 	}
 	p.Commit(a)
 	p.Commit(b)
