@@ -613,15 +613,16 @@ func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int
 // covering the address → hPA = gVA + OFFSET_G + OFFSET_V. The two
 // base-bound checks are performed together in one added cycle (Table
 // II counts this as one check). Declined (uncovered or escaped)
-// accesses charge nothing here beyond the filter probes.
-func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (Result, bool) {
+// accesses charge nothing here beyond the filter probes. Like probeL2
+// it returns the hPA and leaves building the Result to the caller.
+func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 	if !(m.segs.Guest.Enabled() && m.segs.VMM.Enabled() &&
 		m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)) {
-		return Result{}, false
+		return 0, false
 	}
 	gpa := m.segs.Guest.Translate(gva)
 	if !m.segs.VMM.Contains(gpa) || m.escapeVMM(gpa) {
-		return Result{}, false
+		return 0, false
 	}
 	*cycles += m.cfg.SegmentCheckCycles
 	m.stats.SegmentChecks++
@@ -633,24 +634,27 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (Result, bool) {
 	hpa := m.segs.VMM.Translate(gpa)
 	m.l1.Insert(gva, hpa, addr.Page4K)
 	m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
-	return Result{HPA: hpa, Cycles: *cycles, ZeroD: true}, true
+	return hpa, true
 }
 
 // probeL2 is the shared L2 TLB lookup of the miss path (guest 4K
 // entries; any segment calculation proceeds in parallel, §III.D). The
-// probe cost is charged hit or miss.
-func (m *MMU) probeL2(gva uint64, cycles *uint64) (Result, bool) {
+// probe cost is charged hit or miss. A hit returns its hPA, not a
+// Result: Result is too wide for Go to keep in registers, so every call
+// level that hands one up copies it through memory, and the miss path
+// already pays that level once more in miss.
+func (m *MMU) probeL2(gva uint64, cycles *uint64) (uint64, bool) {
 	if hpa, hit := m.l2.LookupGuest(gva); hit {
 		m.stats.L2Hits++
 		*cycles += m.cfg.L2HitCycles
 		m.stats.WalkCycles += *cycles
 		m.l1.Insert(gva, hpa, addr.Page4K)
 		m.walkClass, m.walkSize = walkprof.ClassL2Hit, addr.Page4K
-		return Result{HPA: hpa, Cycles: *cycles, L2Hit: true}, true
+		return hpa, true
 	}
 	m.stats.L2Misses++
 	*cycles += m.cfg.L2HitCycles // the probe that missed
-	return Result{}, false
+	return 0, false
 }
 
 // escapeVMM probes the VMM-segment escape filter for a gPA page.
@@ -690,8 +694,8 @@ func (m *MMU) escapeGuest(va uint64) bool {
 // exactly the code an unobserved one does.
 func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 	var cycles uint64
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
+	if hpa, hit := m.probeL2(gva, &cycles); hit {
+		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
 	}
 	m.stats.Walks++
 

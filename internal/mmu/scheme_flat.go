@@ -68,11 +68,11 @@ func (flatNestedScheme) WalkCost(in CostInput) WalkCost {
 
 func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	var cycles uint64
-	if res, ok := m.dualFastPath(gva, &cycles); ok {
-		return res, nil
+	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
+		return Result{HPA: hpa, Cycles: cycles, ZeroD: true}, nil
 	}
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
+	if hpa, hit := m.probeL2(gva, &cycles); hit {
+		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
 	}
 	return m.flatWalk2D(gva, cycles)
 }

@@ -22,8 +22,8 @@ func (nativeScheme) WalkCost(in CostInput) WalkCost {
 
 func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	var cycles uint64
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
+	if hpa, hit := m.probeL2(gva, &cycles); hit {
+		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
 	}
 	return m.nativeWalk(gva, cycles)
 }
@@ -53,8 +53,8 @@ func (directSegmentScheme) WalkCost(in CostInput) WalkCost {
 
 func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	var cycles uint64
-	if res, hit := m.probeL2(gva, &cycles); hit {
-		return res, nil
+	if hpa, hit := m.probeL2(gva, &cycles); hit {
+		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
 	}
 	// Segment calculation in parallel with the L2 lookup; covered
 	// addresses skip the walk (§III.D).

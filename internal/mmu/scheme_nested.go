@@ -100,8 +100,8 @@ func (dualDirectScheme) WalkCost(in CostInput) WalkCost {
 
 func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 	var cycles uint64
-	if res, ok := m.dualFastPath(gva, &cycles); ok {
-		return res, nil
+	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
+		return Result{HPA: hpa, Cycles: cycles, ZeroD: true}, nil
 	}
 	return m.walk2D(gva)
 }
