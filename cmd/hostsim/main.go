@@ -56,6 +56,9 @@ func run() (retErr error) {
 		fmt.Println(telemetry.VersionString("hostsim"))
 		return nil
 	}
+	if err := checkSizing(*memMB, *ops); err != nil {
+		return err
+	}
 	sess, err := tf.Start("hostsim", map[string]string{
 		"guests":   fmt.Sprint(*guests),
 		"workload": *wl,
@@ -139,5 +142,18 @@ func runSweep(cfg host.Config) error {
 	}
 	fmt.Println(experiments.HostTable(rows).Render())
 	fmt.Println(experiments.HostGuestTable(rows[len(rows)-1]).Render())
+	return nil
+}
+
+// checkSizing rejects a -mem or -ops that is not positive before any
+// work starts: zero would silently select host.Config's default sizing,
+// and a negative -ops simulates no accesses at all.
+func checkSizing(mem, ops int) error {
+	if mem <= 0 {
+		return fmt.Errorf("-mem must be positive, got %d", mem)
+	}
+	if ops <= 0 {
+		return fmt.Errorf("-ops must be positive, got %d", ops)
+	}
 	return nil
 }

@@ -44,6 +44,9 @@ func run() (retErr error) {
 		fmt.Println(telemetry.VersionString("tracestat"))
 		return nil
 	}
+	if err := checkSizing(*mem, *ops); err != nil {
+		return err
+	}
 
 	names := workload.Names()
 	if *name != "" {
@@ -119,5 +122,18 @@ func characterize(t *stats.Table, n string, seed uint64, mem, ops int) error {
 		stats.Percent(float64(writes)/float64(accesses)),
 		fmt.Sprint(allocs),
 		stats.Percent(float64(stack)/float64(accesses)))
+	return nil
+}
+
+// checkSizing rejects a -mem or -ops that is not positive before any
+// work starts: a negative -ops panics the generator's trace allocation
+// and a negative -mem never finishes generating.
+func checkSizing(mem, ops int) error {
+	if mem <= 0 {
+		return fmt.Errorf("-mem must be positive, got %d", mem)
+	}
+	if ops <= 0 {
+		return fmt.Errorf("-ops must be positive, got %d", ops)
+	}
 	return nil
 }
