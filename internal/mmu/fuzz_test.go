@@ -44,6 +44,9 @@ func FuzzTranslateStats(f *testing.F) {
 	f.Add([]byte{0x00, 1, 0, 1, 1, 0, 2, 2, 0, 3, 4, 0, 5})
 	f.Add([]byte{0x01, 2, 10, 3, 20, 0, 1, 0, 2, 4, 0, 0, 1, 5, 0, 3})
 	f.Add([]byte{0x03, 0, 0, 2, 1, 3, 2, 0, 4, 1, 9, 0, 8, 5, 7})
+	// Guest faults around a mapped access: 0x480000 and 0x480010 lie
+	// past the 64 mapped pages.
+	f.Add([]byte{0x00, 0, 0x80, 0, 0, 1, 0, 0, 0x80, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			return

@@ -27,16 +27,22 @@ func TestSamplerMatchesStatsExactly(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	s := sampleEverything(e.m)
 	e.mapGuest(t, 0, 0, 2048)
-	// Strided sweep, repeated: generates walks, L2 hits, and L1 misses
-	// in realistic mixture.
-	for rep := 0; rep < 3; rep++ {
-		for p := uint64(0); p < 2048; p++ {
-			if _, fault := e.m.Translate(p << 12); fault != nil {
-				t.Fatal(fault)
+	// Strided sweeps, repeated: the 2048-page sweep overflows both TLBs
+	// (every miss walks); the 256-page one overflows only the L1, so its
+	// repeats hit the L2.
+	for _, pages := range []uint64{2048, 256} {
+		for rep := 0; rep < 3; rep++ {
+			for p := uint64(0); p < pages; p++ {
+				if _, fault := e.m.Translate(p << 12); fault != nil {
+					t.Fatal(fault)
+				}
 			}
 		}
 	}
 	st := e.m.Stats()
+	if st.L2Hits == 0 {
+		t.Fatal("no L2 hits — test drives the wrong path")
+	}
 	var refs, cycles, walks, l2hits uint64
 	for _, smp := range s.Samples() {
 		refs += smp.Refs

@@ -129,7 +129,7 @@ func BenchmarkTelemetryCellOn(b *testing.B) {
 }
 
 // The walk-sampling pair: the same full cell with sampling off (the
-// default — a nil sampler pointer, one nil check per TLB miss) and
+// default — no observer installed, one branch per TLB miss) and
 // with 1-in-64 stride sampling recording per-walk samples. Sampled
 // must stay within 2% of unsampled; benchgate.sh enforces the pair
 // like the rest of the telemetry overhead suite.
