@@ -640,9 +640,9 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 // probeL2 is the shared L2 TLB lookup of the miss path (guest 4K
 // entries; any segment calculation proceeds in parallel, §III.D). The
 // probe cost is charged hit or miss. A hit returns its hPA, not a
-// Result: Result is too wide for Go to keep in registers, so every call
-// level that hands one up copies it through memory, and the miss path
-// already pays that level once more in miss.
+// Result: Result is too wide for Go to keep in registers, so each call
+// level that hands one up copies it through memory, and miss already
+// adds one such level to every L1 miss.
 func (m *MMU) probeL2(gva uint64, cycles *uint64) (uint64, bool) {
 	if hpa, hit := m.l2.LookupGuest(gva); hit {
 		m.stats.L2Hits++
