@@ -18,6 +18,27 @@ func BenchmarkSetAssocLookupHit(b *testing.B) {
 	}
 }
 
+// BenchmarkSetAssocLookupHitRandom probes resident VPNs in a random
+// order, so the hit way changes from probe to probe as it does on a
+// walk-heavy miss stream. (BenchmarkSetAssocLookupHit's i&511 sweep
+// keeps one way for 128 probes in a row, which a branch predictor
+// learns.)
+func BenchmarkSetAssocLookupHitRandom(b *testing.B) {
+	c := NewSetAssoc("b", 512, 4)
+	for i := uint64(0); i < 512; i++ {
+		c.Insert(Entry{Kind: KindGuest, VPN: i, PPN: i})
+	}
+	r := trace.NewRand(1)
+	vpns := make([]uint64, 4096)
+	for i := range vpns {
+		vpns[i] = r.Uint64n(512)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(KindGuest, vpns[i&4095])
+	}
+}
+
 func BenchmarkSetAssocLookupMiss(b *testing.B) {
 	c := NewSetAssoc("b", 512, 4)
 	b.ResetTimer()

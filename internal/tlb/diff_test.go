@@ -71,6 +71,24 @@ func (r *refSetAssoc) lookup(kind EntryKind, vpn uint64) (uint64, bool) {
 	return 0, false
 }
 
+// matches counts the valid ways of vpn's set that a lookup of (kind,
+// vpn) would hit. More than one is possible: insert fills an invalid
+// way that comes before a matching one, leaving the same tag in two
+// ways, and a lookup must then hit the first in way order.
+func (r *refSetAssoc) matches(kind EntryKind, vpn uint64) int {
+	if vpn >= vpnMax {
+		return 0
+	}
+	n := 0
+	b := r.base(vpn)
+	for j := b; j < b+r.ways; j++ {
+		if r.match(r.ents[j], kind, vpn) {
+			n++
+		}
+	}
+	return n
+}
+
 func (r *refSetAssoc) insert(e Entry) {
 	r.clock++
 	b := r.base(e.VPN)
@@ -145,7 +163,9 @@ func (r *refSetAssoc) invalidatePage(kind EntryKind, vpn uint64) {
 // through long randomized op streams over several geometries — 4-way
 // (the unrolled path), non-4-way (the generic loop), and a non-power-
 // of-two set count (the modulo indexing fallback) — comparing every
-// lookup result and every counter after every operation.
+// lookup result and every counter after every operation. Each geometry
+// must also see lookups hit a set holding their tag in two valid ways,
+// so the first-match rule is exercised, not just stated.
 func TestSetAssocMatchesReference(t *testing.T) {
 	geometries := []struct {
 		name          string
@@ -163,7 +183,7 @@ func TestSetAssocMatchesReference(t *testing.T) {
 			r := newRef(g.entries, g.ways)
 			rng := trace.NewRand(uint64(g.entries)*31 + uint64(g.ways))
 
-			peakOcc := 0
+			peakOcc, dupHits := 0, 0
 			check := func(op string, step int) {
 				t.Helper()
 				if r.occupied > peakOcc {
@@ -192,6 +212,27 @@ func TestSetAssocMatchesReference(t *testing.T) {
 				return rng.Uint64n(uint64(g.entries) * 3)
 			}
 			kinds := []EntryKind{KindGuest, KindGuest, KindGuest, KindNested}
+			var lastHit struct {
+				ok   bool
+				kind EntryKind
+				vpn  uint64
+			}
+			lookup := func(k EntryKind, vpn uint64, step int) {
+				t.Helper()
+				if r.matches(k, vpn) > 1 {
+					dupHits++
+				}
+				p1, h1 := c.Lookup(k, vpn)
+				p2, h2 := r.lookup(k, vpn)
+				if h1 != h2 || p1 != p2 {
+					t.Fatalf("step %d: Lookup(%v, %#x) = (%#x, %v), reference (%#x, %v)",
+						step, k, vpn, p1, h1, p2, h2)
+				}
+				check("lookup", step)
+				if h2 {
+					lastHit.ok, lastHit.kind, lastHit.vpn = true, k, vpn
+				}
+			}
 			for step := 0; step < 20000; step++ {
 				switch rng.Uint64n(20) {
 				case 0:
@@ -226,15 +267,22 @@ func TestSetAssocMatchesReference(t *testing.T) {
 					c.Insert(e)
 					r.insert(e)
 					check("insert", step)
-				default:
-					k, vpn := kinds[rng.Uint64n(4)], randVPN()
-					p1, h1 := c.Lookup(k, vpn)
-					p2, h2 := r.lookup(k, vpn)
-					if h1 != h2 || p1 != p2 {
-						t.Fatalf("step %d: Lookup(%v, %#x) = (%#x, %v), reference (%#x, %v)",
-							step, k, vpn, p1, h1, p2, h2)
+				case 10, 11:
+					// Re-insert the last hit under a new PPN: when its set
+					// has an invalid way before the resident copy, the
+					// insert fills that way and the tag is now held twice,
+					// each copy with a different PPN, so the lookup below
+					// tells first-match from any-match.
+					if !lastHit.ok {
+						continue
 					}
-					check("lookup", step)
+					e := Entry{Kind: lastHit.kind, VPN: lastHit.vpn, PPN: rng.Uint64(), Size: addr.Page4K}
+					c.Insert(e)
+					r.insert(e)
+					check("reinsert", step)
+					lookup(e.Kind, e.VPN, step)
+				default:
+					lookup(kinds[rng.Uint64n(4)], randVPN(), step)
 				}
 			}
 			// Periodic flushes keep the cache from pinning at 100%, but a
@@ -242,6 +290,10 @@ func TestSetAssocMatchesReference(t *testing.T) {
 			if peakOcc < g.entries/2 {
 				t.Fatalf("randomized run barely populated the cache: peak occupancy %d of %d", peakOcc, g.entries)
 			}
+			if dupHits == 0 {
+				t.Fatal("no lookup hit a set holding its tag in two ways: first-match order untested")
+			}
+			t.Logf("%d lookups hit a duplicated tag", dupHits)
 		})
 	}
 }
