@@ -437,28 +437,31 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 		return Result{HPA: hpa, L1Hit: true}, nil
 	}
 
-	res, fault := m.miss(gva)
+	hpa, cycles, fault := m.miss(gva)
 	if fault != nil {
 		return Result{}, fault
 	}
-	m.lastValid, m.lastVBase, m.lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
-	return res, nil
+	m.lastValid, m.lastVBase, m.lastHBase = true, vbase, hpa&^(addr.PageSize4K-1)
+	return m.missResult(hpa, cycles), nil
 }
 
-// miss resolves one L1 miss through the active scheme. Every miss, from
-// Translate or TranslateBlock, enters here, and this is the only place
-// the observers see it: a miss's references and cycles are the
-// WalkMemRefs and WalkCycles deltas across the scheme call, it walked
-// when Walks moved, and its class and size are what the resolving path
-// left in walkClass and walkSize. The probe observes every walk; the
-// sampler is offered every miss, faulted or not.
-func (m *MMU) miss(gva uint64) (Result, *Fault) {
+// miss resolves one L1 miss through the active scheme, returning its
+// hPA and the cycles charged to it. Every miss, from Translate or
+// TranslateBlock, enters here, and this is the only place the observers
+// see it: a miss's references and cycles are the WalkMemRefs and
+// WalkCycles deltas across the scheme call, it walked when Walks moved,
+// and its class and size are what the resolving path left in walkClass
+// and walkSize. The probe observes every walk; the sampler is offered
+// every miss, faulted or not.
+func (m *MMU) miss(gva uint64) (hpa, cycles uint64, fault *Fault) {
 	m.stats.L1Misses++
+	cyc0 := m.stats.WalkCycles
 	if !m.observed {
-		return m.scheme.TranslateMiss(m, gva)
+		hpa, fault = m.scheme.TranslateMiss(m, gva)
+		return hpa, m.stats.WalkCycles - cyc0, fault
 	}
-	walks0, refs0, cyc0 := m.stats.Walks, m.stats.WalkMemRefs, m.stats.WalkCycles
-	res, fault := m.scheme.TranslateMiss(m, gva)
+	walks0, refs0 := m.stats.Walks, m.stats.WalkMemRefs
+	hpa, fault = m.scheme.TranslateMiss(m, gva)
 	refs, cycles := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
 	if m.probe != nil && m.stats.Walks != walks0 {
 		m.probe.Refs.Observe(refs)
@@ -468,7 +471,21 @@ func (m *MMU) miss(gva uint64) (Result, *Fault) {
 		m.sampler.Offer(fault != nil, string(m.scheme.Name()), gva>>addr.PageShift4K,
 			m.walkSize, m.walkClass, refs, cycles, m.asid)
 	}
-	return res, fault
+	return hpa, cycles, fault
+}
+
+// missResult is the Result of a miss that resolved to hpa at the given
+// cost: the resolving path's class says whether it was an L2 hit or 0D.
+// The schemes return only the hPA, so this is the one place a miss's
+// Result is built; a five-field Result handed up through each call
+// level would be copied through memory at every level.
+func (m *MMU) missResult(hpa, cycles uint64) Result {
+	return Result{
+		HPA:    hpa,
+		Cycles: cycles,
+		L2Hit:  m.walkClass == walkprof.ClassL2Hit,
+		ZeroD:  m.walkClass == walkprof.ClassZeroD,
+	}
 }
 
 // TranslateBlock translates a block of access events in one call,
@@ -567,14 +584,14 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		m.stats.Accesses += accesses
 		m.stats.L1Hits += l1Hits
 		accesses, l1Hits = 0, 0
-		res, fault := m.miss(gva)
+		hpa, cycles, fault := m.miss(gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 			return missAt, fault
 		}
-		lastValid, lastVBase, lastHBase = true, vbase, res.HPA&^(addr.PageSize4K-1)
+		lastValid, lastVBase, lastHBase = true, vbase, hpa&^(addr.PageSize4K-1)
 		if out != nil {
-			out[missAt] = res
+			out[missAt] = m.missResult(hpa, cycles)
 		}
 		i = missAt + 1
 		if !m.l1.Only4K() {
@@ -613,8 +630,8 @@ func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int
 // covering the address → hPA = gVA + OFFSET_G + OFFSET_V. The two
 // base-bound checks are performed together in one added cycle (Table
 // II counts this as one check). Declined (uncovered or escaped)
-// accesses charge nothing here beyond the filter probes. Like probeL2
-// it returns the hPA and leaves building the Result to the caller.
+// accesses charge nothing here beyond the filter probes. Like every
+// miss path it returns the hPA; missResult builds the Result.
 func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 	if !(m.segs.Guest.Enabled() && m.segs.VMM.Enabled() &&
 		m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)) {
@@ -639,10 +656,8 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 
 // probeL2 is the shared L2 TLB lookup of the miss path (guest 4K
 // entries; any segment calculation proceeds in parallel, §III.D). The
-// probe cost is charged hit or miss. A hit returns its hPA, not a
-// Result: Result is too wide for Go to keep in registers, so each call
-// level that hands one up copies it through memory, and miss already
-// adds one such level to every L1 miss.
+// probe cost is charged hit or miss. A hit returns its hPA; missResult
+// builds the Result.
 func (m *MMU) probeL2(gva uint64, cycles *uint64) (uint64, bool) {
 	if hpa, hit := m.l2.LookupGuest(gva); hit {
 		m.stats.L2Hits++
@@ -692,10 +707,10 @@ func (m *MMU) escapeGuest(va uint64) bool {
 // instead of the slice-building WalkFrom. Nothing here observes: miss
 // reads the walk's totals off the counters, so an observed run executes
 // exactly the code an unobserved one does.
-func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
+func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, hit := m.probeL2(gva, &cycles); hit {
-		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
+		return hpa, nil
 	}
 	m.stats.Walks++
 
@@ -727,7 +742,7 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 			if f != nil {
 				m.stats.WalkMemRefs += uint64(i)
 				m.stats.WalkCycles += cycles
-				return Result{}, f
+				return 0, f
 			}
 			cycles += m.ptc.Access(hpa)
 		}
@@ -744,7 +759,7 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 		}
 		if fault != nil {
 			m.stats.WalkCycles += cycles
-			return Result{}, fault
+			return 0, fault
 		}
 		gpa, gsize = pa, size
 	}
@@ -754,29 +769,29 @@ func (m *MMU) walk2D(gva uint64) (Result, *Fault) {
 	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
 	if fault != nil {
 		m.stats.WalkCycles += cycles
-		return Result{}, fault
+		return 0, fault
 	}
 	m.classifyMiss(guestCovered, vmmCovered)
 	m.stats.WalkCycles += cycles
 	m.insertComposite(gva, hpa, gsize, nsize)
-	return Result{HPA: hpa, Cycles: cycles}, nil
+	return hpa, nil
 }
 
 // nativeWalk is the 1D walk: up to 4 references through the PTE cache,
 // reduced by the paging-structure caches, charged on top of the cost
 // already accumulated.
-func (m *MMU) nativeWalk(va uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, *Fault) {
 	m.stats.Walks++
 	m.walkClass = walkprof.ClassWalk1D
 	pa, size, ok, _ := m.walkGuestTable(va, &cycles, false)
 	if !ok {
 		m.stats.GuestFaults++
 		m.stats.WalkCycles += cycles
-		return Result{}, &Fault{Kind: FaultGuest, Addr: va}
+		return 0, &Fault{Kind: FaultGuest, Addr: va}
 	}
 	m.stats.WalkCycles += cycles
 	m.insertComposite(va, pa, size, size)
-	return Result{HPA: pa, Cycles: cycles}, nil
+	return pa, nil
 }
 
 // walkGuestTable walks the first-dimension table, applying the guest

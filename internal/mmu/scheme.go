@@ -105,13 +105,15 @@ type Scheme interface {
 	Name() Mode
 	// Virtualized reports whether the scheme translates in two levels.
 	Virtualized() bool
-	// TranslateMiss resolves one access past an L1 miss: segment fast
-	// paths, the L2 probe, and the scheme's walk machine. It must
-	// accumulate cycle cost locally and flush stats exactly once per
-	// resolution (the TranslateBlock contract), count Walks once per
-	// walk, and leave a resolved miss's class and page size in the MMU's
-	// walkClass and walkSize, which is all the observers read.
-	TranslateMiss(m *MMU, gva uint64) (Result, *Fault)
+	// TranslateMiss resolves one access past an L1 miss — segment fast
+	// paths, the L2 probe, and the scheme's walk machine — and returns
+	// the hPA. It must accumulate cycle cost locally and add it to
+	// Stats.WalkCycles exactly once per resolution (the TranslateBlock
+	// contract; that delta is the access's Result.Cycles), count Walks
+	// once per walk, and leave a resolved miss's class and page size in
+	// the MMU's walkClass and walkSize, from which the caller builds the
+	// Result and the observers read the miss.
+	TranslateMiss(m *MMU, gva uint64) (hpa uint64, fault *Fault)
 	// WalkCost is the scheme's closed-form cost-table entry.
 	WalkCost(in CostInput) WalkCost
 	// Keys is the scheme's TLB/PWC key template.

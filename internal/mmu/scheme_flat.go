@@ -66,13 +66,13 @@ func (flatNestedScheme) WalkCost(in CostInput) WalkCost {
 	return c
 }
 
-func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
+func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
-		return Result{HPA: hpa, Cycles: cycles, ZeroD: true}, nil
+		return hpa, nil
 	}
 	if hpa, hit := m.probeL2(gva, &cycles); hit {
-		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
+		return hpa, nil
 	}
 	return m.flatWalk2D(gva, cycles)
 }
@@ -155,7 +155,7 @@ func (m *MMU) walkGuestTableFlat(va uint64, cycles *uint64) (pa uint64, size add
 // walker: segment flattening, fault handling, miss classification, and
 // TLB fills are identical, so the scheme differs from the baseline
 // only in what each interior guest reference costs.
-func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
+func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (uint64, *Fault) {
 	m.stats.Walks++
 	guestCovered := m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) &&
 		!m.escapeGuest(gva)
@@ -174,12 +174,12 @@ func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
 		pa, size, ok, fault := m.walkGuestTableFlat(gva, &cycles)
 		if fault != nil {
 			m.stats.WalkCycles += cycles
-			return Result{}, fault
+			return 0, fault
 		}
 		if !ok {
 			m.stats.GuestFaults++
 			m.stats.WalkCycles += cycles
-			return Result{}, &Fault{Kind: FaultGuest, Addr: gva}
+			return 0, &Fault{Kind: FaultGuest, Addr: gva}
 		}
 		gpa, gsize = pa, size
 	}
@@ -188,11 +188,11 @@ func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (Result, *Fault) {
 	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
 	if fault != nil {
 		m.stats.WalkCycles += cycles
-		return Result{}, fault
+		return 0, fault
 	}
 
 	m.classifyMiss(guestCovered, vmmCovered)
 	m.stats.WalkCycles += cycles
 	m.insertComposite(gva, hpa, gsize, nsize)
-	return Result{HPA: hpa, Cycles: cycles}, nil
+	return hpa, nil
 }

@@ -20,10 +20,10 @@ func (nativeScheme) WalkCost(in CostInput) WalkCost {
 	return WalkCost{Refs: in.GuestLevels}
 }
 
-func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
+func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, hit := m.probeL2(gva, &cycles); hit {
-		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
+		return hpa, nil
 	}
 	return m.nativeWalk(gva, cycles)
 }
@@ -51,10 +51,10 @@ func (directSegmentScheme) WalkCost(in CostInput) WalkCost {
 	return WalkCost{Refs: in.GuestLevels}
 }
 
-func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
+func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, hit := m.probeL2(gva, &cycles); hit {
-		return Result{HPA: hpa, Cycles: cycles, L2Hit: true}, nil
+		return hpa, nil
 	}
 	// Segment calculation in parallel with the L2 lookup; covered
 	// addresses skip the walk (§III.D).
@@ -68,7 +68,7 @@ func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
 		m.l1.Insert(gva, pa, addr.Page4K)
 		m.l2.InsertGuest(gva, pa)
 		m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
-		return Result{HPA: pa, Cycles: cycles, ZeroD: true}, nil
+		return pa, nil
 	}
 	return m.nativeWalk(gva, cycles)
 }

@@ -10,7 +10,7 @@ type nested2DScheme struct{}
 
 func (nested2DScheme) Virtualized() bool { return true }
 
-func (nested2DScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
+func (nested2DScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	return m.walk2D(gva)
 }
 
@@ -98,10 +98,10 @@ func (dualDirectScheme) WalkCost(in CostInput) WalkCost {
 	return cost2D(in, true, true)
 }
 
-func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (Result, *Fault) {
+func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
-		return Result{HPA: hpa, Cycles: cycles, ZeroD: true}, nil
+		return hpa, nil
 	}
 	return m.walk2D(gva)
 }

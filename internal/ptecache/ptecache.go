@@ -10,7 +10,10 @@
 // why sequential workloads walk cheaply and GUPS walks at DRAM speed.
 package ptecache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sets the cache geometry and latencies.
 type Config struct {
@@ -48,18 +51,10 @@ type Cache struct {
 	cfg  Config
 	sets int
 	// Line storage interleaved per way: slot 2i holds way i's packed
-	// valid|lineAddr tag word, slot 2i+1 its LRU stamp. A way's tag and
-	// stamp share a host cache line, so the hint-hit fast path — one
-	// tag compare, one stamp store — touches a single line where
-	// separate tag/LRU arrays touched two.
+	// valid|lineAddr tag word, slot 2i+1 its LRU stamp, so a hit's tag
+	// compare and stamp store touch the same host cache line. (A split
+	// tag-array/stamp-array layout was prototyped and was no faster.)
 	slots []uint64
-	// hint remembers each set's last hit (or fill) way. Page walks
-	// re-reference the same handful of PTE lines, so checking that way
-	// first resolves most probes in one compare instead of a scan. The
-	// hint is a pure accelerator: a stale hint just falls back to the
-	// full scan, so outcomes, counters and LRU state are bit-identical
-	// to the hint-free probe.
-	hint []uint8
 	// mask indexes power-of-two set counts without division (all shipped
 	// geometries are powers of two); the modulo path is a fallback.
 	mask   uint64
@@ -69,7 +64,9 @@ type Cache struct {
 	misses uint64
 }
 
-// New builds a cache from the config.
+// New builds a cache from the config. A bad geometry panics: it is an
+// invariant, not input validation, because no flag or parser sets a
+// Config (the MMU uses Default unless in-repo code overrides it).
 func New(cfg Config) *Cache {
 	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Lines%cfg.Ways != 0 {
 		panic(fmt.Sprintf("ptecache: bad geometry %d/%d", cfg.Lines, cfg.Ways))
@@ -79,7 +76,6 @@ func New(cfg Config) *Cache {
 		cfg:   cfg,
 		sets:  sets,
 		slots: make([]uint64, cfg.Lines*2),
-		hint:  make([]uint8, sets),
 		mask:  uint64(sets - 1),
 		pow2:  sets&(sets-1) == 0,
 	}
@@ -95,41 +91,58 @@ func (c *Cache) Access(phys uint64) uint64 {
 	if c.pow2 {
 		set = int(lineAddr & c.mask)
 	} else {
-		set = int(lineAddr) % c.sets
-		if set < 0 {
-			set = -set
-		}
+		set = int(lineAddr % uint64(c.sets))
 	}
 	key := tagValid | lineAddr
-	b := set * c.cfg.Ways * 2
-	end := b + c.cfg.Ways*2
-	// Last-hit-way hint first: walks re-touch the same PTE lines, so
-	// this one compare resolves most probes, and the way's adjacent
-	// tag/stamp pair keeps it to one line of traffic. Outcome-identical
-	// to the scan below — it merely finds the same hit sooner.
-	if h := int(c.hint[set]); h < c.cfg.Ways && c.slots[b+2*h] == key {
-		c.slots[b+2*h+1] = c.clock
-		return c.cfg.HitCycles
+	ways := c.cfg.Ways
+	b := set * ways * 2
+	if ways == 8 {
+		// The shipped Default geometry, unrolled and branch-free in the
+		// way it picks: the eight tag compares fold into a hit mask, and
+		// a miss takes the first invalid way from a second mask, else the
+		// LRU way by a tournament of stamp minima. A walk's PTE lines land
+		// in unpredictable ways, so compare-and-branch scans mispredict
+		// where the masks do not. A line is filled only after a full-set
+		// miss, so a set never holds one line twice and any set bit of
+		// the hit mask is the hit. The set is viewed as an array and way
+		// indices are masked to 0..7, so no access needs a bounds check.
+		ws := (*[16]uint64)(c.slots[b : b+16])
+		hit := b2u(ws[0] == key) | b2u(ws[2] == key)<<1 | b2u(ws[4] == key)<<2 |
+			b2u(ws[6] == key)<<3 | b2u(ws[8] == key)<<4 | b2u(ws[10] == key)<<5 |
+			b2u(ws[12] == key)<<6 | b2u(ws[14] == key)<<7
+		if hit != 0 {
+			ws[2*(bits.TrailingZeros64(hit)&7)+1] = c.clock
+			return c.cfg.HitCycles
+		}
+		c.misses++
+		valid := ws[0]>>63 | ws[2]>>63<<1 | ws[4]>>63<<2 | ws[6]>>63<<3 |
+			ws[8]>>63<<4 | ws[10]>>63<<5 | ws[12]>>63<<6 | ws[14]>>63<<7
+		var v int
+		if valid != 0xFF {
+			v = bits.TrailingZeros64(valid ^ 0xFF)
+		} else {
+			v = lruWay8(ws)
+		}
+		v &= 7
+		ws[2*v] = key
+		ws[2*v+1] = c.clock
+		return c.cfg.MissCycles
 	}
-	// Hit scan first, victim selection only on a confirmed miss. (A hit
-	// can sit after an invalid way, so the hit scan must cover every way
-	// before a miss is declared.) The full-capacity subslice lets the
-	// loops run without per-way bounds checks — this is the innermost
-	// loop of every simulated page walk.
-	ws := c.slots[b:end:end]
-	for j := 0; j < c.cfg.Ways; j++ {
+	// Other geometries: hit scan first, victim selection only on a
+	// confirmed miss. (A hit can sit after an invalid way, so the hit
+	// scan must cover every way before a miss is declared.)
+	ws := c.slots[b : b+2*ways : b+2*ways]
+	for j := 0; j < ways; j++ {
 		if ws[2*j] == key {
-			c.hint[set] = uint8(j)
 			ws[2*j+1] = c.clock
 			return c.cfg.HitCycles
 		}
 	}
 	c.misses++
-	// Victim choice matches the old layout exactly: first invalid way
-	// in scan order, else the minimum-LRU way.
+	// Victim: the first invalid way in scan order, else the LRU way.
 	victim := 0
 	vLRU := ws[1]
-	for j := 0; j < c.cfg.Ways; j++ {
+	for j := 0; j < ways; j++ {
 		if ws[2*j]&tagValid == 0 {
 			victim = j
 			break
@@ -140,8 +153,37 @@ func (c *Cache) Access(phys uint64) uint64 {
 	}
 	ws[2*victim] = key
 	ws[2*victim+1] = c.clock
-	c.hint[set] = uint8(victim)
 	return c.cfg.MissCycles
+}
+
+// b2u converts a comparison result to 0 or 1; the compiler emits it as
+// a SETcc, so a mask built from b2u terms has no branches.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// older returns whichever of (way a, stamp la) and (way b, stamp lb)
+// was used less recently, a on a tie, with no branch.
+func older(a, la, b, lb uint64) (way, stamp uint64) {
+	return a ^ (a^b)&-b2u(lb < la), min(la, lb)
+}
+
+// lruWay8 returns the way of an 8-way set block ws (tag, stamp pairs)
+// with the smallest stamp, by a three-round tournament. Ties go to the
+// lower way, as a sequential scan's strict < would; the stamps of a
+// full set are distinct in any case, each being a unique clock value.
+func lruWay8(ws *[16]uint64) int {
+	a, la := older(0, ws[1], 1, ws[3])
+	b, lb := older(2, ws[5], 3, ws[7])
+	c, lc := older(4, ws[9], 5, ws[11])
+	d, ld := older(6, ws[13], 7, ws[15])
+	a, la = older(a, la, b, lb)
+	c, lc = older(c, lc, d, ld)
+	v, _ := older(a, la, c, lc)
+	return int(v)
 }
 
 // Stats returns lifetime references and misses.

@@ -14,6 +14,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vdirect/internal/addr"
 )
@@ -129,7 +130,10 @@ type SetAssoc struct {
 }
 
 // NewSetAssoc creates a cache of entries total entries organized as
-// entries/ways sets. entries must be a multiple of ways.
+// entries/ways sets. entries must be a multiple of ways. A bad geometry
+// panics: it is an invariant, not input validation, because no flag or
+// parser sets a TLB or PWC geometry (they come from Table VI constants,
+// NewPWC and mmu.Config defaults, which only in-repo code overrides).
 func NewSetAssoc(name string, entries, ways int) *SetAssoc {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", entries, ways))
@@ -169,22 +173,17 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 	// Unrolled 4-way probe: every shipped TLB/PWC geometry except the
 	// 2-way PML4E cache is 4-way (Table VI). The key carries the ASID,
 	// so a foreign address space's entry for the same vpn is just a
-	// non-matching word — the probe is four pure compares.
+	// non-matching word. The four compares fold into a hit mask with no
+	// branch: on a random stream the hit way is unpredictable, so a
+	// compare-and-branch chain mispredicts where the mask does not.
 	if c.ways == 4 {
 		t := c.slots[b : b+12 : b+12]
-		j := -1
-		if t[0] == k {
-			j = 0
-		} else if t[1] == k {
-			j = 1
-		} else if t[2] == k {
-			j = 2
-		} else if t[3] == k {
-			j = 3
-		}
-		if j < 0 {
+		m := hitMask4(t[0], t[1], t[2], t[3], k)
+		if m == 0 {
 			return 0, false
 		}
+		// Masked to 0..3 so the stores below need no bounds check.
+		j := bits.TrailingZeros64(m) & 3
 		t[8+j] = c.clock
 		c.hits++
 		return t[4+j], true
@@ -197,6 +196,34 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 		}
 	}
 	return 0, false
+}
+
+// b2u converts a comparison result to 0 or 1; the compiler emits it as
+// a SETcc, so a mask built from b2u terms has no branches.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// hitMask4 folds a 4-way set's tag compares against k into a mask,
+// bit j set when way j holds k. The probe takes the lowest set bit:
+// insert fills an invalid way that comes before a matching one, so a
+// set can hold one tag in two valid ways, and a lookup hits the first
+// in way order.
+func hitMask4(t0, t1, t2, t3, k uint64) uint64 {
+	return b2u(t0 == k) | b2u(t1 == k)<<1 | b2u(t2 == k)<<2 | b2u(t3 == k)<<3
+}
+
+// lruWay4 returns the way holding the smallest of four LRU stamps, with
+// no branch: a tournament of the two pairs' minima. Ties go to the
+// lower way, as a sequential scan's strict < would, though the stamps
+// of a full set's valid ways are distinct (each is a unique clock).
+func lruWay4(l0, l1, l2, l3 uint64) int {
+	a, la := b2u(l1 < l0), min(l0, l1)
+	b, lb := 2|b2u(l3 < l2), min(l2, l3)
+	return int(a ^ (a^b)&-b2u(lb < la))
 }
 
 // probeRun is the batched-probe chunk size: set indices and packed tag
@@ -260,19 +287,11 @@ func (c *SetAssoc) LookupRun(vpns, ppns []uint64) int {
 			}
 			b := int(bases[i])
 			t := c.slots[b : b+12 : b+12]
-			j := -1
-			if first[i] == k {
-				j = 0
-			} else if t[1] == k {
-				j = 1
-			} else if t[2] == k {
-				j = 2
-			} else if t[3] == k {
-				j = 3
-			}
-			if j < 0 {
+			m := hitMask4(first[i], t[1], t[2], t[3], k)
+			if m == 0 {
 				return n
 			}
+			j := bits.TrailingZeros64(m) & 3
 			t[8+j] = c.clock
 			c.hits++
 			ppns[n] = t[4+j]
@@ -306,6 +325,11 @@ func (c *SetAssoc) Insert(e Entry) {
 
 // insert is the lean form of Insert used on the translation hot path:
 // same semantics, no Entry struct to build and copy at the call site.
+// A VPN that does not fit the tag word panics. That is an invariant no
+// user input reaches: the MMU inserts page numbers of addresses it has
+// translated, guest-physical addresses are below 2^58, and
+// vdirect.System.Access rejects virtual addresses at or above 2^48
+// before translating them.
 func (c *SetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
 	c.clock++
 	if vpn >= vpnMax {
@@ -322,38 +346,25 @@ func (c *SetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
 	// cannot both hold and the first way satisfying either wins, exactly
 	// as the generic loop's paired break conditions do.
 	if c.ways == 4 {
-		// Unrolled like Lookup: the LRU words load only when no way
-		// matched or was free. Way indices stay relative (masked to the
-		// subslice length) so every store below is bounds-check free.
+		// Branch-free like Lookup: the match-or-invalid ways form a mask
+		// whose lowest bit is the scan's first hit, and a full set with
+		// no match takes the LRU way by a branch-free argmin. Way indices
+		// stay relative (masked to the subslice length) so every store
+		// below is bounds-check free.
 		t := c.slots[b : b+12 : b+12]
-		v := 0
-		switch {
-		case t[0] == k || t[0]&tagValid == 0:
-		case t[1] == k || t[1]&tagValid == 0:
-			v = 1
-		case t[2] == k || t[2]&tagValid == 0:
-			v = 2
-		case t[3] == k || t[3]&tagValid == 0:
-			v = 3
-		default:
-			vLRU := t[8]
-			if t[9] < vLRU {
-				v, vLRU = 1, t[9]
-			}
-			if t[10] < vLRU {
-				v, vLRU = 2, t[10]
-			}
-			if t[11] < vLRU {
-				v = 3
-			}
+		free := (t[0]>>63 | t[1]>>63<<1 | t[2]>>63<<2 | t[3]>>63<<3) ^ 0xF
+		m := hitMask4(t[0], t[1], t[2], t[3], k) | free
+		var v int
+		if m != 0 {
+			v = bits.TrailingZeros64(m)
+		} else {
+			v = lruWay4(t[8], t[9], t[10], t[11])
 		}
 		v &= 3
 		old := t[v]
-		if old&tagValid == 0 {
-			c.occupied++
-		} else if old != k {
-			c.evictions++
-		}
+		valid := old >> 63
+		c.occupied += int(valid ^ 1)
+		c.evictions += valid & b2u(old != k)
 		t[v] = k
 		t[4+v] = ppn
 		t[8+v] = c.clock
