@@ -113,6 +113,10 @@ type System struct {
 // mode that does not use that segment.
 var ErrNoSegment = errors.New("vdirect: mode does not use this segment")
 
+// ErrAddressRange is returned by Access for a virtual address at or
+// above addr.VirtualSpan (2^48), which no page table can map.
+var ErrAddressRange = errors.New("vdirect: address outside the 48-bit virtual address space")
+
 // NewSystem builds a machine in the configured mode with one process.
 // The stack is assembled from the scheme's own Requirements — which
 // register sets to program, whether backing must be contiguous, whether
@@ -241,8 +245,14 @@ func (s *System) CreatePrimaryRegion(size uint64) (uint64, error) {
 
 // Access translates one data reference, servicing demand-paging faults
 // the way the guest kernel would. It returns the host physical address
-// and the translation cycles charged.
+// and the translation cycles charged. An address at or above 2^48 is
+// rejected with ErrAddressRange before it is translated: the page walk
+// indexes only bits 47:0, so such an address would otherwise alias the
+// canonical page below it, or overflow the TLB tag word.
 func (s *System) Access(va uint64) (hpa uint64, cycles uint64, err error) {
+	if va >= addr.VirtualSpan {
+		return 0, 0, fmt.Errorf("%w: %#x", ErrAddressRange, va)
+	}
 	for attempt := 0; attempt < 3; attempt++ {
 		res, fault := s.mmu.Translate(va)
 		if fault == nil {

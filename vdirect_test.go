@@ -1,6 +1,7 @@
 package vdirect
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -243,5 +244,40 @@ func TestReproduceAllSmall(t *testing.T) {
 	}
 	if len(rep.String()) < 1000 {
 		t.Error("report suspiciously short")
+	}
+}
+
+// TestSystemAccessRejectsNonCanonical checks that an address at or
+// above 2^48 is an error in every mode, not a panic (at 2^60 the page
+// number overflows the TLB tag word) or a silent alias of the mapped
+// page below it (between 2^48 and 2^58 the walk ignores the high bits).
+func TestSystemAccessRejectsNonCanonical(t *testing.T) {
+	for _, mode := range []Mode{Native, DirectSegment, BaseVirtualized, DualDirect, VMMDirect, GuestDirect} {
+		s, err := NewSystem(Config{Mode: mode, GuestMemory: 64 << 20})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		base, err := s.Map(1 << 20)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if _, _, err := s.Access(base); err != nil {
+			t.Fatalf("%v: mapped access: %v", mode, err)
+		}
+		before := s.Stats()
+		for _, va := range []uint64{base + 1<<48, base + 1<<50, base + 1<<60, ^uint64(0)} {
+			hpa, cycles, err := s.Access(va)
+			if !errors.Is(err, ErrAddressRange) {
+				t.Errorf("%v: Access(%#x) = (%#x, %d, %v), want ErrAddressRange", mode, va, hpa, cycles, err)
+			}
+		}
+		if s.Stats() != before {
+			t.Errorf("%v: a rejected access reached the MMU", mode)
+		}
+		// The last canonical byte is in range: unmapped, it faults through
+		// to the guest, which refuses it, rather than being refused here.
+		if _, _, err := s.Access(1<<48 - 1); err == nil || errors.Is(err, ErrAddressRange) {
+			t.Errorf("%v: Access(2^48-1) = %v, want a demand-paging error", mode, err)
+		}
 	}
 }
