@@ -37,6 +37,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -86,11 +87,9 @@ func run() (retErr error) {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
+	want, err := checkFlags(*only, *trials, *density, *jobs, *shards)
+	if err != nil {
+		return err
 	}
 
 	// The histogram section needs telemetry live even when no -trace or
@@ -179,6 +178,45 @@ func run() (retErr error) {
 	fmt.Printf("— paperbench completed in %s at %s scale —\n",
 		time.Since(start).Round(time.Second), *scaleName)
 	return nil
+}
+
+// sectionNames are the report sections -only can select. Naming one of
+// the last four also enables its extension study.
+var sectionNames = []string{
+	"figure1", "figure11", "figure12", "sectionVIII", "breakdown", "tableIV",
+	"figure13", "shadow", "sharing", "energy", "tableII", "tableIII",
+	"consolidation", "schemes", "host", "walkprof",
+}
+
+// checkFlags rejects bad flag values before any work starts and returns
+// the -only selection (empty selects every section). Unchecked, an
+// unknown -only name printed an empty report and exited 0, and a
+// -fig13-trials or -density below 1 silently ran the defaults.
+func checkFlags(only string, trials, density, jobs, shards int) (map[string]bool, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("-fig13-trials must be at least 1, got %d", trials)
+	}
+	if density < 1 {
+		return nil, fmt.Errorf("-density must be at least 1, got %d", density)
+	}
+	if jobs < 0 {
+		return nil, fmt.Errorf("-j must be 0 (all cores) or positive, got %d", jobs)
+	}
+	if shards < 0 {
+		return nil, fmt.Errorf("-shards must not be negative, got %d", shards)
+	}
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	for _, s := range strings.Split(only, ",") {
+		s = strings.TrimSpace(s)
+		if !slices.Contains(sectionNames, s) {
+			return nil, fmt.Errorf("unknown -only section %q (valid: %s)", s, strings.Join(sectionNames, ", "))
+		}
+		want[s] = true
+	}
+	return want, nil
 }
 
 // startProfiles begins CPU profiling and arranges the heap profile.
