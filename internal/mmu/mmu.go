@@ -203,7 +203,7 @@ type MMU struct {
 	// walkClass/walkSize are the last resolved miss's §VII class and
 	// effective page size, set by the path that resolved it (the 0D
 	// paths, probeL2, nativeWalk, classifyMiss and insertComposite) and
-	// read by miss for the sampler.
+	// read by miss for the sampler and by missResult for the Result.
 	walkClass walkprof.MissClass
 	walkSize  addr.PageSize
 
