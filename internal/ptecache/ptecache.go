@@ -104,14 +104,15 @@ func (c *Cache) Access(phys uint64) uint64 {
 		// in unpredictable ways, so compare-and-branch scans mispredict
 		// where the masks do not. A line is filled only after a full-set
 		// miss, so a set never holds one line twice and any set bit of
-		// the hit mask is the hit. The set is viewed as an array and way
-		// indices are masked to 0..7, so no access needs a bounds check.
+		// the hit mask is the hit. The mask's bits are disjoint, so it is
+		// written as sums, which the compiler folds pairwise into LEAs.
+		// The set is viewed as an array and way indices are masked to
+		// 0..7, so no access needs a bounds check.
 		ws := (*[16]uint64)(c.slots[b : b+16])
-		hit := b2u(ws[0] == key) | b2u(ws[2] == key)<<1 | b2u(ws[4] == key)<<2 |
-			b2u(ws[6] == key)<<3 | b2u(ws[8] == key)<<4 | b2u(ws[10] == key)<<5 |
-			b2u(ws[12] == key)<<6 | b2u(ws[14] == key)<<7
-		if hit != 0 {
-			ws[2*(bits.TrailingZeros64(hit)&7)+1] = c.clock
+		lo := b2u(ws[0] == key) + b2u(ws[2] == key)*2 + (b2u(ws[4] == key)+b2u(ws[6] == key)*2)*4
+		hi := b2u(ws[8] == key) + b2u(ws[10] == key)*2 + (b2u(ws[12] == key)+b2u(ws[14] == key)*2)*4
+		if hit := lo + hi*16; hit != 0 {
+			ws[2*(bits.TrailingZeros8(hit)&7)+1] = c.clock
 			return c.cfg.HitCycles
 		}
 		c.misses++
@@ -157,8 +158,10 @@ func (c *Cache) Access(phys uint64) uint64 {
 }
 
 // b2u converts a comparison result to 0 or 1; the compiler emits it as
-// a SETcc, so a mask built from b2u terms has no branches.
-func b2u(b bool) uint64 {
+// a SETcc, so a mask built from b2u terms has no branches. It is a
+// uint8 so that mask arithmetic needs no zero-extension of the SETcc
+// result.
+func b2u(b bool) uint8 {
 	if b {
 		return 1
 	}
@@ -168,7 +171,7 @@ func b2u(b bool) uint64 {
 // older returns whichever of (way a, stamp la) and (way b, stamp lb)
 // was used less recently, a on a tie, with no branch.
 func older(a, la, b, lb uint64) (way, stamp uint64) {
-	return a ^ (a^b)&-b2u(lb < la), min(la, lb)
+	return a ^ (a^b)&-uint64(b2u(lb < la)), min(la, lb)
 }
 
 // lruWay8 returns the way of an 8-way set block ws (tag, stamp pairs)

@@ -183,7 +183,7 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 			return 0, false
 		}
 		// Masked to 0..3 so the stores below need no bounds check.
-		j := bits.TrailingZeros64(m) & 3
+		j := bits.TrailingZeros8(m) & 3
 		t[8+j] = c.clock
 		c.hits++
 		return t[4+j], true
@@ -199,8 +199,10 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 }
 
 // b2u converts a comparison result to 0 or 1; the compiler emits it as
-// a SETcc, so a mask built from b2u terms has no branches.
-func b2u(b bool) uint64 {
+// a SETcc, so a mask built from b2u terms has no branches. It is a
+// uint8 so that mask arithmetic needs no zero-extension of the SETcc
+// result.
+func b2u(b bool) uint8 {
 	if b {
 		return 1
 	}
@@ -212,8 +214,11 @@ func b2u(b bool) uint64 {
 // insert fills an invalid way that comes before a matching one, so a
 // set can hold one tag in two valid ways, and a lookup hits the first
 // in way order.
-func hitMask4(t0, t1, t2, t3, k uint64) uint64 {
-	return b2u(t0 == k) | b2u(t1 == k)<<1 | b2u(t2 == k)<<2 | b2u(t3 == k)<<3
+//
+// The bits are disjoint, so the mask is written as sums, which the
+// compiler folds pairwise into three LEAs.
+func hitMask4(t0, t1, t2, t3, k uint64) uint8 {
+	return b2u(t0 == k) + b2u(t1 == k)*2 + (b2u(t2 == k)+b2u(t3 == k)*2)*4
 }
 
 // lruWay4 returns the way holding the smallest of four LRU stamps, with
@@ -221,9 +226,9 @@ func hitMask4(t0, t1, t2, t3, k uint64) uint64 {
 // lower way, as a sequential scan's strict < would, though the stamps
 // of a full set's valid ways are distinct (each is a unique clock).
 func lruWay4(l0, l1, l2, l3 uint64) int {
-	a, la := b2u(l1 < l0), min(l0, l1)
-	b, lb := 2|b2u(l3 < l2), min(l2, l3)
-	return int(a ^ (a^b)&-b2u(lb < la))
+	a, la := int(b2u(l1 < l0)), min(l0, l1)
+	b, lb := 2|int(b2u(l3 < l2)), min(l2, l3)
+	return a ^ (a^b)&-int(b2u(lb < la))
 }
 
 // probeRun is the batched-probe chunk size: set indices and packed tag
@@ -291,7 +296,7 @@ func (c *SetAssoc) LookupRun(vpns, ppns []uint64) int {
 			if m == 0 {
 				return n
 			}
-			j := bits.TrailingZeros64(m) & 3
+			j := bits.TrailingZeros8(m) & 3
 			t[8+j] = c.clock
 			c.hits++
 			ppns[n] = t[4+j]
@@ -352,11 +357,11 @@ func (c *SetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
 		// stay relative (masked to the subslice length) so every store
 		// below is bounds-check free.
 		t := c.slots[b : b+12 : b+12]
-		free := (t[0]>>63 | t[1]>>63<<1 | t[2]>>63<<2 | t[3]>>63<<3) ^ 0xF
+		free := uint8(t[0]>>63|t[1]>>63<<1|t[2]>>63<<2|t[3]>>63<<3) ^ 0xF
 		m := hitMask4(t[0], t[1], t[2], t[3], k) | free
 		var v int
 		if m != 0 {
-			v = bits.TrailingZeros64(m)
+			v = bits.TrailingZeros8(m)
 		} else {
 			v = lruWay4(t[8], t[9], t[10], t[11])
 		}
@@ -364,7 +369,7 @@ func (c *SetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
 		old := t[v]
 		valid := old >> 63
 		c.occupied += int(valid ^ 1)
-		c.evictions += valid & b2u(old != k)
+		c.evictions += valid & uint64(b2u(old != k))
 		t[v] = k
 		t[4+v] = ppn
 		t[8+v] = c.clock
