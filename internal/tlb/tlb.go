@@ -221,14 +221,21 @@ func hitMask4(t0, t1, t2, t3, k uint64) uint8 {
 	return b2u(t0 == k) + b2u(t1 == k)*2 + (b2u(t2 == k)+b2u(t3 == k)*2)*4
 }
 
+// older returns whichever of (way a, stamp la) and (way b, stamp lb)
+// was used less recently, a on a tie, with no branch.
+func older(a, la, b, lb uint64) (way, stamp uint64) {
+	return a ^ (a^b)&-uint64(b2u(lb < la)), min(la, lb)
+}
+
 // lruWay4 returns the way holding the smallest of four LRU stamps, with
 // no branch: a tournament of the two pairs' minima. Ties go to the
 // lower way, as a sequential scan's strict < would, though the stamps
 // of a full set's valid ways are distinct (each is a unique clock).
 func lruWay4(l0, l1, l2, l3 uint64) int {
-	a, la := int(b2u(l1 < l0)), min(l0, l1)
-	b, lb := 2|int(b2u(l3 < l2)), min(l2, l3)
-	return a ^ (a^b)&-int(b2u(lb < la))
+	a, la := older(0, l0, 1, l1)
+	b, lb := older(2, l2, 3, l3)
+	v, _ := older(a, la, b, lb)
+	return int(v)
 }
 
 // probeRun is the batched-probe chunk size: set indices and packed tag
