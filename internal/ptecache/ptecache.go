@@ -10,10 +10,7 @@
 // why sequential workloads walk cheaply and GUPS walks at DRAM speed.
 package ptecache
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Config sets the cache geometry and latencies.
 type Config struct {
@@ -96,42 +93,11 @@ func (c *Cache) Access(phys uint64) uint64 {
 	key := tagValid | lineAddr
 	ways := c.cfg.Ways
 	b := set * ways * 2
-	if ways == 8 {
-		// The shipped Default geometry, unrolled and branch-free in the
-		// way it picks: the eight tag compares fold into a hit mask, and
-		// a miss takes the first invalid way from a second mask, else the
-		// LRU way by a tournament of stamp minima. A walk's PTE lines land
-		// in unpredictable ways, so compare-and-branch scans mispredict
-		// where the masks do not. A line is filled only after a full-set
-		// miss, so a set never holds one line twice and any set bit of
-		// the hit mask is the hit. The mask's bits are disjoint, so it is
-		// written as sums, which the compiler folds pairwise into LEAs.
-		// The set is viewed as an array and way indices are masked to
-		// 0..7, so no access needs a bounds check.
-		ws := (*[16]uint64)(c.slots[b : b+16])
-		lo := b2u(ws[0] == key) + b2u(ws[2] == key)*2 + (b2u(ws[4] == key)+b2u(ws[6] == key)*2)*4
-		hi := b2u(ws[8] == key) + b2u(ws[10] == key)*2 + (b2u(ws[12] == key)+b2u(ws[14] == key)*2)*4
-		if hit := lo + hi*16; hit != 0 {
-			ws[2*(bits.TrailingZeros8(hit)&7)+1] = c.clock
-			return c.cfg.HitCycles
-		}
-		c.misses++
-		valid := ws[0]>>63 | ws[2]>>63<<1 | ws[4]>>63<<2 | ws[6]>>63<<3 |
-			ws[8]>>63<<4 | ws[10]>>63<<5 | ws[12]>>63<<6 | ws[14]>>63<<7
-		var v int
-		if valid != 0xFF {
-			v = bits.TrailingZeros64(valid ^ 0xFF)
-		} else {
-			v = lruWay8(ws)
-		}
-		v &= 7
-		ws[2*v] = key
-		ws[2*v+1] = c.clock
-		return c.cfg.MissCycles
-	}
-	// Other geometries: hit scan first, victim selection only on a
-	// confirmed miss. (A hit can sit after an invalid way, so the hit
-	// scan must cover every way before a miss is declared.)
+	// Hit scan first, victim selection only on a confirmed miss. (A hit
+	// can sit after an invalid way, so the hit scan must cover every way
+	// before a miss is declared.) The full-capacity subslice lets the
+	// loops run without per-way bounds checks — this is the innermost
+	// loop of every simulated page walk.
 	ws := c.slots[b : b+2*ways : b+2*ways]
 	for j := 0; j < ways; j++ {
 		if ws[2*j] == key {
@@ -155,38 +121,6 @@ func (c *Cache) Access(phys uint64) uint64 {
 	ws[2*victim] = key
 	ws[2*victim+1] = c.clock
 	return c.cfg.MissCycles
-}
-
-// b2u converts a comparison result to 0 or 1; the compiler emits it as
-// a SETcc, so a mask built from b2u terms has no branches. It is a
-// uint8 so that mask arithmetic needs no zero-extension of the SETcc
-// result.
-func b2u(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// older returns whichever of (way a, stamp la) and (way b, stamp lb)
-// was used less recently, a on a tie, with no branch.
-func older(a, la, b, lb uint64) (way, stamp uint64) {
-	return a ^ (a^b)&-uint64(b2u(lb < la)), min(la, lb)
-}
-
-// lruWay8 returns the way of an 8-way set block ws (tag, stamp pairs)
-// with the smallest stamp, by a three-round tournament. Ties go to the
-// lower way, as a sequential scan's strict < would; the stamps of a
-// full set are distinct in any case, each being a unique clock value.
-func lruWay8(ws *[16]uint64) int {
-	a, la := older(0, ws[1], 1, ws[3])
-	b, lb := older(2, ws[5], 3, ws[7])
-	c, lc := older(4, ws[9], 5, ws[11])
-	d, ld := older(6, ws[13], 7, ws[15])
-	a, la = older(a, la, b, lb)
-	c, lc = older(c, lc, d, ld)
-	v, _ := older(a, la, c, lc)
-	return int(v)
 }
 
 // Stats returns lifetime references and misses.
