@@ -55,7 +55,7 @@ func main() {
 func run() (retErr error) {
 	var (
 		scaleName  = flag.String("scale", "medium", "simulation scale: small|medium|full")
-		only       = flag.String("only", "", "comma-separated section subset (figure1,figure11,figure12,figure13,sectionVIII,breakdown,tableIV,shadow,sharing,energy,tableII,tableIII; naming consolidation, schemes, host, or walkprof also enables that extension study)")
+		only       = flag.String("only", "", "comma-separated section subset ("+strings.Join(vdirect.PaperSections, ",")+"; naming one of "+strings.Join(vdirect.ExtensionSections, ", ")+" also enables its extension study)")
 		shards     = flag.Int("shards", 1, "intra-cell shard goroutines for the consolidation and host studies; output is identical at any value")
 		density    = flag.Int("density", 8, "host study's maximum consolidation density (guests at the deepest sweep step)")
 		outDir     = flag.String("out", "", "directory to write per-section files into")
@@ -180,14 +180,6 @@ func run() (retErr error) {
 	return nil
 }
 
-// sectionNames are the report sections -only can select. Naming one of
-// the last four also enables its extension study.
-var sectionNames = []string{
-	"figure1", "figure11", "figure12", "sectionVIII", "breakdown", "tableIV",
-	"figure13", "shadow", "sharing", "energy", "tableII", "tableIII",
-	"consolidation", "schemes", "host", "walkprof",
-}
-
 // checkFlags rejects bad flag values before any work starts and returns
 // the -only selection (empty selects every section). Unchecked, an
 // unknown -only name printed an empty report and exited 0, and a
@@ -211,8 +203,9 @@ func checkFlags(only string, trials, density, jobs, shards int) (map[string]bool
 	}
 	for _, s := range strings.Split(only, ",") {
 		s = strings.TrimSpace(s)
-		if !slices.Contains(sectionNames, s) {
-			return nil, fmt.Errorf("unknown -only section %q (valid: %s)", s, strings.Join(sectionNames, ", "))
+		if !slices.Contains(vdirect.PaperSections, s) && !slices.Contains(vdirect.ExtensionSections, s) {
+			return nil, fmt.Errorf("unknown -only section %q (valid: %s)", s,
+				strings.Join(slices.Concat(vdirect.PaperSections, vdirect.ExtensionSections), ", "))
 		}
 		want[s] = true
 	}

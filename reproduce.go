@@ -161,6 +161,17 @@ type Options struct {
 	HostDensity int
 }
 
+// PaperSections names the sections every report holds, in report order.
+var PaperSections = []string{
+	"figure1", "figure11", "figure12", "sectionVIII", "breakdown", "tableIV",
+	"figure13", "shadow", "sharing", "energy", "tableII", "tableIII",
+}
+
+// ExtensionSections names the sections an Options field adds, in the
+// order they follow PaperSections: Consolidation, Host, Schemes and
+// Walkprof.
+var ExtensionSections = []string{"consolidation", "host", "schemes", "walkprof"}
+
 // ReproduceAll runs the complete evaluation at the given scale —
 // everything EXPERIMENTS.md records — using every core. At ScaleFull
 // this takes several minutes; fig13Trials controls the escape-filter

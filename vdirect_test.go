@@ -2,6 +2,7 @@ package vdirect
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -226,8 +227,7 @@ func TestReproduceAllSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"figure1", "figure11", "figure12", "sectionVIII", "breakdown",
-		"tableIV", "figure13", "shadow", "sharing", "energy", "tableII", "tableIII"}
+	want := PaperSections
 	if len(rep.Sections) != len(want) {
 		t.Fatalf("sections = %d, want %d", len(rep.Sections), len(want))
 	}
@@ -244,6 +244,27 @@ func TestReproduceAllSmall(t *testing.T) {
 	}
 	if len(rep.String()) < 1000 {
 		t.Error("report suspiciously short")
+	}
+}
+
+// TestReproduceExtensionSections checks that a report with every
+// extension study on holds PaperSections then ExtensionSections, the
+// names paperbench -only accepts.
+func TestReproduceExtensionSections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation at small scale")
+	}
+	rep, err := ReproduceAllOpts(ScaleSmall, Options{Fig13Trials: 1,
+		Consolidation: true, Host: true, HostDensity: 2, Schemes: true, Walkprof: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range rep.Sections {
+		got = append(got, s.Name)
+	}
+	if want := slices.Concat(PaperSections, ExtensionSections); !slices.Equal(got, want) {
+		t.Errorf("sections = %v, want %v", got, want)
 	}
 }
 
