@@ -492,7 +492,7 @@ func (m *MMU) missResult(hpa, cycles uint64) Result {
 // writing per-event results into out when it is non-nil (out must then
 // be at least len(evs) long). It returns the number of events completed;
 // on a fault, that is the faulting event's index and the caller services
-// the fault and resumes from there. Accesses/L1Hits accumulate in locals
+// the fault and resumes from there. L1 hits accumulate as one local count
 // and flush at block end (or before any slow-path entry), so Stats read
 // outside TranslateBlock are identical to per-event Translate calls —
 // this is the tight loop behind the replay engine's AccessBlock hook.
@@ -505,7 +505,8 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 	if !m.l1.Only4K() {
 		return m.translateBlockFrom(evs, out, 0)
 	}
-	var accesses, l1Hits uint64
+	// hits counts L1 hits not yet flushed to Stats (each also an access).
+	var hits uint64
 	lastValid, lastVBase, lastHBase := m.lastValid, m.lastVBase, m.lastHBase
 	// A probe run: consecutive events predicted to miss the last-page
 	// cache, probed against the L1 4K structure in one batched call.
@@ -535,12 +536,10 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		}
 		if np == 0 {
 			// Pure last-page-cache tail.
-			for k := i; k < j; k++ {
-				accesses++
-				l1Hits++
-				if out != nil {
-					gva := uint64(evs[k].VA)
-					out[k] = Result{HPA: lastHBase + (gva - lastVBase), L1Hit: true}
+			hits += uint64(j - i)
+			if out != nil {
+				for k := i; k < j; k++ {
+					out[k] = Result{HPA: lastHBase + (uint64(evs[k].VA) - lastVBase), L1Hit: true}
 				}
 			}
 			i = j
@@ -548,7 +547,10 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		}
 		nh := m.l1.Lookup4KRun(vpns[:np], ppns[:np])
 		// Events before the first missing probe (or the whole gather
-		// when everything hit) completed; fill their results in order.
+		// when everything hit) completed as L1 hits. They are counted,
+		// not walked: the last-page state becomes the last hit probe's
+		// (unchanged when none hit), and a per-event loop runs only to
+		// fill out.
 		end, missAt := j, -1
 		if nh < np {
 			end, missAt = idxs[nh], idxs[nh]
@@ -556,20 +558,20 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		} else if runCap < len(vpns) {
 			runCap *= 2
 		}
-		p := 0
-		for k := i; k < end; k++ {
-			gva := uint64(evs[k].VA)
-			vbase := gva &^ (addr.PageSize4K - 1)
-			accesses++
-			l1Hits++
-			if p < nh && k == idxs[p] {
-				lastVBase, lastHBase = vbase, ppns[p]<<addr.PageShift4K
-				lastValid = true
-				p++
+		hits += uint64(end - i)
+		if out != nil {
+			hbase, p := lastHBase, 0
+			for k := i; k < end; k++ {
+				if p < nh && k == idxs[p] {
+					hbase = ppns[p] << addr.PageShift4K
+					p++
+				}
+				out[k] = Result{HPA: hbase + uint64(evs[k].VA)&(addr.PageSize4K-1), L1Hit: true}
 			}
-			if out != nil {
-				out[k] = Result{HPA: lastHBase + (gva - vbase), L1Hit: true}
-			}
+		}
+		if nh > 0 {
+			lastValid = true
+			lastVBase, lastHBase = vpns[nh-1]<<addr.PageShift4K, ppns[nh-1]<<addr.PageShift4K
 		}
 		i = end
 		if missAt < 0 {
@@ -579,11 +581,10 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		// batched lookup; charge the (empty) 2M/1G probes and resolve.
 		gva := uint64(evs[missAt].VA)
 		vbase := gva &^ (addr.PageSize4K - 1)
-		accesses++
 		m.l1.MissLarge()
-		m.stats.Accesses += accesses
-		m.stats.L1Hits += l1Hits
-		accesses, l1Hits = 0, 0
+		m.stats.Accesses += hits + 1
+		m.stats.L1Hits += hits
+		hits = 0
 		hpa, cycles, fault := m.miss(gva)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
@@ -596,14 +597,12 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		i = missAt + 1
 		if !m.l1.Only4K() {
 			// The walk inserted a large-page entry: finish per-event.
-			m.stats.Accesses += accesses
-			m.stats.L1Hits += l1Hits
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 			return m.translateBlockFrom(evs, out, i)
 		}
 	}
-	m.stats.Accesses += accesses
-	m.stats.L1Hits += l1Hits
+	m.stats.Accesses += hits
+	m.stats.L1Hits += hits
 	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 	return len(evs), nil
 }

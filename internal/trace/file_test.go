@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -36,6 +37,28 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 	if got.WorkingSet() != orig.WorkingSet() {
 		t.Errorf("working set %v != %v", got.WorkingSet(), orig.WorkingSet())
+	}
+}
+
+// TestTraceFileBytes pins the on-disk format byte for byte. WriteTo
+// encodes each field explicitly, so the stream must not follow Event's
+// in-memory layout.
+func TestTraceFileBytes(t *testing.T) {
+	evs := []Event{
+		{Kind: Access, VA: 0x40001234},
+		{Kind: Access, VA: 0x40005678, Write: true},
+		{Kind: Alloc, VA: 0x20000000, Size: 64 << 10},
+	}
+	var buf bytes.Buffer
+	if _, err := NewSlice("demo", evs).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "7664747261636531" + "04000000" + "64656d6f" + "0300000000000000" +
+		"00" + "3412004000000000" +
+		"10" + "7856004000000000" +
+		"02" + "0000002000000000" + "0000010000000000"
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("stream\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vdirect/internal/addr"
 )
@@ -264,5 +265,15 @@ func TestRandStatisticalUniformity(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventSize pins Event at 24 bytes: the two words, then Kind and
+// Write sharing the third. Every trace buffer and NextBlock copy is
+// sized in Events, so a field added later must not re-pad the struct
+// to 32 bytes unnoticed.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 24 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 24", n)
 	}
 }
