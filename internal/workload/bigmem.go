@@ -28,7 +28,7 @@ func init() {
 func newTLBStress(cfg Config) Workload {
 	const pages = 768 // 1.5 × 512-entry L2 reach at 4K
 	b := newBuilder(cfg)
-	b.stackEvery = 0 // pure page stress
+	b.setStackEvery(0) // pure page stress
 	for !b.full() {
 		p := b.rng.Uint64n(pages)
 		if !b.read(PrimaryBase + p<<12 + b.rng.Uint64n(512)*8) {

@@ -14,7 +14,7 @@ func eagerGUPS(cfg Config) Workload {
 	tableBytes := uint64(cfg.MemoryMB) << 20
 	elems := tableBytes / 8
 	b := newBuilder(cfg)
-	b.stackEvery = 256
+	b.setStackEvery(256)
 	for !b.full() {
 		idx := b.rng.Uint64n(elems)
 		va := PrimaryBase + idx*8
@@ -115,5 +115,35 @@ func compareBlocks(t *testing.T, cfg Config, want, got Workload, block int) {
 	}
 	if _, wok := want.Next(); wok {
 		t.Fatalf("gups %+v block=%d: block path ended early at event %d", cfg, block, i)
+	}
+}
+
+// TestBuilderStackPeriod holds builder.access's stack countdown to the
+// rule it replaces: a stack access follows the data access that brings
+// the access count (stack accesses included) to a multiple of the
+// period. Periods 1 to 3 cover the countdown's reset edge cases.
+func TestBuilderStackPeriod(t *testing.T) {
+	for _, period := range []int{0, 1, 2, 3, 64, 256} {
+		b := newBuilder(Config{Seed: 3, Ops: 2000})
+		b.setStackEvery(period)
+		var want []bool // per event: is it a stack access?
+		accesses := 0
+		for i := 0; !b.full(); i++ {
+			b.read(PrimaryBase + uint64(i)*8)
+			want = append(want, false)
+			accesses++
+			if period > 0 && accesses%period == 0 {
+				want = append(want, true)
+				accesses++
+			}
+		}
+		if len(b.evs) != len(want) {
+			t.Fatalf("period %d: %d events, want %d", period, len(b.evs), len(want))
+		}
+		for i, ev := range b.evs {
+			if stack := ev.VA >= StackBase && ev.VA < StackBase+StackSize; stack != want[i] {
+				t.Fatalf("period %d: event %d stack=%v, want %v", period, i, stack, want[i])
+			}
+		}
 	}
 }

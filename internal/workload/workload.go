@@ -172,21 +172,30 @@ type builder struct {
 	accesses int
 	limit    int
 	rng      *trace.Rand
-	// stackEvery sprinkles a stack access every n data accesses, so a
-	// small fraction of the trace always lies outside the primary
-	// region (function calls, locals).
+	// stackEvery sprinkles a stack access each time accesses (stack
+	// accesses included) reaches a multiple of it, so a small fraction
+	// of the trace always lies outside the primary region (function
+	// calls, locals); 0 turns it off. stackIn counts the data accesses
+	// left until the next one, so the hot path compares instead of
+	// dividing. Set both with setStackEvery.
 	stackEvery int
+	stackIn    int
 	stackPos   uint64
 }
 
 func newBuilder(cfg Config) *builder {
-	return &builder{
-		evs:        make([]trace.Event, 0, cfg.Ops+cfg.Ops/64+16),
-		limit:      cfg.Ops,
-		rng:        trace.NewRand(cfg.Seed),
-		stackEvery: 64,
+	b := &builder{
+		evs:   make([]trace.Event, 0, cfg.Ops+cfg.Ops/64+16),
+		limit: cfg.Ops,
+		rng:   trace.NewRand(cfg.Seed),
 	}
+	b.setStackEvery(64)
+	return b
 }
+
+// setStackEvery sets the stack-access period; call it before the first
+// access.
+func (b *builder) setStackEvery(n int) { b.stackEvery, b.stackIn = n, n }
 
 // full reports whether the op budget is exhausted.
 func (b *builder) full() bool { return b.accesses >= b.limit }
@@ -198,7 +207,10 @@ func (b *builder) access(va uint64, write bool) bool {
 	}
 	b.evs = append(b.evs, trace.Event{Kind: trace.Access, VA: addr.GVA(va), Write: write})
 	b.accesses++
-	if b.stackEvery > 0 && b.accesses%b.stackEvery == 0 {
+	if b.stackIn--; b.stackEvery > 0 && b.stackIn <= 0 {
+		// The stack access is itself an access, so the next multiple
+		// is stackEvery-1 data accesses away (1 when stackEvery is 1).
+		b.stackIn = b.stackEvery - 1
 		// Stack accesses walk a few hot pages.
 		b.stackPos = (b.stackPos + 8) % (16 << 10)
 		b.evs = append(b.evs, trace.Event{
