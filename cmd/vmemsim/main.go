@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,33 +28,46 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == flag.ErrHelp {
+		return // -h: the usage is printed
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmemsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
+// run parses args and simulates the requested grid, printing the cells
+// to stdout; flag errors and usage go to stderr.
+func run(args []string, stdout, stderr io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("vmemsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workloadName = flag.String("workload", "gups", "workload(s) to run, comma-separated (see -list)")
-		config       = flag.String("config", "4K+4K", `configuration label(s), comma-separated: 4K|2M|1G|THP|DS|A+B|A+VD|A+GD|A+FL|DD`)
-		scaleName    = flag.String("scale", "medium", "simulation scale: small|medium|full")
-		jobs         = flag.Int("j", 0, "max concurrently simulated cells (0 = GOMAXPROCS); output is identical at any -j")
-		list         = flag.Bool("list", false, "list workloads and exit")
+		workloadName = fs.String("workload", "gups", "workload(s) to run, comma-separated (see -list)")
+		config       = fs.String("config", "4K+4K", `configuration label(s), comma-separated: 4K|2M|1G|THP|DS|A+B|A+VD|A+GD|A+FL|DD`)
+		scaleName    = fs.String("scale", "medium", "simulation scale: small|medium|full")
+		jobs         = fs.Int("j", 0, "max concurrently simulated cells (0 = GOMAXPROCS); output is identical at any -j")
+		list         = fs.Bool("list", false, "list workloads and exit")
 	)
 	var tf telemetry.Flags
-	tf.Register(flag.CommandLine)
-	flag.Parse()
+	tf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if tf.Version {
-		fmt.Println(telemetry.VersionString("vmemsim"))
+		fmt.Fprintln(stdout, telemetry.VersionString("vmemsim"))
 		return nil
 	}
 	if *list {
 		for _, n := range vdirect.Workloads() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return nil
+	}
+	if *jobs < 0 {
+		return fmt.Errorf("-j must be 0 (all cores) or positive, got %d", *jobs)
 	}
 	scale, err := parseScale(*scaleName)
 	if err != nil {
@@ -89,9 +103,9 @@ func run() (retErr error) {
 	}
 	for i, row := range rows {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		printCell(row)
+		printCell(stdout, row)
 	}
 	return nil
 }
@@ -106,25 +120,25 @@ func splitList(s string) []string {
 	return out
 }
 
-func printCell(row vdirect.FigureRow) {
+func printCell(w io.Writer, row vdirect.FigureRow) {
 	res := row.Result
 	st := res.Stats
-	fmt.Printf("workload            %s\n", row.Workload)
-	fmt.Printf("configuration       %s (%v)\n", row.Config, res.Spec.Mode)
-	fmt.Printf("measured accesses   %d\n", res.Accesses)
-	fmt.Printf("translation overhead %.2f%%\n", res.Overhead*100)
-	fmt.Printf("walk cycles         %d\n", res.WalkCycles)
-	fmt.Printf("ideal cycles        %.0f\n", res.IdealCycles)
-	fmt.Println()
-	fmt.Printf("L1 TLB   hits %-12d misses %d\n", st.L1Hits, st.L1Misses)
-	fmt.Printf("L2 TLB   hits %-12d misses %d\n", st.L2Hits, st.L2Misses)
-	fmt.Printf("walks    %-12d 0D walks %d\n", st.Walks, st.ZeroDWalks)
-	fmt.Printf("walk memory references  %d\n", st.WalkMemRefs)
-	fmt.Printf("segment checks          %d\n", st.SegmentChecks)
-	fmt.Printf("nested TLB  hits %-8d misses %d  walks %d\n",
+	fmt.Fprintf(w, "workload            %s\n", row.Workload)
+	fmt.Fprintf(w, "configuration       %s (%v)\n", row.Config, res.Spec.Mode)
+	fmt.Fprintf(w, "measured accesses   %d\n", res.Accesses)
+	fmt.Fprintf(w, "translation overhead %.2f%%\n", res.Overhead*100)
+	fmt.Fprintf(w, "walk cycles         %d\n", res.WalkCycles)
+	fmt.Fprintf(w, "ideal cycles        %.0f\n", res.IdealCycles)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "L1 TLB   hits %-12d misses %d\n", st.L1Hits, st.L1Misses)
+	fmt.Fprintf(w, "L2 TLB   hits %-12d misses %d\n", st.L2Hits, st.L2Misses)
+	fmt.Fprintf(w, "walks    %-12d 0D walks %d\n", st.Walks, st.ZeroDWalks)
+	fmt.Fprintf(w, "walk memory references  %d\n", st.WalkMemRefs)
+	fmt.Fprintf(w, "segment checks          %d\n", st.SegmentChecks)
+	fmt.Fprintf(w, "nested TLB  hits %-8d misses %d  walks %d\n",
 		st.NestedTLBHits, st.NestedTLBMisses, st.NestedWalks)
-	fmt.Printf("escape filter probes %-6d taken %d\n", st.EscapeProbes, st.EscapeTaken)
-	fmt.Printf("miss classes  both=%d vmm-only=%d guest-only=%d neither=%d\n",
+	fmt.Fprintf(w, "escape filter probes %-6d taken %d\n", st.EscapeProbes, st.EscapeTaken)
+	fmt.Fprintf(w, "miss classes  both=%d vmm-only=%d guest-only=%d neither=%d\n",
 		st.MissBoth, st.MissVMMOnly, st.MissGuestOnly, st.MissNeither)
 }
 
