@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == flag.ErrHelp {
+	if errors.Is(err, flag.ErrHelp) {
 		return // -h: the usage is printed
 	}
 	if err != nil {

@@ -534,17 +534,8 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 			np++
 			prevOK, prevBase = true, vbase
 		}
-		if np == 0 {
-			// Pure last-page-cache tail.
-			hits += uint64(j - i)
-			if out != nil {
-				for k := i; k < j; k++ {
-					out[k] = Result{HPA: lastHBase + (uint64(evs[k].VA) - lastVBase), L1Hit: true}
-				}
-			}
-			i = j
-			continue
-		}
+		// A gather with no probes (only possible at block end, a pure
+		// last-page-cache tail) is a run of zero probes that all hit.
 		nh := m.l1.Lookup4KRun(vpns[:np], ppns[:np])
 		// Events before the first missing probe (or the whole gather
 		// when everything hit) completed as L1 hits. They are counted,
