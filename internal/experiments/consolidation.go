@@ -18,7 +18,6 @@ package experiments
 import (
 	"fmt"
 
-	"vdirect/internal/mmu"
 	"vdirect/internal/perfmodel"
 	"vdirect/internal/replay"
 	"vdirect/internal/sched"
@@ -67,9 +66,8 @@ func newShardStats(tenants int) *shardStats {
 
 // tenant is one VM's private simulation stack plus its replay cursor.
 type tenant struct {
-	env    *env
-	eng    *replay.Engine
-	cycles uint64 // walk cycles accumulated by the access hook
+	env *env
+	eng *replay.Engine
 }
 
 // ConsolidationStudy simulates `tenants` independent VMs per workload ×
@@ -135,7 +133,7 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 		t := &tenant{env: e}
 		t.eng = replay.New(w, replay.Hooks{
 			AccessBlock: func(evs []trace.Event) (int, error) {
-				return consolidationBlock(t, evs)
+				return translateBlock(e, evs)
 			},
 		}, replay.Config{})
 		ts[i] = t
@@ -147,13 +145,13 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 	agg := newShardStats(tenants)
 	err = sched.RunSharded(shards, tenants, func(i int) (bool, error) {
 		t := ts[i]
-		before := t.cycles
+		before := t.env.m.Stats().WalkCycles
 		n, more, err := t.eng.Step(ConsolidationQuantum)
 		if err != nil {
 			return true, fmt.Errorf("experiments: consolidation tenant %d: %w", i, err)
 		}
 		agg.accesses[i] += uint64(n)
-		agg.walkCycles[i] += t.cycles - before
+		agg.walkCycles[i] += t.env.m.Stats().WalkCycles - before
 		return !more, nil
 	}, nil)
 	if err != nil {
@@ -180,37 +178,6 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 	res.Overhead = perfmodel.Overhead(float64(res.WalkCycles), float64(res.Accesses)*cpi)
 	res.WorstTenant = worst
 	return res, nil
-}
-
-// consolidationBlock is the per-tenant access hook: translate the block
-// through the tenant's private MMU, servicing demand-paging faults from
-// its private kernel. Identical protocol to translateBlock, plus cycle
-// accounting the study reads per quantum.
-func consolidationBlock(t *tenant, evs []trace.Event) (int, error) {
-	e := t.env
-	done, attempt := 0, 0
-	for {
-		cyc0 := e.m.Stats().WalkCycles
-		n, fault := e.m.TranslateBlock(evs[done:], nil)
-		t.cycles += e.m.Stats().WalkCycles - cyc0
-		done += n
-		if fault == nil {
-			return done, nil
-		}
-		if n > 0 {
-			attempt = 0 // a new event is faulting
-		}
-		attempt++
-		if fault.Kind != mmu.FaultGuest {
-			return done, fmt.Errorf("experiments: unexpected nested fault at gPA %#x", fault.Addr)
-		}
-		if err := e.proc.HandleFault(fault.Addr); err != nil {
-			return done, fmt.Errorf("experiments: fault at %#x: %w", fault.Addr, err)
-		}
-		if attempt >= 3 {
-			return done, fmt.Errorf("experiments: access at %#x still faulting after service", uint64(evs[done].VA))
-		}
-	}
 }
 
 // ConsolidationTable renders the study.

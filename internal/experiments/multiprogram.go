@@ -128,30 +128,16 @@ func runMultiprogram(wl string, scale Scale, quantum int, tagged bool) (float64,
 				if len(evs) > len(out) {
 					out = make([]mmu.Result, len(evs))
 				}
-				done, attempt := 0, 0
-				for {
-					n, fault := hw.TranslateBlock(evs[done:], out[done:])
-					for _, r := range out[done : done+n] {
-						cycles += r.Cycles
-					}
-					done += n
-					if fault == nil {
-						return done, nil
-					}
-					if n > 0 {
-						attempt = 0 // a new event is faulting
-					}
-					attempt++
-					if fault.Kind != mmu.FaultGuest {
-						return done, fault
-					}
-					if err := p.HandleFault(fault.Addr); err != nil {
-						return done, err
-					}
-					if attempt >= 3 {
-						return done, fmt.Errorf("experiments: multiprogram access stuck at %#x", uint64(evs[done].VA))
-					}
+				// Only completed events' results count: a faulted
+				// walk's cycles are not part of the study.
+				n, err := p.TranslateBlock(hw, evs, out)
+				for _, r := range out[:n] {
+					cycles += r.Cycles
 				}
+				if err != nil {
+					err = fmt.Errorf("experiments: multiprogram: %w", err)
+				}
+				return n, err
 			},
 		}, replay.Config{})
 	}

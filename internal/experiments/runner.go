@@ -295,48 +295,12 @@ func replayRun(spec Spec, e *env) (Result, error) {
 	return res, nil
 }
 
-// translate runs one access through the MMU, handling demand-paging
-// faults the way the guest kernel would.
-func translate(e *env, va uint64) error {
-	for attempt := 0; attempt < 3; attempt++ {
-		_, fault := e.m.Translate(va)
-		if fault == nil {
-			return nil
-		}
-		if fault.Kind != mmu.FaultGuest {
-			return fmt.Errorf("experiments: unexpected nested fault at gPA %#x", fault.Addr)
-		}
-		if err := e.proc.HandleFault(fault.Addr); err != nil {
-			return fmt.Errorf("experiments: fault at %#x: %w", fault.Addr, err)
-		}
-	}
-	return fmt.Errorf("experiments: access at %#x still faulting after service", va)
-}
-
-// translateBlock is the batch form of translate: one MMU.TranslateBlock
-// call per fault-free run, with the same demand-paging protocol per
-// faulting event (service and retry, up to 3 attempts — each attempt
-// re-counting the access, exactly as the per-event retry loop did).
+// translateBlock is the cell's access hook: the block through the
+// cell's MMU under the guest's demand-paging protocol.
 func translateBlock(e *env, evs []trace.Event) (int, error) {
-	done, attempt := 0, 0
-	for {
-		n, fault := e.m.TranslateBlock(evs[done:], nil)
-		done += n
-		if fault == nil {
-			return done, nil
-		}
-		if n > 0 {
-			attempt = 0 // a new event is faulting
-		}
-		attempt++
-		if fault.Kind != mmu.FaultGuest {
-			return done, fmt.Errorf("experiments: unexpected nested fault at gPA %#x", fault.Addr)
-		}
-		if err := e.proc.HandleFault(fault.Addr); err != nil {
-			return done, fmt.Errorf("experiments: fault at %#x: %w", fault.Addr, err)
-		}
-		if attempt >= 3 {
-			return done, fmt.Errorf("experiments: access at %#x still faulting after service", uint64(evs[done].VA))
-		}
+	n, err := e.proc.TranslateBlock(e.m, evs, nil)
+	if err != nil {
+		err = fmt.Errorf("experiments: %w", err)
 	}
+	return n, err
 }

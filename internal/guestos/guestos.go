@@ -14,9 +14,11 @@ import (
 	"fmt"
 
 	"vdirect/internal/addr"
+	"vdirect/internal/mmu"
 	"vdirect/internal/pagetable"
 	"vdirect/internal/physmem"
 	"vdirect/internal/segment"
+	"vdirect/internal/trace"
 )
 
 // Errors surfaced by kernel operations.
@@ -333,6 +335,46 @@ func (p *Process) HandleFault(gva uint64) error {
 		return fmt.Errorf("guestos: demand paging: %w", err)
 	}
 	return p.PT.Map(page, physmem.FrameToAddr(f), addr.Page4K)
+}
+
+// TranslateBlock runs evs through m with the process switched in,
+// servicing guest page faults the way the guest kernel would: one
+// m.TranslateBlock call per fault-free run, and per faulting event
+// HandleFault then a retry, giving up after 3 attempts (each attempt
+// re-counts the access in m's Stats). It is the one demand-paging loop
+// every simulated access stream goes through. out, when non-nil, needs
+// len(evs) entries and receives each translated event's Result.
+//
+// It returns how many events completed. A nested fault is not
+// serviceable here and comes back wrapped (errors.As finds the
+// *mmu.Fault); HandleFault's errors are wrapped too. Errors carry no
+// package prefix: callers add their own.
+func (p *Process) TranslateBlock(m *mmu.MMU, evs []trace.Event, out []mmu.Result) (int, error) {
+	done, attempt := 0, 0
+	for {
+		var rest []mmu.Result
+		if out != nil {
+			rest = out[done:]
+		}
+		n, fault := m.TranslateBlock(evs[done:], rest)
+		done += n
+		if fault == nil {
+			return done, nil
+		}
+		if n > 0 {
+			attempt = 0 // a new event is faulting
+		}
+		attempt++
+		if fault.Kind != mmu.FaultGuest {
+			return done, fmt.Errorf("unexpected nested fault: %w", fault)
+		}
+		if err := p.HandleFault(fault.Addr); err != nil {
+			return done, fmt.Errorf("fault at %#x: %w", fault.Addr, err)
+		}
+		if attempt >= 3 {
+			return done, fmt.Errorf("access at %#x still faulting after service", uint64(evs[done].VA))
+		}
+	}
 }
 
 func (p *Process) inRegion(gva uint64) bool {

@@ -456,32 +456,15 @@ func (g *Guest) step(quantum int) (bool, error) {
 	return allDone, nil
 }
 
-// translateBlock is the per-tenant access hook: the standard demand-
-// paging protocol against the guest's shared MMU with the tenant's
-// process switched in.
+// translateBlock is the per-tenant access hook: the guest's demand-
+// paging protocol against its shared MMU with the tenant's process
+// switched in.
 func (g *Guest) translateBlock(tenant int, evs []trace.Event) (int, error) {
-	proc := g.Procs[tenant]
-	done, attempt := 0, 0
-	for {
-		n, fault := g.MMU.TranslateBlock(evs[done:], nil)
-		done += n
-		if fault == nil {
-			return done, nil
-		}
-		if n > 0 {
-			attempt = 0 // a new event is faulting
-		}
-		attempt++
-		if fault.Kind != mmu.FaultGuest {
-			return done, fmt.Errorf("host: unexpected nested fault at gPA %#x", fault.Addr)
-		}
-		if err := proc.HandleFault(fault.Addr); err != nil {
-			return done, fmt.Errorf("host: fault at %#x: %w", fault.Addr, err)
-		}
-		if attempt >= 3 {
-			return done, fmt.Errorf("host: access at %#x still faulting after service", uint64(evs[done].VA))
-		}
+	n, err := g.Procs[tenant].TranslateBlock(g.MMU, evs, nil)
+	if err != nil {
+		err = fmt.Errorf("host: %w", err)
 	}
+	return n, err
 }
 
 // callbacks wires the VMM's host-layer seam: every operation that

@@ -29,6 +29,7 @@ import (
 	"vdirect/internal/guestos"
 	"vdirect/internal/mmu"
 	"vdirect/internal/segment"
+	"vdirect/internal/trace"
 	"vdirect/internal/vmm"
 )
 
@@ -253,19 +254,12 @@ func (s *System) Access(va uint64) (hpa uint64, cycles uint64, err error) {
 	if va >= addr.VirtualSpan {
 		return 0, 0, fmt.Errorf("%w: %#x", ErrAddressRange, va)
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		res, fault := s.mmu.Translate(va)
-		if fault == nil {
-			return res.HPA, res.Cycles, nil
-		}
-		if fault.Kind != mmu.FaultGuest {
-			return 0, 0, fault
-		}
-		if err := s.proc.HandleFault(fault.Addr); err != nil {
-			return 0, 0, err
-		}
+	evs := [1]trace.Event{{Kind: trace.Access, VA: addr.GVA(va)}}
+	var out [1]mmu.Result
+	if _, err := s.proc.TranslateBlock(s.mmu, evs[:], out[:]); err != nil {
+		return 0, 0, fmt.Errorf("vdirect: %w", err)
 	}
-	return 0, 0, fmt.Errorf("vdirect: access at %#x keeps faulting", va)
+	return out[0].HPA, out[0].Cycles, nil
 }
 
 // Free unmaps the 4K pages of the range and invalidates the TLBs.

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"vdirect/internal/mmu"
 )
 
 func TestNewSystemAllModes(t *testing.T) {
@@ -300,5 +302,63 @@ func TestSystemAccessRejectsNonCanonical(t *testing.T) {
 		if _, _, err := s.Access(1<<48 - 1); err == nil || errors.Is(err, ErrAddressRange) {
 			t.Errorf("%v: Access(2^48-1) = %v, want a demand-paging error", mode, err)
 		}
+	}
+}
+
+// TestSystemAccessMatchesPerEventLoop holds Access — a one-event block
+// through the guest's shared demand-paging loop — to the per-event
+// protocol it replaced, run on a twin System: the same (hpa, cycles)
+// sequence over a stream that demand-faults, hits and walks.
+func TestSystemAccessMatchesPerEventLoop(t *testing.T) {
+	newTwin := func() (*System, uint64) {
+		s, err := NewSystem(Config{Mode: BaseVirtualized, GuestMemory: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Map(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, base
+	}
+	s, base := newTwin()
+	ref, refBase := newTwin()
+	if base != refBase {
+		t.Fatalf("twins mapped at %#x and %#x", base, refBase)
+	}
+	x := uint64(1)
+	for i := 0; i < 2000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		va := base + (x>>20)%256<<12 + (x>>8)&0xfff
+		hpa, cycles, err := s.Access(va)
+		if err != nil {
+			t.Fatalf("access %d: %v", i, err)
+		}
+		var want mmu.Result
+		for attempt := 0; ; attempt++ {
+			if attempt == 3 {
+				t.Fatalf("access %d: reference still faulting", i)
+			}
+			res, fault := ref.mmu.Translate(va)
+			if fault == nil {
+				want = res
+				break
+			}
+			if fault.Kind != mmu.FaultGuest {
+				t.Fatalf("access %d: %v", i, fault)
+			}
+			if err := ref.proc.HandleFault(fault.Addr); err != nil {
+				t.Fatalf("access %d: %v", i, err)
+			}
+		}
+		if hpa != want.HPA || cycles != want.Cycles {
+			t.Fatalf("access %d at %#x: got (%#x, %d), per-event loop (%#x, %d)", i, va, hpa, cycles, want.HPA, want.Cycles)
+		}
+	}
+	if got, want := s.Stats(), ref.Stats(); got != want {
+		t.Errorf("Stats differ\nAccess:    %+v\nper-event: %+v", got, want)
+	}
+	if s.Stats().GuestFaults == 0 {
+		t.Error("stream took no demand faults")
 	}
 }
