@@ -174,9 +174,6 @@ func (m *Memory) SetAllocOwner(o OwnerID) OwnerID {
 	return prev
 }
 
-// AllocOwner returns the owner tag currently being stamped.
-func (m *Memory) AllocOwner() OwnerID { return m.curOwner }
-
 // FrameOwner returns the owner of an allocated frame. The second
 // result is false when tracking is off or the frame is not allocated.
 func (m *Memory) FrameOwner(f uint64) (OwnerID, bool) {
