@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vdirect"
@@ -19,19 +21,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the usage is printed
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fragdemo:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
+// run parses args and narrates the demos to stdout; flag errors and
+// usage go to stderr. The demos take no arguments.
+func run(args []string, stdout, stderr io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("fragdemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var tf telemetry.Flags
-	tf.Register(flag.CommandLine)
-	flag.Parse()
+	tf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %q: fragdemo takes only flags", fs.Args())
+	}
 
 	if tf.Version {
-		fmt.Println(telemetry.VersionString("fragdemo"))
+		fmt.Fprintln(stdout, telemetry.VersionString("fragdemo"))
 		return nil
 	}
 	sess, err := tf.Start("fragdemo", nil)
@@ -46,7 +61,7 @@ func run() (retErr error) {
 
 	demos := []struct {
 		name string
-		f    func() error
+		f    func(io.Writer) error
 	}{
 		{"self-balloon", selfBalloonDemo},
 		{"io-gap", ioGapDemo},
@@ -54,7 +69,7 @@ func run() (retErr error) {
 	}
 	for _, d := range demos {
 		span := telemetry.StartSpan("section", d.name)
-		err := d.f()
+		err := d.f(stdout)
 		span.End()
 		if err != nil {
 			return err
@@ -65,34 +80,34 @@ func run() (retErr error) {
 
 // selfBalloonDemo shows Figure 9: contiguous guest physical memory from
 // fragmented free memory, without compaction.
-func selfBalloonDemo() error {
-	fmt.Println("== Self-ballooning (Figure 9) ==")
+func selfBalloonDemo(w io.Writer) error {
+	fmt.Fprintln(w, "== Self-ballooning (Figure 9) ==")
 	s, err := vdirect.NewSystem(vdirect.Config{Mode: vdirect.GuestDirect, GuestMemory: 256 << 20})
 	if err != nil {
 		return err
 	}
 	taken := s.FragmentGuestMemory(0.6, 7)
-	fmt.Printf("fragmented guest memory: %d scattered frames allocated\n", taken)
+	fmt.Fprintf(w, "fragmented guest memory: %d scattered frames allocated\n", taken)
 	if _, err := s.CreatePrimaryRegion(64 << 20); err == nil {
 		return fmt.Errorf("expected fragmentation to block the guest segment")
 	}
-	fmt.Println("guest segment creation failed as expected: no contiguous 64MB run")
+	fmt.Fprintln(w, "guest segment creation failed as expected: no contiguous 64MB run")
 	base, err := s.SelfBalloon(64 << 20)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("self-balloon: pinned 64MB of scattered pages, hotplugged contiguous gPA range at %#x\n", base)
+	fmt.Fprintf(w, "self-balloon: pinned 64MB of scattered pages, hotplugged contiguous gPA range at %#x\n", base)
 	if err := s.RetryPrimaryRegion(); err != nil {
 		return err
 	}
 	b, l, _, _ := s.GuestSegment()
-	fmt.Printf("guest segment live: [%#x, %#x) — mode is now %v\n\n", b, l, s.Mode())
+	fmt.Fprintf(w, "guest segment live: [%#x, %#x) — mode is now %v\n\n", b, l, s.Mode())
 	return nil
 }
 
 // ioGapDemo shows §IV "Reclaiming I/O gap memory" on a 6GB guest.
-func ioGapDemo() error {
-	fmt.Println("== I/O gap reclamation (§IV, §VI.C) ==")
+func ioGapDemo(w io.Writer) error {
+	fmt.Fprintln(w, "== I/O gap reclamation (§IV, §VI.C) ==")
 	host := vmm.NewHost(8 << 30)
 	vm, err := host.CreateVM(vmm.VMConfig{
 		Name: "guest", MemorySize: 6 << 30, IOGap: true, NestedPageSize: addr.Page4K,
@@ -102,16 +117,16 @@ func ioGapDemo() error {
 	}
 	kernel := guestos.NewKernel(vm.GuestMem, vm)
 	start, length := kernel.Mem.LargestFreeRun()
-	fmt.Printf("before: largest contiguous run %#x bytes at %#x (split by the 3-4GB I/O gap)\n",
+	fmt.Fprintf(w, "before: largest contiguous run %#x bytes at %#x (split by the 3-4GB I/O gap)\n",
 		length<<12, physmem.FrameToAddr(start))
 	newRange, err := kernel.ReclaimIOGap(256 << 20)
 	if err != nil {
 		return err
 	}
 	start, length = kernel.Mem.LargestFreeRun()
-	fmt.Printf("unplugged low memory above 256MB, hotplugged %#x bytes at %#x\n",
+	fmt.Fprintf(w, "unplugged low memory above 256MB, hotplugged %#x bytes at %#x\n",
 		newRange.Size, newRange.Start)
-	fmt.Printf("after: largest contiguous run %#x bytes at %#x — one segment now covers it\n\n",
+	fmt.Fprintf(w, "after: largest contiguous run %#x bytes at %#x — one segment now covers it\n\n",
 		length<<12, physmem.FrameToAddr(start))
 	return nil
 }
@@ -119,8 +134,8 @@ func ioGapDemo() error {
 // compactionDemo shows the Table III transition: fragmented host blocks
 // the VMM segment; compaction unblocks it and the VM moves from Guest
 // Direct toward Dual Direct.
-func compactionDemo() error {
-	fmt.Println("== Host compaction enabling Dual Direct (Table III) ==")
+func compactionDemo(w io.Writer) error {
+	fmt.Fprintln(w, "== Host compaction enabling Dual Direct (Table III) ==")
 	host := vmm.NewHost(512 << 20)
 	rng := trace.NewRand(11)
 	junk := host.Mem.FragmentRandomly(0.3, rng.Uint64n)
@@ -141,19 +156,19 @@ func compactionDemo() error {
 		}
 	}
 	if _, err := vm.TryEnableVMMSegment(); err == nil {
-		fmt.Println("(host happened to have a contiguous run; no compaction needed)")
+		fmt.Fprintln(w, "(host happened to have a contiguous run; no compaction needed)")
 		return nil
 	}
-	fmt.Println("VMM segment creation failed: host fragmented — running in Guest Direct")
+	fmt.Fprintln(w, "VMM segment creation failed: host fragmented — running in Guest Direct")
 	moved, err := host.Compact()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("compaction daemon relocated %d frames and repaired the nested page table\n", moved)
+	fmt.Fprintf(w, "compaction daemon relocated %d frames and repaired the nested page table\n", moved)
 	seg, err := vm.TryEnableVMMSegment()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("VMM segment live: %v — Dual Direct now possible\n", seg)
+	fmt.Fprintf(w, "VMM segment live: %v — Dual Direct now possible\n", seg)
 	return nil
 }

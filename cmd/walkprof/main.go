@@ -21,8 +21,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vdirect/internal/telemetry"
@@ -32,35 +34,50 @@ import (
 func main() {
 	// Package walkprof errors already carry the "walkprof:" prefix, so
 	// errors print unadorned; locally built ones add it themselves.
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the usage is printed
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and analyzes the sample file, printing the report to
+// stdout; flag errors, usage and progress notes go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("walkprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		top     = flag.Int("top", 20, "hot pages to list in the top-N table")
-		flame   = flag.String("flame", "", "write the profile as collapsed stacks (cell;scheme;class;region weight) to this path")
-		jsonOut = flag.Bool("json", false, "print the aggregate summary as JSON instead of tables")
-		version = flag.Bool("version", false, "print build information and exit")
+		top     = fs.Int("top", 20, "hot pages to list in the top-N table (at least 1)")
+		flame   = fs.String("flame", "", "write the profile as collapsed stacks (cell;scheme;class;region weight) to this path")
+		jsonOut = fs.Bool("json", false, "print the aggregate summary as JSON instead of tables")
+		version = fs.Bool("version", false, "print build information and exit")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: walkprof [flags] samples.jsonl\n\n")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: walkprof [flags] samples.jsonl\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *version {
-		fmt.Println(telemetry.VersionString("walkprof"))
+		fmt.Fprintln(stdout, telemetry.VersionString("walkprof"))
 		return nil
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		return fmt.Errorf("walkprof: expected exactly one sample file, got %d arguments", flag.NArg())
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("walkprof: expected exactly one sample file, got %d arguments", fs.NArg())
+	}
+	// TopPages reads n <= 0 as "every page", which would print a
+	// "top 0 hot pages" header over the whole table.
+	if *top < 1 {
+		return fmt.Errorf("walkprof: -top must be at least 1, got %d", *top)
 	}
 
-	d, err := walkprof.ReadFile(flag.Arg(0))
+	d, err := walkprof.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -69,14 +86,14 @@ func run() error {
 		if err := os.WriteFile(*flame, []byte(walkprof.Collapsed(d)), 0o644); err != nil {
 			return fmt.Errorf("walkprof: writing collapsed stacks: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "walkprof: wrote collapsed stacks to %s\n", *flame)
+		fmt.Fprintf(stderr, "walkprof: wrote collapsed stacks to %s\n", *flame)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(walkprof.Summarize(d))
 	}
-	fmt.Print(walkprof.Report(d, *top))
+	fmt.Fprint(stdout, walkprof.Report(d, *top))
 	return nil
 }
