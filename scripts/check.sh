@@ -15,6 +15,10 @@
 # the collected sample file. hostcheck.sh does the same for scheduling:
 # the whole-host consolidation sweep (stdout and sample file) is
 # byte-identical across -j {1,8} x -shards {1,4}.
+# bench/ is its own module (vdirect/bench, replacing vdirect with this
+# checkout) and ./... does not reach it, so it is vetted and tested in
+# its own step: an API change in the packages it imports (guestos, mmu,
+# experiments) then fails here rather than in bench/run.sh.
 # The scheme exhaustiveness lint and conformance suite run first: every
 # Mode constant in internal/mmu/scheme.go must have a fixture in the
 # conformance suite, and every registered scheme must pass it, before
@@ -49,6 +53,7 @@ done
 set -x
 go vet ./...
 go build ./...
+(cd bench && go vet ./... && go test ./...)
 go test -run 'TestSchemeConformance|TestSchemeRegistry' ./internal/mmu/
 go test -race ./internal/oracle/...
 go test -run Equivalence -race ./internal/replay/...
