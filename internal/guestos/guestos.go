@@ -341,8 +341,8 @@ func (p *Process) HandleFault(gva uint64) error {
 // servicing guest page faults the way the guest kernel would: one
 // m.TranslateBlock call per fault-free run, and per faulting event
 // HandleFault then a retry, giving up after 3 attempts (each attempt
-// re-counts the access in m's Stats). It is the one demand-paging loop
-// every simulated access stream goes through. out, when non-nil, needs
+// re-counts the access in m's Stats). The simulator's access hooks
+// share it rather than each writing the loop. out, when non-nil, needs
 // len(evs) entries and receives each translated event's Result.
 //
 // It returns how many events completed. A nested fault is not

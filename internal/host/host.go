@@ -456,9 +456,9 @@ func (g *Guest) step(quantum int) (bool, error) {
 	return allDone, nil
 }
 
-// translateBlock is the per-tenant access hook: the guest's demand-
-// paging protocol against its shared MMU with the tenant's process
-// switched in.
+// translateBlock is the per-tenant access hook: the standard demand-
+// paging protocol against the guest's shared MMU with the tenant's
+// process switched in.
 func (g *Guest) translateBlock(tenant int, evs []trace.Event) (int, error) {
 	n, err := g.Procs[tenant].TranslateBlock(g.MMU, evs, nil)
 	if err != nil {
