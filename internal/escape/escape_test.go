@@ -1,6 +1,7 @@
 package escape
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -306,4 +307,61 @@ func FuzzH3Table(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, pfn uint64) {
 		checkH3(t, New(seed), h3Rows(NumHashes, bankBits, seed), pfn)
 	})
+}
+
+// TestMayContainMatchesReference checks every probe answer against a
+// reference that rebuilds the banks from the set of inserted frames
+// with the bit-at-a-time H3 definition: a frame may be contained
+// exactly when each bank has the bit its hash selects. The script
+// covers the empty filter, one, two and sixteen pages, a Clear, and
+// one page inserted again, each probed on the inserted frames plus
+// 4,096 random 36-bit frames.
+func TestMayContainMatchesReference(t *testing.T) {
+	for _, g := range []struct{ bits, hashes int }{{256, 4}, {256, 1}, {512, 8}} {
+		seed := uint64(g.bits*17 + g.hashes)
+		f := NewSized(g.bits, g.hashes, seed)
+		rows := h3Rows(g.hashes, uint(g.bits/g.hashes), seed)
+		r := trace.NewRand(seed + 1)
+		probes := make([]uint64, 4096)
+		for i := range probes {
+			probes[i] = r.Uint64n(1 << 36)
+		}
+		var members []uint64
+		check := func(step string) {
+			t.Helper()
+			set := make([]map[uint]bool, g.hashes)
+			for h := range set {
+				set[h] = map[uint]bool{}
+				for _, m := range members {
+					set[h][h3Reference(rows, h, m)] = true
+				}
+			}
+			for _, pfn := range append(append([]uint64(nil), members...), probes...) {
+				want := true
+				for h := range set {
+					want = want && set[h][h3Reference(rows, h, pfn)]
+				}
+				if got := f.MayContain(pfn); got != want {
+					t.Fatalf("%d-bit %d-hash filter, %s: MayContain(%#x) = %v, reference %v",
+						g.bits, g.hashes, step, pfn, got, want)
+				}
+			}
+		}
+		insert := func(pfn uint64) {
+			f.Insert(pfn)
+			members = append(members, pfn)
+		}
+		check("fresh")
+		for len(members) < 16 {
+			insert(r.Uint64n(1 << 36))
+			if n := len(members); n == 1 || n == 2 || n == 16 {
+				check(fmt.Sprintf("after %d inserts", n))
+			}
+		}
+		f.Clear()
+		members = nil
+		check("after Clear")
+		insert(r.Uint64n(1 << 36))
+		check("one page after Clear")
+	}
 }
