@@ -26,7 +26,8 @@ func probePFNs() []uint64 {
 }
 
 // BenchmarkMayContainMiss probes a filter holding 16 escaped pages, the
-// paper's faulty-page load, so some probes pass bank 0 and read more.
+// paper's faulty-page load, so every probe hashes and some pass bank 0
+// and read more.
 func BenchmarkMayContainMiss(b *testing.B) {
 	f := New(1)
 	for i := uint64(0); i < 16; i++ {
@@ -40,7 +41,7 @@ func BenchmarkMayContainMiss(b *testing.B) {
 }
 
 // BenchmarkMayContainEmpty is the Dual Direct 0D path with no escaped
-// pages: every probe hashes once and exits at bank 0.
+// pages: every probe returns at the empty-filter check without hashing.
 func BenchmarkMayContainEmpty(b *testing.B) {
 	f := New(1)
 	pfns := probePFNs()

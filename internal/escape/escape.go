@@ -14,6 +14,10 @@
 // just takes the paging path, so the VMM must install PTEs for filter
 // hits whether true or false (§V) — but they cost performance, which is
 // exactly what Figure 13 quantifies.
+//
+// An empty filter answers a probe without hashing. That is the filter
+// of every Dual Direct cell without escaped pages, so its 0D path pays
+// one compare per dimension rather than an H3 hash.
 package escape
 
 import (
@@ -33,9 +37,7 @@ const (
 )
 
 // Filter is a partitioned Bloom filter; the paper's instance is 256
-// bits with 4 H3 hash functions. It is part of per-context state:
-// Bits/LoadBits serialize it for save/restore with the segment
-// registers (§V: "The filter is part of the context state").
+// bits with 4 H3 hash functions.
 type Filter struct {
 	// banks[h] holds bank h's bits, packed in uint64 words.
 	banks [][]uint64
@@ -45,7 +47,9 @@ type Filter struct {
 	// gives the same bank index as XORing one row per set input bit.
 	tab      [][chunks][1 << chunkBits]uint16
 	bankBits uint
-	inserts  int
+	// inserts counts Insert calls since the last Clear. Every writer of
+	// banks counts, so inserts == 0 exactly when every bank is zero.
+	inserts int
 }
 
 // New creates the paper's 256-bit 4-hash filter; its H3 matrices derive
@@ -120,8 +124,12 @@ func (f *Filter) Insert(pfn uint64) {
 }
 
 // MayContain is the hardware probe: true means the page must take the
-// paging path (true member or false positive).
+// paging path (true member or false positive). An empty filter answers
+// without hashing.
 func (f *Filter) MayContain(pfn uint64) bool {
+	if f.inserts == 0 {
+		return false
+	}
 	for h := range f.banks {
 		bit := f.hash(h, pfn)
 		if f.banks[h][bit/64]&(1<<(bit%64)) == 0 {
@@ -143,36 +151,6 @@ func (f *Filter) Clear() {
 
 // Inserts returns how many pages have been inserted.
 func (f *Filter) Inserts() int { return f.inserts }
-
-// Bits serializes the filter contents (context save).
-func (f *Filter) Bits() [][]uint64 {
-	out := make([][]uint64, len(f.banks))
-	for h, bank := range f.banks {
-		out[h] = append([]uint64(nil), bank...)
-	}
-	return out
-}
-
-// LoadBits restores filter contents (context restore) into a filter of
-// identical geometry. The insert count is not architectural and resets
-// to zero.
-//
-// A bank count or bank width that differs from f's panics: restoring
-// another geometry's context is a programming error, not input. Callers
-// pass the Bits of a filter of the same geometry; no CLI flag, config
-// parser or file reader reaches LoadBits.
-func (f *Filter) LoadBits(b [][]uint64) {
-	if len(b) != len(f.banks) {
-		panic("escape: LoadBits geometry mismatch")
-	}
-	for h := range b {
-		if len(b[h]) != len(f.banks[h]) {
-			panic("escape: LoadBits geometry mismatch")
-		}
-		copy(f.banks[h], b[h])
-	}
-	f.inserts = 0
-}
 
 // PopCount returns the number of set bits, a coarse fullness metric.
 func (f *Filter) PopCount() int {

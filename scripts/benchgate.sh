@@ -8,8 +8,9 @@
 # can't creep), BenchmarkHostQuantum (a whole consolidated-host
 # cell — four guests admitted, replayed, and churned over one shared
 # physical memory — guarding the host layer's end-to-end cost), and
-# BenchmarkMayContainMiss (the escape-filter probe on random frames,
-# the Dual Direct 0D path's one per-miss cost).
+# BenchmarkMayContainMiss (the escape-filter probe of a filter holding
+# 16 escaped pages, Figure 13's load, on random frames; an empty
+# filter answers without hashing).
 # Each runs count=5 with a fixed iteration count and the BEST run is
 # compared against scripts/bench_baseline.json — min-of-N is the noise-
 # robust statistic on shared runners, where a single run can eat a
