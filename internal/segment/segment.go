@@ -76,35 +76,3 @@ type Pair struct {
 	Guest Registers // gVA → gPA
 	VMM   Registers // gPA → hPA
 }
-
-// SavedState is the register state preserved across VM exits (VMM set)
-// and guest context switches (guest set). §III: "On VM-exit/entry,
-// hardware must save/restore registers BASE_V, LIMIT_V and OFFSET_V";
-// guest registers are per-process state saved by the guest OS.
-type SavedState struct {
-	Guest Registers
-	VMM   Registers
-}
-
-// SaveOnVMExit captures the VMM registers (the state hardware preserves
-// with other VM state) and clears them for the host context.
-func (p *Pair) SaveOnVMExit() SavedState {
-	s := SavedState{VMM: p.VMM}
-	p.VMM = Disabled()
-	return s
-}
-
-// RestoreOnVMEntry reinstates VMM registers saved at VM exit.
-func (p *Pair) RestoreOnVMEntry(s SavedState) { p.VMM = s.VMM }
-
-// SaveOnContextSwitch captures the guest registers (per-process state)
-// and clears them.
-func (p *Pair) SaveOnContextSwitch() SavedState {
-	s := SavedState{Guest: p.Guest}
-	p.Guest = Disabled()
-	return s
-}
-
-// RestoreOnContextSwitch reinstates guest registers for the incoming
-// process.
-func (p *Pair) RestoreOnContextSwitch(s SavedState) { p.Guest = s.Guest }

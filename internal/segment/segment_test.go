@@ -82,39 +82,3 @@ func TestTranslatePreservesOffsetWithinSegment(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestVMExitSaveRestore(t *testing.T) {
-	p := Pair{
-		Guest: NewRegisters(0x1000, 0x2000, 0x1000),
-		VMM:   NewRegisters(0x0, 0x8000000, 0x4000000),
-	}
-	saved := p.SaveOnVMExit()
-	if p.VMM.Enabled() {
-		t.Error("VMM registers live after VM exit")
-	}
-	if !p.Guest.Enabled() {
-		t.Error("guest registers clobbered by VM exit")
-	}
-	p.RestoreOnVMEntry(saved)
-	if !p.VMM.Enabled() || p.VMM.Offset != 0x8000000-0 {
-		t.Error("VMM registers not restored")
-	}
-}
-
-func TestContextSwitchSaveRestore(t *testing.T) {
-	p := Pair{
-		Guest: NewRegisters(0x1000, 0x2000, 0x1000),
-		VMM:   NewRegisters(0x0, 0x8000000, 0x4000000),
-	}
-	saved := p.SaveOnContextSwitch()
-	if p.Guest.Enabled() {
-		t.Error("guest registers live after context switch")
-	}
-	if !p.VMM.Enabled() {
-		t.Error("VMM registers clobbered by context switch")
-	}
-	p.RestoreOnContextSwitch(saved)
-	if !p.Guest.Enabled() {
-		t.Error("guest registers not restored")
-	}
-}
