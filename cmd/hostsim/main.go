@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vdirect/internal/addr"
@@ -30,34 +32,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the usage is printed
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hostsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
+// run parses args and simulates the cell or sweep, printing the tables
+// to stdout; flag errors and usage go to stderr.
+func run(args []string, stdout, stderr io.Writer) (retErr error) {
+	fs := flag.NewFlagSet("hostsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		guests  = flag.Int("guests", 4, "consolidation density: VMs to admit (sweep: deepest step)")
-		tenants = flag.Int("tenants", 2, "processes per guest")
-		wl      = flag.String("workload", "gups", "Table V workload every tenant runs")
-		memMB   = flag.Int("mem", 8, "per-tenant primary region size in MB")
-		ops     = flag.Int("ops", 50000, "per-tenant trace length")
-		hostMB  = flag.Uint64("hostmb", 0, "host physical memory in MB (0 = auto-size for -guests)")
-		seed    = flag.Uint64("seed", 42, "policy engine seed")
-		shards  = flag.Int("shards", 1, "replay shard goroutines; output is identical at any value")
-		sweep   = flag.Bool("sweep", false, "sweep density 1..-guests on a fixed host instead of one cell")
+		guests  = fs.Int("guests", 4, "consolidation density: VMs to admit (sweep: deepest step)")
+		tenants = fs.Int("tenants", 2, "processes per guest")
+		wl      = fs.String("workload", "gups", "Table V workload every tenant runs")
+		memMB   = fs.Int("mem", 8, "per-tenant primary region size in MB")
+		ops     = fs.Int("ops", 50000, "per-tenant trace length")
+		hostMB  = fs.Uint64("hostmb", 0, "host physical memory in MB (0 = auto-size for -guests)")
+		seed    = fs.Uint64("seed", 42, "policy engine seed")
+		shards  = fs.Int("shards", 1, "replay shard goroutines; output is identical at any value")
+		sweep   = fs.Bool("sweep", false, "sweep density 1..-guests on a fixed host instead of one cell")
 	)
 	var tf telemetry.Flags
-	tf.Register(flag.CommandLine)
-	flag.Parse()
+	tf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if tf.Version {
-		fmt.Println(telemetry.VersionString("hostsim"))
+		fmt.Fprintln(stdout, telemetry.VersionString("hostsim"))
 		return nil
 	}
 	if err := checkSizing(*memMB, *ops); err != nil {
 		return err
+	}
+	// host.Config reads zero or fewer tenants and a negative shard count
+	// as its defaults, so either would run a cell the flags never asked for.
+	if *tenants < 1 {
+		return fmt.Errorf("-tenants must be at least 1, got %d", *tenants)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must not be negative, got %d", *shards)
 	}
 	sess, err := tf.Start("hostsim", map[string]string{
 		"guests":   fmt.Sprint(*guests),
@@ -89,7 +109,7 @@ func run() (retErr error) {
 	}
 
 	if *sweep {
-		return runSweep(cfg)
+		return runSweep(stdout, cfg)
 	}
 	s, err := host.NewSim(cfg)
 	if err != nil {
@@ -99,8 +119,8 @@ func run() (retErr error) {
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.HostTable([]host.Result{res}).Render())
-	fmt.Println(experiments.HostGuestTable(res).Render())
+	fmt.Fprintln(stdout, experiments.HostTable([]host.Result{res}).Render())
+	fmt.Fprintln(stdout, experiments.HostGuestTable(res).Render())
 	return nil
 }
 
@@ -108,7 +128,7 @@ func run() (retErr error) {
 // fixed host size, the shape of the paperbench host section. Densities
 // run serially; each reuses cfg with only Guests (and, when auto-
 // sized, the knee-placing host size) changed.
-func runSweep(cfg host.Config) error {
+func runSweep(stdout io.Writer, cfg host.Config) error {
 	maxDensity := cfg.Guests
 	if cfg.HostMemory == 0 {
 		// Same knee placement as the paperbench study: about 5/8 of the
@@ -140,8 +160,8 @@ func runSweep(cfg host.Config) error {
 		}
 		rows = append(rows, res)
 	}
-	fmt.Println(experiments.HostTable(rows).Render())
-	fmt.Println(experiments.HostGuestTable(rows[len(rows)-1]).Render())
+	fmt.Fprintln(stdout, experiments.HostTable(rows).Render())
+	fmt.Fprintln(stdout, experiments.HostGuestTable(rows[len(rows)-1]).Render())
 	return nil
 }
 
