@@ -27,9 +27,10 @@
 # walk-cost divergence between the production stack and
 # internal/oracle's reference model fails fast, before the long suites.
 # covergate.sh then holds the translation-critical packages to their
-# recorded statement-coverage floors, and benchgate.sh holds the
-# cell-throughput and TLB-probe benchmarks to within 10% of their
-# recorded ns/op baselines.
+# recorded statement-coverage floors, mutcheck.sh checks that every
+# mutant in scripts/mutants.txt is still killed by the test it names,
+# and benchgate.sh holds the cell-throughput and TLB-probe benchmarks
+# to within 10% of their recorded ns/op baselines.
 set -eu
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -62,4 +63,5 @@ go test -run '^$' -bench 'TelemetryOverhead' -benchtime 3x ./internal/replay/
 sh scripts/samplecheck.sh
 sh scripts/hostcheck.sh
 sh scripts/covergate.sh
+sh scripts/mutcheck.sh
 sh scripts/benchgate.sh
