@@ -47,8 +47,9 @@ type Filter struct {
 	// gives the same bank index as XORing one row per set input bit.
 	tab      [][chunks][1 << chunkBits]uint16
 	bankBits uint
-	// inserts counts Insert calls since the last Clear. Every writer of
-	// banks counts, so inserts == 0 exactly when every bank is zero.
+	// inserts counts Insert calls since the last Clear. Insert and
+	// Clear are the only writers of banks, so inserts == 0 exactly when
+	// every bank is zero; MayContain relies on it.
 	inserts int
 }
 

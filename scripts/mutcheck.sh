@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 list=${1:-scripts/mutants.txt}
 
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT INT TERM
+trap 'rm -rf "$work"' EXIT
 tmp=$work/repo
 out=$work/out
 mkdir "$tmp"
