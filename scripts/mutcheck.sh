@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Mutation gate: applies each mutant listed in scripts/mutants.txt (or
-# the file given as $1, relative to the repo root) to a temporary copy
-# of the repo, one at a time, and runs the go test -run pattern the
-# entry names in the mutated file's package. The gate fails when
+# Mutation gate: applies each mutant listed in scripts/mutants.txt to a
+# temporary copy of the repo, one at a time, and runs the go test -run
+# pattern the entry names in the mutated file's package. The gate fails
+# when
 #   - a mutant survives (its tests pass), so a lock has gone weak;
 #   - a mutant's text no longer matches the source, so a refactor
 #     cannot quietly retire a mutant;
@@ -14,7 +14,7 @@
 #   sh scripts/mutcheck.sh
 set -eu
 cd "$(dirname "$0")/.."
-list=${1:-scripts/mutants.txt}
+list=scripts/mutants.txt
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
