@@ -234,17 +234,3 @@ func BenchmarkTableIII(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMultiprogram quantifies context-switch costs with segment
-// save/restore under flush-on-switch vs ASID-tagged TLBs (extension).
-func BenchmarkMultiprogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MultiprogramStudy(benchScale, []string{"memcached"}, 5000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", experiments.MultiprogramTable(rows).Render())
-		}
-	}
-}

@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 
-	"vdirect/internal/addr"
 	"vdirect/internal/experiments"
 	"vdirect/internal/host"
 	"vdirect/internal/telemetry"
@@ -70,6 +69,10 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	if err := checkSizing(*memMB, *ops); err != nil {
 		return err
+	}
+	// A sweep of no densities has no last row to detail.
+	if *guests < 1 {
+		return fmt.Errorf("-guests must be at least 1, got %d", *guests)
 	}
 	// host.Config reads zero or fewer tenants and a negative shard count
 	// as its defaults, so either would run a cell the flags never asked for.
@@ -131,16 +134,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 func runSweep(stdout io.Writer, cfg host.Config) error {
 	maxDensity := cfg.Guests
 	if cfg.HostMemory == 0 {
-		// Same knee placement as the paperbench study: about 5/8 of the
-		// deepest density fits Dual Direct.
-		probe := cfg
-		probe.Guests = 1
-		gs := probe.GuestSize()
-		knee := maxDensity * 5 / 8
-		if knee < 1 {
-			knee = 1
-		}
-		cfg.HostMemory = addr.AlignUp(uint64(knee)*gs+gs/2+(16<<20), addr.PageSize4K)
+		// Same knee placement as the paperbench study.
+		cfg.HostMemory = cfg.KneeHostMemory(maxDensity)
 	}
 	rows := make([]host.Result, 0, maxDensity)
 	for d := 1; d <= maxDensity; d++ {

@@ -24,21 +24,27 @@ func TestCheckSizing(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadCounts: host.Config would read these values as its
-// defaults (2 tenants, 1 shard), so run must refuse them before any work.
+// TestRunRejectsBadCounts: host.Config would read the tenant and shard
+// values as its defaults (2 tenants, 1 shard), and a sweep with no
+// guests has no last density to detail, so run must refuse them before
+// any work. Each case ends with the bad flag and its value.
 func TestRunRejectsBadCounts(t *testing.T) {
-	for _, c := range []struct{ flag, value string }{
+	for _, args := range [][]string{
 		{"-tenants", "0"},
 		{"-tenants", "-2"},
 		{"-shards", "-1"},
+		{"-guests", "0"},
+		{"-sweep", "-guests", "0"},
+		{"-sweep", "-guests", "-1"},
 	} {
+		flagName := args[len(args)-2]
 		var stdout, stderr bytes.Buffer
-		err := run([]string{c.flag, c.value}, &stdout, &stderr)
-		if err == nil || !strings.Contains(err.Error(), c.flag) {
-			t.Errorf("run(%s %s) = %v, want an error naming %s", c.flag, c.value, err, c.flag)
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("run(%v) = %v, want an error naming %s", args, err, flagName)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("run(%s %s) printed %q", c.flag, c.value, stdout.String())
+			t.Errorf("run(%v) printed %q", args, stdout.String())
 		}
 	}
 }

@@ -369,21 +369,3 @@ func TestEnergyProxy(t *testing.T) {
 		t.Error("energy table header")
 	}
 }
-
-func TestMultiprogramStudy(t *testing.T) {
-	rows, err := MultiprogramStudy(Small, []string{"gups"}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.Switches == 0 {
-		t.Fatal("no context switches")
-	}
-	// Tagged switches can only help: entries survive timeslices.
-	if r.ASIDOverhead > r.FlushOverhead+1e-9 {
-		t.Errorf("ASID (%.4f) worse than flush (%.4f)", r.ASIDOverhead, r.FlushOverhead)
-	}
-	if !strings.Contains(MultiprogramTable(rows).Render(), "ASID") {
-		t.Error("table header")
-	}
-}

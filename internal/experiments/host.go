@@ -22,7 +22,6 @@ package experiments
 import (
 	"fmt"
 
-	"vdirect/internal/addr"
 	"vdirect/internal/host"
 	"vdirect/internal/sched"
 	"vdirect/internal/stats"
@@ -45,8 +44,7 @@ func hostWL(scale Scale) workload.Config {
 
 // hostStudyConfig builds the density-d cell configuration. The host
 // size is fixed across the sweep — that is the experiment — and chosen
-// so the knee lands inside it: about 5/8 of maxDensity guests fit
-// Dual Direct, and the remainder must fall back and balloon.
+// by host.Config.KneeHostMemory so the knee lands inside it.
 func hostStudyConfig(wl string, scale Scale, density, maxDensity, shards int) host.Config {
 	cfg := host.Config{
 		Guests:          density,
@@ -58,12 +56,7 @@ func hostStudyConfig(wl string, scale Scale, density, maxDensity, shards int) ho
 		Seed:            uint64(density),
 		Shards:          shards,
 	}
-	gs := cfg.GuestSize()
-	knee := maxDensity * 5 / 8
-	if knee < 1 {
-		knee = 1
-	}
-	cfg.HostMemory = addr.AlignUp(uint64(knee)*gs+gs/2+(16<<20), addr.PageSize4K)
+	cfg.HostMemory = cfg.KneeHostMemory(maxDensity)
 	return cfg
 }
 

@@ -29,22 +29,3 @@ func TestConsolidationPinned(t *testing.T) {
 		t.Errorf("consolidation output differs from %s\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
-
-// TestMultiprogramPinned locks the multiprogramming study's exact
-// overheads and switch count; no report runs this study.
-func TestMultiprogramPinned(t *testing.T) {
-	rows, err := MultiprogramStudy(Small, []string{"gups"}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MultiprogramResult{
-		Workload:      "gups",
-		Quantum:       2000,
-		FlushOverhead: 0.009675892857142857,
-		ASIDOverhead:  0.009007321428571429,
-		Switches:      52,
-	}
-	if len(rows) != 1 || rows[0] != want {
-		t.Errorf("multiprogram rows = %+v, want [%+v]", rows, want)
-	}
-}

@@ -65,9 +65,6 @@ type Process struct {
 	kernel *Kernel
 	// guards are armed guard pages (§V extension).
 	guards []uint64
-	// swapped tracks pages resident on the swap device.
-	swapped map[uint64]swapSlot
-	swapIns uint64
 	// EmulateSegment, when set, reproduces the paper's prototype
 	// strategy (§VI.B): the fault handler installs dynamically computed
 	// PTEs for segment-covered addresses instead of relying on segment
@@ -327,9 +324,6 @@ func (p *Process) HandleFault(gva uint64) error {
 	if !p.inRegion(gva) {
 		return ErrOutsideVA
 	}
-	if _, onSwap := p.swapped[page]; onSwap {
-		return p.swapIn(gva)
-	}
 	f, err := p.kernel.Mem.AllocFrame()
 	if err != nil {
 		return fmt.Errorf("guestos: demand paging: %w", err)
@@ -585,21 +579,4 @@ func (p *Process) GuardPageHit(gva uint64) bool {
 		}
 	}
 	return false
-}
-
-// MapFalsePositive installs a paging mapping for a segment-covered page
-// that the escape filter falsely reports (§V: "the VMM must create
-// mappings for these pages as well"). Identity within the segment: the
-// PTE targets exactly the address the segment would have produced.
-func (p *Process) MapFalsePositive(gva uint64) error {
-	if !p.Seg.Enabled() || !p.Seg.Contains(gva) {
-		return ErrNoPrimary
-	}
-	page := addr.PageBase(gva, addr.Page4K)
-	gpa := addr.PageBase(p.Seg.Translate(gva), addr.Page4K)
-	err := p.PT.Map(page, gpa, addr.Page4K)
-	if errors.Is(err, pagetable.ErrOverlap) {
-		return nil // already mapped
-	}
-	return err
 }

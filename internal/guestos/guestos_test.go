@@ -332,30 +332,6 @@ func TestEscapeBadPages(t *testing.T) {
 	}
 }
 
-func TestMapFalsePositive(t *testing.T) {
-	k, _ := newKernel(t, 64, false)
-	p, _ := k.CreateProcess("bigmem")
-	r, err := p.CreatePrimaryRegion(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va := r.Start + 0x42000
-	if err := p.MapFalsePositive(va); err != nil {
-		t.Fatal(err)
-	}
-	gpa, _, ok := p.PT.Translate(va)
-	if !ok || gpa != addr.PageBase(p.Seg.Translate(va), addr.Page4K) {
-		t.Errorf("false-positive mapping wrong: %#x", gpa)
-	}
-	// Idempotent (the VMM may map the same FP twice).
-	if err := p.MapFalsePositive(va); err != nil {
-		t.Errorf("second MapFalsePositive: %v", err)
-	}
-	if err := p.MapFalsePositive(0x100); err != ErrNoPrimary {
-		t.Errorf("outside-segment err = %v", err)
-	}
-}
-
 func TestHotplugAddFailureSurfaces(t *testing.T) {
 	k, vmm := newKernel(t, 32, false)
 	vmm.failAdd = true

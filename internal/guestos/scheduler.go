@@ -1,10 +1,9 @@
 // A round-robin scheduler for multiprogrammed guests. Its job in this
 // reproduction is the §III requirement that "the guest segment register
 // values are set per guest process and must be set during guest OS
-// context switches": each switch saves the outgoing process's segment
-// registers and installs the incoming one's, either flushing the TLBs
-// (the evaluated 2014-era machine) or retagging them (the PCID/ASID
-// extension).
+// context switches": each switch installs the incoming process's page
+// table root and segment registers under that process's ASID, so the
+// TLBs are retagged rather than flushed (the PCID/ASID extension).
 
 package guestos
 
@@ -19,51 +18,24 @@ var ErrNoRunnable = errors.New("guestos: no runnable processes")
 
 // Scheduler round-robins processes on one hardware context.
 type Scheduler struct {
-	kernel *Kernel
-	procs  []*Process
-	// UseASID selects tagged context switches instead of flushes.
-	UseASID bool
-
-	current  int
-	switches uint64
+	procs []*Process
 }
 
-// NewScheduler creates a scheduler over the kernel's processes.
-func NewScheduler(k *Kernel, procs []*Process) *Scheduler {
-	return &Scheduler{kernel: k, procs: procs, current: -1}
+// NewScheduler creates a scheduler over the given processes.
+func NewScheduler(procs []*Process) *Scheduler {
+	return &Scheduler{procs: procs}
 }
 
-// Current returns the running process (nil before the first switch).
-func (s *Scheduler) Current() *Process {
-	if s.current < 0 {
-		return nil
-	}
-	return s.procs[s.current]
-}
-
-// Switches returns how many context switches have occurred.
-func (s *Scheduler) Switches() uint64 { return s.switches }
-
-// SwitchTo dispatches process index i on the MMU: the guest page table
-// root (CR3) and the guest segment registers change together, per §III.
+// SwitchTo dispatches process index i (modulo the process count) on the
+// MMU: the guest page table root (CR3) and the guest segment registers
+// change together, per §III.
 func (s *Scheduler) SwitchTo(i int, hw *mmu.MMU) error {
 	if len(s.procs) == 0 {
 		return ErrNoRunnable
 	}
 	i %= len(s.procs)
 	p := s.procs[i]
-	if s.UseASID {
-		// ASIDs are 1-based; 0 is reserved for the pre-scheduler state.
-		hw.ContextSwitchASID(p.PT, p.Seg, uint16(i)+1)
-	} else {
-		hw.ContextSwitch(p.PT, p.Seg)
-	}
-	s.current = i
-	s.switches++
+	// ASIDs are 1-based; 0 is reserved for the pre-scheduler state.
+	hw.ContextSwitchASID(p.PT, p.Seg, uint16(i)+1)
 	return nil
-}
-
-// Next dispatches the next process in round-robin order.
-func (s *Scheduler) Next(hw *mmu.MMU) error {
-	return s.SwitchTo(s.current+1, hw)
 }

@@ -10,7 +10,7 @@ import (
 
 // schedEnv builds a native kernel with two processes, each owning a
 // segment-backed primary region, plus one MMU.
-func schedEnv(t *testing.T) (*Kernel, []*Process, *mmu.MMU) {
+func schedEnv(t *testing.T) ([]*Process, *mmu.MMU) {
 	t.Helper()
 	mem := physmem.New(physmem.Config{Name: "m", Size: 256 << 20})
 	k := NewKernel(mem, nil)
@@ -26,21 +26,14 @@ func schedEnv(t *testing.T) (*Kernel, []*Process, *mmu.MMU) {
 		procs = append(procs, p)
 	}
 	hw := mmu.New(mmu.Config{})
-	return k, procs, hw
+	return procs, hw
 }
 
 func TestSchedulerSwitchesSegments(t *testing.T) {
-	k, procs, hw := schedEnv(t)
-	_ = k
-	s := NewScheduler(k, procs)
-	if s.Current() != nil {
-		t.Error("process running before first switch")
-	}
-	if err := s.Next(hw); err != nil {
+	procs, hw := schedEnv(t)
+	s := NewScheduler(procs)
+	if err := s.SwitchTo(0, hw); err != nil {
 		t.Fatal(err)
-	}
-	if s.Current() != procs[0] {
-		t.Error("round robin broken")
 	}
 	if hw.GuestSegment() != procs[0].Seg {
 		t.Error("segment registers not installed")
@@ -52,7 +45,7 @@ func TestSchedulerSwitchesSegments(t *testing.T) {
 	if fault != nil {
 		t.Fatal(fault)
 	}
-	if err := s.Next(hw); err != nil {
+	if err := s.SwitchTo(1, hw); err != nil {
 		t.Fatal(err)
 	}
 	if hw.GuestSegment() != procs[1].Seg {
@@ -65,16 +58,21 @@ func TestSchedulerSwitchesSegments(t *testing.T) {
 	if r0.HPA == r1.HPA {
 		t.Error("two processes translated the shared VA identically")
 	}
-	if s.Switches() != 2 {
-		t.Errorf("switches = %d", s.Switches())
+	// Indices wrap round-robin.
+	if err := s.SwitchTo(2, hw); err != nil {
+		t.Fatal(err)
+	}
+	if hw.GuestSegment() != procs[0].Seg {
+		t.Error("index 2 did not wrap to the first process")
 	}
 }
 
 func TestSchedulerASIDKeepsEntriesWarm(t *testing.T) {
+	// The flush baseline switches with hw.ContextSwitch directly, as
+	// the evaluated 2014-era machine would.
 	run := func(useASID bool) uint64 {
-		k, procs, hw := schedEnv(t)
-		s := NewScheduler(k, procs)
-		s.UseASID = useASID
+		procs, hw := schedEnv(t)
+		s := NewScheduler(procs)
 		// Each process touches pages OUTSIDE its segment (ordinary
 		// paged memory) so TLB entries matter.
 		var bases []uint64
@@ -86,8 +84,13 @@ func TestSchedulerASIDKeepsEntriesWarm(t *testing.T) {
 			bases = append(bases, base)
 		}
 		for slice := 0; slice < 8; slice++ {
-			if err := s.Next(hw); err != nil {
-				t.Fatal(err)
+			if useASID {
+				if err := s.SwitchTo(slice, hw); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				p := procs[slice%2]
+				hw.ContextSwitch(p.PT, p.Seg)
 			}
 			base := bases[slice%2]
 			for off := uint64(0); off < 64<<10; off += 4096 {
@@ -106,10 +109,8 @@ func TestSchedulerASIDKeepsEntriesWarm(t *testing.T) {
 }
 
 func TestSchedulerEmpty(t *testing.T) {
-	mem := physmem.New(physmem.Config{Name: "m", Size: 16 << 20})
-	k := NewKernel(mem, nil)
-	s := NewScheduler(k, nil)
-	if err := s.Next(mmu.New(mmu.Config{})); err != ErrNoRunnable {
+	s := NewScheduler(nil)
+	if err := s.SwitchTo(0, mmu.New(mmu.Config{})); err != ErrNoRunnable {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -139,6 +139,19 @@ func (c *Config) GuestSize() uint64 {
 	return addr.AlignUp(uint64(c.TenantsPerGuest)*perTenant+c.GuestHeadroom, addr.PageSize4K)
 }
 
+// KneeHostMemory returns the fixed host size for a density sweep of
+// 1..maxDensity guests of this configuration. It places the
+// fragmentation knee inside the sweep: about 5/8 of maxDensity guests
+// fit Dual Direct, and the remainder must fall back and balloon.
+func (c *Config) KneeHostMemory(maxDensity int) uint64 {
+	gs := c.GuestSize()
+	knee := maxDensity * 5 / 8
+	if knee < 1 {
+		knee = 1
+	}
+	return addr.AlignUp(uint64(knee)*gs+gs/2+(16<<20), addr.PageSize4K)
+}
+
 // nptOverheadFrames estimates the host frames a guest's nested page
 // table consumes at 4K nested pages (one L1 table per 2M of guest
 // memory, plus upper levels).
@@ -421,8 +434,7 @@ func (s *Sim) buildTenants(g *Guest) error {
 			},
 		}, replay.Config{})
 	}
-	g.Sched = guestos.NewScheduler(g.Kernel, g.Procs)
-	g.Sched.UseASID = true
+	g.Sched = guestos.NewScheduler(g.Procs)
 	return nil
 }
 

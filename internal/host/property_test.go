@@ -43,6 +43,23 @@ func TestCreatableMonotoneInDensity(t *testing.T) {
 	}
 }
 
+// TestKneeHostMemory pins the density sweeps' host size: room for the
+// knee density (5/8 of the deepest density, at least 1) of guests, plus
+// half a guest and 16MB, so the knee lands inside the sweep.
+func TestKneeHostMemory(t *testing.T) {
+	cfg := testConfig(1)
+	gs := cfg.GuestSize()
+	for _, c := range []struct {
+		maxDensity int
+		knee       uint64
+	}{{0, 1}, {1, 1}, {4, 2}, {8, 5}, {12, 7}} {
+		want := addr.AlignUp(c.knee*gs+gs/2+(16<<20), addr.PageSize4K)
+		if got := cfg.KneeHostMemory(c.maxDensity); got != want {
+			t.Errorf("KneeHostMemory(%d) = %d, want %d (%d guests)", c.maxDensity, got, want, c.knee)
+		}
+	}
+}
+
 // TestOwnerAccountingUnderChurn admits guests, then runs a long policy
 // op sequence, verifying after every op that (a) physmem's owner books
 // sum exactly to the allocated-frame count, (b) every frame the VMM

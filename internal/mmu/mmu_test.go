@@ -395,6 +395,64 @@ func TestNestedTLBReduces2DWalkRefs(t *testing.T) {
 	}
 }
 
+// TestWarm2DWalkCounts pins the exact references and nested walks of
+// each access in a short 4K+4K script with every cache on, so each
+// paging-structure-cache (PWC) skip and fill on the 2D walk of Figure
+// 5(b) is held by a count: a cold walk is 4 guest references, each
+// nested-translated first, then the final gPA's nested translation.
+// The guest table's pages sit at gPA 0x0 (PML4), 0x1000 (PDPT), 0x2000
+// (PD), 0x3000 (PT for gVA 0x400000) and 0x4000 (PT for gVA 0x600000),
+// all in the first 2M of guest physical memory.
+func TestWarm2DWalkCounts(t *testing.T) {
+	e := newEnv(t, 16, Config{PTECache: ptecache.Default})
+	e.mapGuest(t, 0x400000, 0x800000, 2)
+	e.mapGuest(t, 0x600000, 0xa00000, 1)
+	for _, step := range []struct {
+		gva               uint64
+		refs, nestedWalks uint64 // this access's own counts
+		why               string
+	}{
+		// Cold. The guest walk takes the general path: 4 references.
+		// The PML4 page's gPA misses the nested TLB and takes the general
+		// nested walk (4 references), which fills the nested walk cache
+		// and nested PWC for the first 2M of gPA. The PDPT, PD and PT
+		// pages' gPAs then each miss the nested TLB, hit the walk cache
+		// (Probe4K) and skip 3 levels on the nested PDE: 1 reference
+		// each. The final gPA 0x800000 takes the general nested walk in
+		// an uncached 2M region, skipping 2 levels on the nested PDPTE:
+		// 2 references. 4 + 4+1+1+1 + 2 = 13 in 5 nested walks.
+		{0x400000, 13, 5, "cold"},
+		// Next guest page. The guest walk takes Probe4K and skips 3
+		// levels on the guest PDE: only the PT reference, whose page the
+		// nested TLB holds. The final gPA 0x801000 misses the nested TLB,
+		// takes Probe4K and skips 3 levels: 1 reference. 1 + 1 = 2 in 1
+		// nested walk.
+		{0x401000, 2, 1, "adjacent"},
+		// L1 TLB hit: no walk.
+		{0x400000, 0, 0, "repeat"},
+		// New 2M guest region. The guest walk takes the general path and
+		// skips 2 levels on the guest PDPTE: the PD reference (its page is
+		// in the nested TLB) and the PT reference, whose page at gPA
+		// 0x4000 misses the nested TLB and takes Probe4K with 3 levels
+		// skipped (1 reference). The final gPA 0xa00000 takes the general
+		// nested walk, skipping 2 levels: 2 references. 2 + 1 + 2 = 5 in 2
+		// nested walks.
+		{0x600000, 5, 2, "new guest region"},
+	} {
+		before := e.m.Stats()
+		if _, fault := e.m.Translate(step.gva); fault != nil {
+			t.Fatalf("%s %#x: %v", step.why, step.gva, fault)
+		}
+		after := e.m.Stats()
+		refs := after.WalkMemRefs - before.WalkMemRefs
+		nw := after.NestedWalks - before.NestedWalks
+		if refs != step.refs || nw != step.nestedWalks {
+			t.Errorf("%s %#x: %d refs in %d nested walks, want %d in %d",
+				step.why, step.gva, refs, nw, step.refs, step.nestedWalks)
+		}
+	}
+}
+
 func TestContextSwitchFlushes(t *testing.T) {
 	e := newEnv(t, 16, coldConfig())
 	e.mapGuest(t, 0x400000, 0x800000, 1)

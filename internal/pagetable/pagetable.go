@@ -26,11 +26,10 @@ type Allocator interface {
 
 // Errors returned by mapping operations.
 var (
-	ErrMisaligned    = errors.New("pagetable: address not aligned to page size")
-	ErrOverlap       = errors.New("pagetable: mapping overlaps an existing mapping")
-	ErrNotMapped     = errors.New("pagetable: address not mapped")
-	ErrSizeClash     = errors.New("pagetable: unmap size differs from mapping size")
-	ErrNotPromotable = errors.New("pagetable: region not promotable")
+	ErrMisaligned = errors.New("pagetable: address not aligned to page size")
+	ErrOverlap    = errors.New("pagetable: mapping overlaps an existing mapping")
+	ErrNotMapped  = errors.New("pagetable: address not mapped")
+	ErrSizeClash  = errors.New("pagetable: unmap size differs from mapping size")
 )
 
 // Each page-table entry is one packed uint64, laid out like a real PTE:
@@ -99,7 +98,7 @@ type Table struct {
 	mappings   uint64 // live leaf mappings
 
 	// gen invalidates the walk cache wholesale: operations that can free
-	// a table page (Unmap, Promote2M, Destroy) bump it, since a cached
+	// a table page (Unmap, Destroy) bump it, since a cached
 	// *node must never outlive its page. Map and Remap only add or edit
 	// entry words that cached walks re-read live, so they leave gen
 	// alone.
@@ -473,51 +472,6 @@ func (t *Table) Translate(va uint64) (pa uint64, s addr.PageSize, ok bool) {
 		n = n.kids[idx]
 	}
 	return 0, 0, false
-}
-
-// Promote2M replaces 512 4K mappings covering the 2M-aligned region at
-// va with a single 2M mapping, provided all 512 exist and their frames
-// are physically contiguous and 2M-aligned — the transparent-huge-page
-// promotion rule (§VIII, THP configuration).
-func (t *Table) Promote2M(va uint64) error {
-	if !addr.IsAligned(va, addr.Page2M) {
-		return ErrMisaligned
-	}
-	// Locate the PT covering the region.
-	n := t.root
-	for lvl := 0; lvl < addr.LvlPT; lvl++ {
-		idx := addr.Index(va, lvl)
-		w := n.words[idx]
-		if w&peP == 0 || w&peL != 0 {
-			return ErrNotPromotable
-		}
-		n = n.kids[idx]
-	}
-	baseFrame := n.words[0] >> peShift
-	if n.words[0]&(peP|peL) != peP|peL || baseFrame%512 != 0 {
-		return ErrNotPromotable
-	}
-	for i := 1; i < addr.EntriesPerTable; i++ {
-		w := n.words[i]
-		if w&(peP|peL) != peP|peL || w>>peShift != baseFrame+uint64(i) {
-			return ErrNotPromotable
-		}
-	}
-	// Install the 2M leaf in the PD and free the PT page.
-	pd := t.root
-	for lvl := 0; lvl < addr.LvlPD; lvl++ {
-		pd = pd.kids[addr.Index(va, lvl)]
-	}
-	pdi := addr.Index(va, addr.LvlPD)
-	pd.words[pdi] = peP | peL | baseFrame<<peShift
-	pd.kids[pdi] = nil
-	if err := t.alloc.FreeFrame(n.frame); err != nil {
-		return fmt.Errorf("pagetable: freeing promoted PT: %w", err)
-	}
-	t.tablePages--
-	t.mappings -= addr.EntriesPerTable - 1
-	t.gen++ // the PT page was freed; drop any cached path through it
-	return nil
 }
 
 // Remap changes the physical target of an existing leaf mapping without

@@ -224,65 +224,6 @@ func TestTranslateMatchesWalk(t *testing.T) {
 	}
 }
 
-func TestPromote2M(t *testing.T) {
-	tbl, _ := newTable(t)
-	// 512 contiguous, 2M-aligned 4K mappings.
-	vaBase, paBase := uint64(0x40000000), uint64(0x10000000)
-	for i := uint64(0); i < 512; i++ {
-		if err := tbl.Map(vaBase+i*4096, paBase+i*4096, addr.Page4K); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pagesBefore := tbl.TablePages()
-	if err := tbl.Promote2M(vaBase); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.TablePages() != pagesBefore-1 {
-		t.Error("PT page not reclaimed by promotion")
-	}
-	pa, s, ok := tbl.Translate(vaBase + 0x12345)
-	if !ok || s != addr.Page2M || pa != paBase+0x12345 {
-		t.Errorf("post-promotion: pa=%#x s=%v ok=%v", pa, s, ok)
-	}
-	if tbl.Mappings() != 1 {
-		t.Errorf("mappings = %d, want 1", tbl.Mappings())
-	}
-}
-
-func TestPromote2MRejectsNonContiguous(t *testing.T) {
-	tbl, _ := newTable(t)
-	vaBase := uint64(0x40000000)
-	for i := uint64(0); i < 512; i++ {
-		pa := uint64(0x10000000) + i*4096
-		if i == 100 {
-			pa = 0x30000000 // break contiguity
-		}
-		if err := tbl.Map(vaBase+i*4096, pa, addr.Page4K); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Promote2M(vaBase); err != ErrNotPromotable {
-		t.Errorf("err = %v, want ErrNotPromotable", err)
-	}
-	// Partially-populated region is also not promotable.
-	tbl2, _ := newTable(t)
-	tbl2.Map(vaBase, 0x10000000, addr.Page4K)
-	if err := tbl2.Promote2M(vaBase); err != ErrNotPromotable {
-		t.Errorf("sparse err = %v", err)
-	}
-	// Misaligned base physical address.
-	tbl3, _ := newTable(t)
-	for i := uint64(0); i < 512; i++ {
-		tbl3.Map(vaBase+i*4096, 0x10001000+i*4096, addr.Page4K)
-	}
-	if err := tbl3.Promote2M(vaBase); err != ErrNotPromotable {
-		t.Errorf("misaligned frames err = %v", err)
-	}
-	if err := tbl3.Promote2M(vaBase + 0x1000); err != ErrMisaligned {
-		t.Errorf("misaligned va err = %v", err)
-	}
-}
-
 func TestRemap(t *testing.T) {
 	tbl, _ := newTable(t)
 	tbl.Map(0x1000, 0x2000, addr.Page4K)

@@ -106,7 +106,7 @@ func TestEngineAccessBlockWarmupCut(t *testing.T) {
 }
 
 // TestEngineAccessBlockStepQuantum pins that the Step limit cuts runs:
-// the multiprogramming quantum stays exact under the batch hook.
+// the scheduling quantum stays exact under the batch hook.
 func TestEngineAccessBlockStepQuantum(t *testing.T) {
 	var bo blockObserver
 	e := New(trace.NewSlice("s", script(20)), Hooks{AccessBlock: bo.hook}, Config{BlockSize: 64})

@@ -103,7 +103,7 @@ func TestEquivalenceEventStream(t *testing.T) {
 			t.Errorf("%s: block vs per-event stream diverge: %x/%+v vs %x/%+v",
 				name, blockSum, blockCounts, shimSum, shimCounts)
 		}
-		// Quantum-stepped replay (the multiprogramming study's driving
+		// Quantum-stepped replay (the host model's driving
 		// pattern) must see the same stream as a straight drain.
 		qSum, qCounts := eventDigest(t, workload.New(name, cfg), 777)
 		if qSum != blockSum || qCounts != blockCounts {

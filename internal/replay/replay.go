@@ -1,11 +1,10 @@
 // Package replay owns the trace-replay loop every experiment drives:
 // it streams a workload's events through caller-supplied hooks, with
 // warmup accounting, in blocks rather than one interface call per
-// event. Before this engine existed the loop was duplicated — with
-// subtly different warmup-reset, fault-service and alloc/free handling
-// — in the figure runner, the shadow-paging study, the
-// multiprogramming study, and the tracestat tool; all four are now
-// thin hook configurations of this one loop.
+// event. The figure runner, the shadow-paging study, the consolidation
+// study, the host model and the tracestat tool are thin hook
+// configurations of this one loop, so warmup reset, fault service and
+// alloc/free handling cannot drift apart between them.
 //
 // Hot-path design: the engine fills a reusable buffer of BlockSize
 // events per trace.BlockGenerator call (one interface dispatch per
@@ -49,8 +48,7 @@ type Hooks struct {
 	// so most consumers leave this nil).
 	Alloc func(ev trace.Event) error
 	// Free handles an unmap event — typically guest-PT unmap plus TLB
-	// invalidation. Nil means unmaps are ignored, as the
-	// multiprogramming study's original loop did.
+	// invalidation. Nil means unmaps are ignored.
 	Free func(ev trace.Event) error
 	// Warmup fires exactly once at the measurement boundary: after the
 	// WarmupAccesses-th access has been serviced, or before the first
@@ -134,8 +132,8 @@ func (e *Engine) Run() error {
 // limit <= 0) and returns the number serviced plus whether the trace
 // has more events. Non-access events encountered along the way are
 // processed but do not count toward the limit — this is the
-// multiprogramming study's scheduling quantum, measured in accesses
-// exactly as its hand-rolled loop measured it.
+// consolidation study's and the host model's scheduling quantum,
+// measured in accesses.
 func (e *Engine) Step(limit int) (serviced int, more bool, err error) {
 	if !e.started {
 		e.started = true

@@ -212,40 +212,6 @@ func TestRetirePage(t *testing.T) {
 	}
 }
 
-// TestGrowMem checks machine-level DIMM hotplug extends the
-// frame-owner registry with the memory: frames in the grown range can
-// back guests and report their owner.
-func TestGrowMem(t *testing.T) {
-	h := NewHost(8 << 20)
-	vm, err := h.CreateVM(VMConfig{Name: "vm", MemorySize: 4 << 20, NestedPageSize: addr.Page4K})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldFrames := h.Mem.Frames()
-	r, err := h.GrowMem(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Mem.Online(r); err != nil {
-		t.Fatal(err)
-	}
-	// Consume enough frames that the hotplug backing must reach the
-	// grown range.
-	if _, err := vm.HotplugAdd(6 << 20); err != nil {
-		t.Fatal(err)
-	}
-	var sawGrown bool
-	for f := oldFrames; f < h.Mem.Frames(); f++ {
-		if owner, _, ok := h.OwnerVM(f); ok && owner == vm {
-			sawGrown = true
-			break
-		}
-	}
-	if !sawGrown {
-		t.Error("no grown frame backs the VM (owner registry not extended?)")
-	}
-}
-
 // TestMigrateRejectsSharedBacking: live migration while the VM holds
 // copy-on-write shared frames would free frames other VMs still map.
 func TestMigrateRejectsSharedBacking(t *testing.T) {

@@ -94,7 +94,7 @@ func TestHotplugRemoveUnbackedIsNoop(t *testing.T) {
 
 // TestShadowSyncUnbackedGPA covers the shadow-paging glue error: the
 // guest table resolves the gVA but the gPA has no nested backing (e.g.
-// the VMM swapped it out), so the sync must fail rather than install a
+// the VMM ballooned it out), so the sync must fail rather than install a
 // dangling shadow entry.
 func TestShadowSyncUnbackedGPA(t *testing.T) {
 	_, vm := newHostVM(t, 64, 16, VMConfig{})

@@ -85,11 +85,3 @@ func (s *ShadowContext) InvalidatePage(gva uint64, size addr.PageSize) error {
 	}
 	return err
 }
-
-// GuestPTWrite is called for every guest page-table update the VMM
-// traps (write-protected guest PT pages). Updates that remove or change
-// translations invalidate shadow state; pure additions are lazy (the
-// next fault syncs them) but still pay the trap.
-func (s *ShadowContext) GuestPTWrite() {
-	s.exit()
-}

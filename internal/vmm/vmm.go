@@ -192,9 +192,6 @@ type VM struct {
 	// sharedFrames marks host frames mapped copy-on-write into this VM.
 	sharedFrames map[uint64]bool
 	cowBreaks    uint64
-	// swapped tracks gPAs whose backing the VMM paged out.
-	swapped map[uint64]struct{}
-	swapIns uint64
 }
 
 // CreateVM builds a VM and eagerly backs all usable guest physical
@@ -281,17 +278,6 @@ func (vm *VM) buildSlots() {
 		{GPA: addr.Range{Start: 0, Size: addr.IOGapEnd}, HVA: hvaBase},
 		{GPA: addr.Range{Start: addr.IOGapEnd, Size: size - addr.IOGapEnd}, HVA: hvaBase + addr.IOGapEnd},
 	}
-}
-
-// HVAForGPA resolves a guest physical address to the VMM process's
-// host virtual address through the memory slots (Figure 10).
-func (vm *VM) HVAForGPA(gpa uint64) (uint64, bool) {
-	for _, s := range vm.Slots {
-		if s.GPA.Contains(gpa) {
-			return s.HVA + (gpa - s.GPA.Start), true
-		}
-	}
-	return 0, false
 }
 
 // backAll eagerly maps every usable guest frame to host memory.
@@ -686,18 +672,6 @@ func (vm *VM) HotplugRemove(r addr.Range) error {
 		}
 	}
 	return nil
-}
-
-// GrowMem extends the host's physical memory by size bytes of offline
-// memory (machine-level DIMM hotplug) and the frame-owner registry with
-// it. The caller onlines the returned range via h.Mem.Online.
-func (h *Host) GrowMem(size uint64) (addr.Range, error) {
-	r, err := h.Mem.Grow(size)
-	if err != nil {
-		return addr.Range{}, err
-	}
-	h.owners = append(h.owners, make([]uint64, size>>addr.PageShift4K)...)
-	return r, nil
 }
 
 // BackedFrames returns how many host frames currently back this VM.
