@@ -137,7 +137,7 @@ func runSweep(stdout io.Writer, cfg host.Config) error {
 		// Same knee placement as the paperbench study.
 		cfg.HostMemory = cfg.KneeHostMemory(maxDensity)
 	}
-	rows := make([]host.Result, 0, maxDensity)
+	var rows []host.Result
 	for d := 1; d <= maxDensity; d++ {
 		c := cfg
 		c.Guests = d

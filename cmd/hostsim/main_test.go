@@ -69,3 +69,25 @@ func TestRunBadFlag(t *testing.T) {
 		t.Errorf("stderr %q does not name the bad flag", stderr.String())
 	}
 }
+
+// TestRunRefusesOversizedHost: auto-sizing a host for this many guests
+// passes host.MaxHostMemory, so the cell and the sweep both fail with
+// the limit error before any host memory is allocated. The 2^62 − 1
+// sweep used to panic sizing its result slice by the density.
+func TestRunRefusesOversizedHost(t *testing.T) {
+	for _, args := range [][]string{
+		{"-guests", "100000"},
+		{"-sweep", "-guests", "100000"},
+		{"-sweep", "-guests", "4611686018427387903"},
+		{"-hostmb", "1000000"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("run(%v) = %v, want the host memory limit error", args, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed %q", args, stdout.String())
+		}
+	}
+}

@@ -193,63 +193,23 @@ func (p *Process) MapRegion(r addr.Range, s addr.PageSize) error {
 	return nil
 }
 
-// mapRegion4K backs a 4K-grain region with batched frame runs and bulk
-// page-table installs, frame-for-frame identical to the per-page loop:
-// AllocRun hands out the same lowest-first frames that repeated
-// single-frame AllocContiguous would, a run that ends at an allocated
-// obstacle is simply continued by the next request past it, and
-// already-mapped pages are skipped exactly as before. Batches stop at
-// 2M boundaries with the first page of each subspan mapped alone, so
-// page-table pages are allocated at exactly the point in the frame
-// sequence the per-page loop allocated them — table placement (and so
-// modeled PTE-cache behaviour) is preserved, not just leaf placement.
+// mapRegion4K backs the region's unmapped 4K pages through
+// pagetable.(*Table).Back4K, one span of unmapped pages at a time, so
+// data frames and table pages land where a per-page loop would put
+// them; already-mapped pages are skipped.
 func (p *Process) mapRegion4K(r addr.Range) error {
-	va, end := r.Start, r.End()
-	for va < end {
-		if _, _, ok := p.PT.Translate(va); ok {
-			va += addr.PageSize4K
-			continue
-		}
-		// The unmapped span to batch: within this 2M-aligned window, up
-		// to the next already-mapped page.
-		limit := (va &^ (addr.PageSize2M - 1)) + addr.PageSize2M
-		if limit > end {
-			limit = end
-		}
-		span := addr.PageSize4K
-		for va+span < limit {
-			if _, _, ok := p.PT.Translate(va + span); ok {
+	for va, end := r.Start, r.End(); va < end; {
+		// The unmapped span from va, up to the next mapped page.
+		span := uint64(0)
+		for ; va+span<<addr.PageShift4K < end; span++ {
+			if _, _, ok := p.PT.Translate(va + span<<addr.PageShift4K); ok {
 				break
 			}
-			span += addr.PageSize4K
 		}
-		// First page alone: its Map performs whatever table-page
-		// allocations the descent needs, in sequence with its own frame.
-		first, err := p.kernel.Mem.AllocContiguous(1, 1)
-		if err != nil {
-			return fmt.Errorf("guestos: backing %v page at %#x: %w", addr.Page4K, va, err)
+		if mapped, err := p.PT.Back4K(va, span, p.kernel.Mem, nil); err != nil {
+			return fmt.Errorf("guestos: backing %v page at %#x: %w", addr.Page4K, va+mapped<<addr.PageShift4K, err)
 		}
-		if err := p.PT.Map(va, physmem.FrameToAddr(first), addr.Page4K); err != nil {
-			return err
-		}
-		va += addr.PageSize4K
-		// Remainder of the subspan in bulk: the tables exist now, so no
-		// interleaved table-page allocation is being skipped.
-		for need := (span - addr.PageSize4K) >> addr.PageShift4K; need > 0; {
-			run, n, err := p.kernel.Mem.AllocRun(need)
-			if err != nil {
-				return fmt.Errorf("guestos: backing %v page at %#x: %w", addr.Page4K, va, err)
-			}
-			mapped, err := p.PT.MapRange4K(va, physmem.FrameToAddr(run), n)
-			if err != nil {
-				for f := run + mapped; f < run+n; f++ {
-					p.kernel.Mem.FreeFrame(f)
-				}
-				return err
-			}
-			va += n << addr.PageShift4K
-			need -= n
-		}
+		va += (span + 1) << addr.PageShift4K // past the span and the mapped page ending it
 	}
 	return nil
 }

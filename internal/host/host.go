@@ -24,6 +24,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"vdirect/internal/addr"
 	"vdirect/internal/guestos"
@@ -139,17 +140,22 @@ func (c *Config) GuestSize() uint64 {
 	return addr.AlignUp(uint64(c.TenantsPerGuest)*perTenant+c.GuestHeadroom, addr.PageSize4K)
 }
 
+// MaxHostMemory bounds the host memory a cell may model. The VMM and
+// physmem keep about 10 bytes of bookkeeping per 4K host frame, so a
+// larger host would exhaust the simulator's own memory before the
+// first guest is admitted; NewSim refuses it up front instead.
+const MaxHostMemory = 256 << 30
+
 // KneeHostMemory returns the fixed host size for a density sweep of
 // 1..maxDensity guests of this configuration. It places the
 // fragmentation knee inside the sweep: about 5/8 of maxDensity guests
 // fit Dual Direct, and the remainder must fall back and balloon.
+// A density or size too large for its integer saturates instead of
+// wrapping; NewSim refuses anything past MaxHostMemory.
 func (c *Config) KneeHostMemory(maxDensity int) uint64 {
 	gs := c.GuestSize()
-	knee := maxDensity * 5 / 8
-	if knee < 1 {
-		knee = 1
-	}
-	return addr.AlignUp(uint64(knee)*gs+gs/2+(16<<20), addr.PageSize4K)
+	knee := max(maxDensity/8*5+maxDensity%8*5/8, 1) // maxDensity*5/8 without overflow
+	return addr.AlignUp(min(uint64(knee), math.MaxUint64/4/gs)*gs+gs/2+(16<<20), addr.PageSize4K)
 }
 
 // nptOverheadFrames estimates the host frames a guest's nested page
@@ -230,7 +236,14 @@ func NewSim(cfg Config) (*Sim, error) {
 	}
 	gs := cfg.GuestSize()
 	if cfg.HostMemory == 0 {
+		if uint64(cfg.Guests) > MaxHostMemory/gs {
+			return nil, fmt.Errorf("host: %d guests of %d MB need more than the %d GB host memory limit",
+				cfg.Guests, gs>>20, MaxHostMemory>>30)
+		}
 		cfg.HostMemory = addr.AlignUp(uint64(cfg.Guests)*(gs+gs/4)+(64<<20), addr.PageSize4K)
+	}
+	if cfg.HostMemory > MaxHostMemory {
+		return nil, fmt.Errorf("host: %d MB of host memory exceeds the %d GB limit", cfg.HostMemory>>20, MaxHostMemory>>30)
 	}
 	s := &Sim{
 		Cfg:       cfg,

@@ -1,6 +1,8 @@
 package host
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"vdirect/internal/workload"
@@ -66,5 +68,25 @@ func TestDensityFourGuests(t *testing.T) {
 	}
 	if res.DirectGuests == 0 {
 		t.Error("no guest admitted Dual Direct")
+	}
+}
+
+// TestNewSimRefusesHostBeyondLimit: a host past MaxHostMemory, whether
+// auto-sized for many guests or passed explicitly, is refused before
+// NewSim allocates any of it, and the knee size saturates instead of
+// wrapping round to a small host.
+func TestNewSimRefusesHostBeyondLimit(t *testing.T) {
+	many := testConfig(100000)
+	explicit := testConfig(1)
+	explicit.HostMemory = MaxHostMemory + 1<<20
+	for _, cfg := range []Config{many, explicit} {
+		if s, err := NewSim(cfg); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("NewSim(%d guests, HostMemory %d) = %v, %v; want the limit error", cfg.Guests, cfg.HostMemory, s, err)
+		}
+	}
+	for _, d := range []int{100000, math.MaxInt / 5 * 2, math.MaxInt} {
+		if got := many.KneeHostMemory(d); got <= MaxHostMemory {
+			t.Errorf("KneeHostMemory(%d) = %d, want more than MaxHostMemory", d, got)
+		}
 	}
 }

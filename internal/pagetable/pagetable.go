@@ -231,6 +231,53 @@ func (t *Table) MapRange4K(va, pa uint64, n uint64) (uint64, error) {
 	return done, nil
 }
 
+// RunAllocator supplies Back4K's data frames in lowest-first runs;
+// *physmem.Memory satisfies it.
+type RunAllocator interface {
+	AllocRun(max uint64) (first, n uint64, err error)
+	FreeFrame(f uint64) error
+}
+
+// Back4K is the one 4K bulk-backing routine. It maps n unmapped 4K
+// pages from va onto frames taken lowest-first from mem, the allocator
+// t's own table pages come from, and places every data frame and every
+// table page exactly where n ascending AllocContiguous(1, 1) + Map
+// calls would. An AllocRun run equals that frame sequence only while no
+// table page is allocated in between, so each 2M window's first page is
+// mapped alone: its descent allocates the window's missing table pages
+// right after the page's own frame, as the per-page loop did, and the
+// rest of the window then goes in runs through MapRange4K, which needs
+// no new table page. placed, if non-nil, sees each installed run as
+// (va, pa, bytes). Back4K returns how many pages it mapped; frames it
+// took but did not map are freed.
+func (t *Table) Back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (uint64, error) {
+	var done uint64
+	for done < n {
+		window := min(n-done, (addr.PageSize2M-va%addr.PageSize2M)>>addr.PageShift4K)
+		for want := uint64(1); window > 0; want = window {
+			first, got, err := mem.AllocRun(want)
+			if err != nil {
+				return done, err
+			}
+			pa := first << addr.PageShift4K
+			mapped, err := t.MapRange4K(va, pa, got)
+			if placed != nil {
+				placed(va, pa, mapped<<addr.PageShift4K)
+			}
+			done += mapped
+			window -= mapped
+			va += mapped << addr.PageShift4K
+			if err != nil {
+				for f := first + mapped; f < first+got; f++ {
+					mem.FreeFrame(f)
+				}
+				return done, err
+			}
+		}
+	}
+	return done, nil
+}
+
 // Unmap removes the translation for va, which must be mapped with
 // exactly page size s. Empty intermediate tables are reclaimed.
 func (t *Table) Unmap(va uint64, s addr.PageSize) error {

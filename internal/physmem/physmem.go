@@ -371,12 +371,14 @@ func (m *Memory) FreeFrame(f uint64) error {
 
 // AllocRun allocates the lowest-numbered run of available frames, at
 // most max frames long, and returns its first frame and length (>= 1).
-// It is exactly equivalent to n calls of AllocContiguous(1, 1) for the
-// n frames it returns — a single-frame allocation always takes the
-// lowest available frame, and every frame of the run is by construction
-// lower than any frame a later call could pick — but it walks the
-// bitmaps once instead of once per frame. Chunked VM backing uses it
-// to place tens of thousands of 4K chunks without O(chunks) scans.
+// For data frames it is equivalent to n calls of AllocContiguous(1, 1)
+// — a single-frame allocation always takes the lowest available frame,
+// and every frame of the run is by construction lower than any frame a
+// later call could pick — but it walks the bitmaps once instead of once
+// per frame. It is not equivalent when the per-frame loop would
+// allocate other frames between its calls, such as the page-table pages
+// a Map allocates: those would have taken frames inside the run.
+// pagetable.(*Table).Back4K uses it where no table page falls between.
 func (m *Memory) AllocRun(max uint64) (uint64, uint64, error) {
 	if max == 0 {
 		return 0, 0, ErrNoContiguous

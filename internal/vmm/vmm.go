@@ -301,9 +301,7 @@ func (vm *VM) backContiguous() error {
 	vm.hostBase = physmem.FrameToAddr(first)
 	vm.contig = true
 	vm.contigSize = vm.GuestMem.Size()
-	if err := vm.mapBacking(0, vm.GuestMem.Size(), func(gpa uint64) uint64 {
-		return vm.hostBase + gpa
-	}); err != nil {
+	if err := vm.mapBacking(); err != nil {
 		// Free the run frames the nested table never mapped (the tail
 		// past the failure point); the mapped prefix is released by
 		// CreateVM's releaseAll rollback, which only sees mapped pages.
@@ -319,109 +317,69 @@ func (vm *VM) backContiguous() error {
 }
 
 // backChunked backs guest memory with independently allocated host
-// chunks of the nested page size.
+// chunks of the nested page size; 4K chunks go through the bulk
+// pagetable.(*Table).Back4K.
 func (vm *VM) backChunked() error {
-	chunk := vm.cfg.NestedPageSize.Bytes()
-	chunkFrames := chunk >> addr.PageShift4K
-	if chunkFrames == 1 {
-		return vm.backChunked4K()
-	}
-	for gpa := uint64(0); gpa < vm.GuestMem.Size(); gpa += chunk {
-		if vm.gapChunk(gpa, chunk) {
-			continue
-		}
-		first, err := vm.host.Mem.AllocContiguous(chunkFrames, chunkFrames)
-		if err != nil {
-			return fmt.Errorf("vmm: backing %s at gPA %#x: %w", vm.Name, gpa, err)
-		}
-		hpa := physmem.FrameToAddr(first)
-		if err := vm.NPT.Map(gpa, hpa, vm.cfg.NestedPageSize); err != nil {
-			for f := first; f < first+chunkFrames; f++ {
-				vm.host.Mem.FreeFrame(f) // unmapped chunk: releaseAll cannot see it
+	s := vm.cfg.NestedPageSize
+	chunkFrames := s.Bytes() >> addr.PageShift4K
+	for _, r := range vm.usableSpans() {
+		if s == addr.Page4K {
+			if mapped, err := vm.NPT.Back4K(r.Start, r.Size>>addr.PageShift4K, vm.host.Mem, vm.registerBacking); err != nil {
+				return fmt.Errorf("vmm: backing %s at gPA %#x: %w", vm.Name, r.Start+mapped<<addr.PageShift4K, err)
 			}
-			return err
-		}
-		vm.registerBacking(gpa, hpa, chunk)
-	}
-	return nil
-}
-
-// backChunked4K is the 4K-chunk fast path: instead of one allocator
-// scan per chunk it grabs the lowest available host-frame run and
-// consumes it chunk by chunk. AllocRun is frame-for-frame equivalent
-// to repeated single-frame allocation, so each gPA chunk lands on the
-// exact host frame the per-chunk loop would have picked.
-func (vm *VM) backChunked4K() error {
-	size := vm.GuestMem.Size()
-	var runStart, runLeft uint64
-	for gpa := uint64(0); gpa < size; {
-		if vm.gapChunk(gpa, addr.PageSize4K) {
-			gpa += addr.PageSize4K
 			continue
 		}
-		// The chunks left before the next boundary a skipped chunk could
-		// introduce (the I/O gap): both the allocation request and the
-		// bulk map below stop there, so no frame is allocated that the
-		// per-chunk loop would not have taken.
-		limit := size
-		if vm.cfg.IOGap && gpa < addr.IOGapStart && addr.IOGapStart < limit {
-			limit = addr.IOGapStart
-		}
-		span := (limit - gpa) >> addr.PageShift4K
-		if span == 0 {
-			span = 1 // chunk straddling an unaligned boundary
-		}
-		if runLeft == 0 {
-			first, n, err := vm.host.Mem.AllocRun(span)
+		for gpa := r.Start; gpa < r.End(); gpa += s.Bytes() {
+			first, err := vm.host.Mem.AllocContiguous(chunkFrames, chunkFrames)
 			if err != nil {
 				return fmt.Errorf("vmm: backing %s at gPA %#x: %w", vm.Name, gpa, err)
 			}
-			runStart, runLeft = first, n
-		}
-		if span > runLeft {
-			span = runLeft
-		}
-		hpa := physmem.FrameToAddr(runStart)
-		// One bulk install for the whole run — page-for-page identical to
-		// the old per-page NPT.Map loop, including table-page allocation
-		// order, but descending once per 2M span.
-		mapped, err := vm.NPT.MapRange4K(gpa, hpa, span)
-		vm.registerBacking(gpa, hpa, mapped<<addr.PageShift4K)
-		if err != nil {
-			for f := runStart + mapped; f < runStart+runLeft; f++ {
-				vm.host.Mem.FreeFrame(f) // unmapped run remainder: releaseAll cannot see it
+			hpa := physmem.FrameToAddr(first)
+			if err := vm.NPT.Map(gpa, hpa, s); err != nil {
+				for f := first; f < first+chunkFrames; f++ {
+					vm.host.Mem.FreeFrame(f) // unmapped chunk: releaseAll cannot see it
+				}
+				return err
 			}
-			return err
+			vm.registerBacking(gpa, hpa, s.Bytes())
 		}
-		gpa += span << addr.PageShift4K
-		runStart += span
-		runLeft -= span
 	}
 	return nil
 }
 
-// gapChunk reports whether the chunk lies wholly inside the I/O gap.
-func (vm *VM) gapChunk(gpa, chunk uint64) bool {
-	if !vm.cfg.IOGap {
-		return false
+// usableSpans returns guest physical memory less the I/O gap.
+func (vm *VM) usableSpans() []addr.Range {
+	size := vm.GuestMem.Size()
+	if !vm.cfg.IOGap || size <= addr.IOGapStart {
+		return []addr.Range{{Start: 0, Size: size}}
 	}
-	return gpa >= addr.IOGapStart && gpa+chunk <= addr.IOGapEnd
+	spans := []addr.Range{{Start: 0, Size: addr.IOGapStart}}
+	if size > addr.IOGapEnd {
+		spans = append(spans, addr.Range{Start: addr.IOGapEnd, Size: size - addr.IOGapEnd})
+	}
+	return spans
 }
 
-// mapBacking installs nested mappings for [gpaStart, gpaStart+size) at
-// the configured nested page size, skipping the I/O gap, using hpaFor
-// to place each chunk.
-func (vm *VM) mapBacking(gpaStart, size uint64, hpaFor func(gpa uint64) uint64) error {
-	chunk := vm.cfg.NestedPageSize.Bytes()
-	for gpa := gpaStart; gpa < gpaStart+size; gpa += chunk {
-		if vm.gapChunk(gpa, chunk) {
+// mapBacking maps usable guest memory linearly onto the reserved run at
+// hostBase: 4K spans in one MapRange4K each, larger pages chunk by
+// chunk.
+func (vm *VM) mapBacking() error {
+	s := vm.cfg.NestedPageSize
+	for _, r := range vm.usableSpans() {
+		if s == addr.Page4K {
+			mapped, err := vm.NPT.MapRange4K(r.Start, vm.hostBase+r.Start, r.Size>>addr.PageShift4K)
+			vm.registerBacking(r.Start, vm.hostBase+r.Start, mapped<<addr.PageShift4K)
+			if err != nil {
+				return err
+			}
 			continue
 		}
-		hpa := hpaFor(gpa)
-		if err := vm.NPT.Map(gpa, hpa, vm.cfg.NestedPageSize); err != nil {
-			return err
+		for gpa := r.Start; gpa < r.End(); gpa += s.Bytes() {
+			if err := vm.NPT.Map(gpa, vm.hostBase+gpa, s); err != nil {
+				return err
+			}
+			vm.registerBacking(gpa, vm.hostBase+gpa, s.Bytes())
 		}
-		vm.registerBacking(gpa, hpa, chunk)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Mutation gate: applies each mutant listed in scripts/mutants.txt to a
 # temporary copy of the repo, one at a time, and runs the go test -run
-# pattern the entry names in the mutated file's package. The gate fails
-# when
+# pattern the entry names in the mutated file's package, or in the
+# package its pkg key names. The gate fails when
 #   - a mutant survives (its tests pass), so a lock has gone weak;
 #   - a mutant's text no longer matches the source, so a refactor
 #     cannot quietly retire a mutant;
@@ -36,7 +36,7 @@ lines() { sed -n "/$1/=" "$2" | sed -n '$='; }
 status=0
 n=0
 killed=0
-file='' after='' from='' to=''
+file='' after='' from='' to='' tpkg=''
 while read -r key val; do
     case $key in
     '' | \#*) continue ;;
@@ -44,6 +44,7 @@ while read -r key val; do
     after) after=$val ;;
     from) from=$val ;;
     to) to=$val ;;
+    pkg) tpkg=$val ;;
     run)
         n=$((n + 1))
         name="$file: '$from' -> '$to'"
@@ -74,7 +75,7 @@ while read -r key val; do
             echo "mutcheck: STALE $name: $stale" >&2
             status=1
         else
-            pkg=./$(dirname "$file")/
+            pkg=./${tpkg:-$(dirname "$file")}/
             if ! (cd "$tmp" && go test -count=1 -run '^$' "$pkg") >"$out" 2>&1; then
                 echo "mutcheck: BROKEN $name does not compile:" >&2
                 sed 's/^/    /' "$out" >&2
@@ -88,7 +89,7 @@ while read -r key val; do
             fi
             cp "$file" "$src"
         fi
-        file='' after='' from='' to=''
+        file='' after='' from='' to='' tpkg=''
         ;;
     *)
         echo "mutcheck: unknown key '$key' in $list" >&2
