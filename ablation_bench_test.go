@@ -20,8 +20,7 @@ func runAblation(b *testing.B, wl, label string, hw mmu.Config) experiments.Resu
 		b.Fatal(err)
 	}
 	spec.Workload = wl
-	class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
-	spec.WL = experiments.Medium.WLConfig(class, 1)
+	spec.WL = experiments.Medium.WLConfig(workload.ClassOf(wl), 1)
 	spec.MMU = hw
 	res, err := experiments.Run(spec)
 	if err != nil {

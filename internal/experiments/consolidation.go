@@ -103,7 +103,6 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 		return ConsolidationResult{}, err
 	}
 	spec.Workload = wl
-	class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 
 	// Build every tenant stack serially, in tenant order: construction
 	// allocates from per-tenant hosts, so this is determinism hygiene
@@ -117,7 +116,7 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 	samplers := make([]*walkprof.Sampler, tenants)
 	for i := range ts {
 		s := spec
-		s.WL = scale.WLConfig(class, uint64(i+1))
+		s.WL = scale.WLConfig(workload.ClassOf(wl), uint64(i+1))
 		w := workload.New(wl, s.WL)
 		e, err := build(s, w)
 		if err != nil {
@@ -164,7 +163,7 @@ func runConsolidation(wl, config string, scale Scale, tenants, shards int) (Cons
 		}
 	}
 
-	cpi := workload.New(wl, scale.WLConfig(class, 1)).BaseCPI()
+	cpi := ts[0].env.w.BaseCPI() // every tenant runs the same workload
 	res := ConsolidationResult{Workload: wl, Config: config, Tenants: tenants}
 	worst := 0.0
 	for i := 0; i < tenants; i++ {

@@ -85,8 +85,7 @@ func runSmall(t *testing.T, wl, label string) Result {
 		t.Fatal(err)
 	}
 	spec.Workload = wl
-	class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
-	spec.WL = Small.WLConfig(class, 1)
+	spec.WL = Small.WLConfig(workload.ClassOf(wl), 1)
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", wl, label, err)

@@ -93,16 +93,18 @@ func RunGrid(workloads, configs []string, scale Scale, seed uint64) ([]Row, erro
 
 // RunGridOpts simulates every workload × config cell, fanning cells
 // across the scheduler's worker pool. Each cell builds a fully private
-// stack and derives its seeds from (workload, scale, seed) alone, so
-// rows come back identical — same order, same counters — at any
-// parallelism.
+// stack over its own cursor of the workload's one shared trace, and
+// derives its seeds from (workload, scale, seed) alone, so rows come
+// back identical — same order, same counters — at any parallelism.
 func RunGridOpts(cfg sched.Config, workloads, configs []string, scale Scale, seed uint64) ([]Row, error) {
 	type cell struct{ wl, label string }
 	cells := make([]cell, 0, len(workloads)*len(configs))
+	traces := sharedTraces{}
 	for _, wl := range workloads {
 		for _, label := range configs {
 			cells = append(cells, cell{wl, label})
 		}
+		traces.add(wl, scale.WLConfig(workload.ClassOf(wl), seed), len(configs))
 	}
 	if cfg.SpanName == nil {
 		cfg.SpanName = func(i int) string { return cells[i].wl + " " + cells[i].label }
@@ -113,10 +115,9 @@ func RunGridOpts(cfg sched.Config, workloads, configs []string, scale Scale, see
 		if err != nil {
 			return Row{}, err
 		}
-		class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 		spec.Workload = wl
-		spec.WL = scale.WLConfig(class, seed)
-		res, err := Run(spec)
+		spec.WL = scale.WLConfig(workload.ClassOf(wl), seed)
+		res, err := traces.run(spec)
 		if err != nil {
 			return Row{}, fmt.Errorf("experiments: %s/%s: %w", wl, label, err)
 		}
@@ -173,9 +174,10 @@ func Figure13(scale Scale, trials int, badCounts []int) ([]Fig13Point, error) {
 
 // Figure13Opts is Figure13 under an explicit scheduler configuration.
 // Every trial is an independent cell — the clean baseline and all
-// trials of all workloads run concurrently — and per-trial bad-page
-// seeds are derived from the trial index exactly as the serial loop
-// derived them, so the summary statistics are unchanged.
+// trials of all workloads run concurrently, each over its own cursor of
+// the workload's one shared trace — and per-trial bad-page seeds are
+// derived from the trial index exactly as the serial loop derived
+// them, so the summary statistics are unchanged.
 func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([]Fig13Point, error) {
 	if trials <= 0 {
 		trials = 30
@@ -184,13 +186,16 @@ func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([
 		badCounts = []int{1, 2, 4, 8, 16}
 	}
 	wls := workload.BigMemoryNames()
+	wlCfg := scale.WLConfig(workload.BigMemory, 1)
 	type cell struct {
 		wl    string
 		bad   int // 0 is the clean baseline
 		trial int
 	}
 	cells := make([]cell, 0, len(wls)*(1+len(badCounts)*trials))
+	traces := sharedTraces{}
 	for _, wl := range wls {
+		traces.add(wl, wlCfg, 1+len(badCounts)*trials)
 		cells = append(cells, cell{wl: wl})
 		for _, n := range badCounts {
 			for trial := 0; trial < trials; trial++ {
@@ -214,12 +219,12 @@ func Figure13Opts(cfg sched.Config, scale Scale, trials int, badCounts []int) ([
 			return Result{}, err
 		}
 		spec.Workload = c.wl
-		spec.WL = scale.WLConfig(workload.BigMemory, 1)
+		spec.WL = wlCfg
 		if c.bad > 0 {
 			spec.BadPages = c.bad
 			spec.BadPageSeed = uint64(c.trial + 1)
 		}
-		res, err := Run(spec)
+		res, err := traces.run(spec)
 		if err != nil {
 			if c.bad == 0 {
 				return Result{}, fmt.Errorf("experiments: clean DD for %s: %w", c.wl, err)

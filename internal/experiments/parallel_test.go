@@ -11,7 +11,8 @@ import (
 
 // TestRunGridDeterministicAcrossParallelism is the harness's core
 // guarantee: fanning cells across workers changes nothing — same row
-// order, same counters, bit-for-bit.
+// order, same counters, bit-for-bit — and neither does replaying each
+// cell over a cursor of one shared trace instead of its own build.
 func TestRunGridDeterministicAcrossParallelism(t *testing.T) {
 	wls := []string{"gups", "memcached"}
 	configs := []string{"4K", "4K+4K", "DD", "4K+VD"}
@@ -25,6 +26,16 @@ func TestRunGridDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+	for _, row := range parallel {
+		own, err := Run(row.Result.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(row.Result, own) {
+			t.Fatalf("%s/%s over a shared trace differs from its own build:\nshared: %+v\nown:    %+v",
+				row.Workload, row.Config, row.Result, own)
+		}
 	}
 }
 

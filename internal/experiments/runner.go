@@ -6,6 +6,8 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"vdirect/internal/addr"
 	"vdirect/internal/guestos"
@@ -55,10 +57,48 @@ func Run(spec Spec) (Result, error) {
 	return RunWorkload(spec, workload.New(spec.Workload, spec.WL))
 }
 
-// RunWorkload is Run with a caller-supplied workload instance. The
-// golden equivalence tests use it to replay the same spec through the
-// block streaming path and the per-event Next shim; it also lets
-// callers drive custom (e.g. file-backed) traces through the harness.
+// sharedTraces builds each trace a driver's cells replay once, when the
+// first cell that needs it starts, and gives every cell its own cursor.
+// A driver adds every cell before the first one runs; the last cell to
+// finish over a trace drops it, so nothing outlives the driver call.
+type sharedTraces map[traceKey]*sharedTrace
+
+// traceKey names one trace: a workload under one sizing.
+type traceKey struct {
+	name string
+	cfg  workload.Config
+}
+
+type sharedTrace struct {
+	once sync.Once
+	w    workload.Workload
+	left atomic.Int64 // cells that have yet to finish
+}
+
+// add registers n more cells that replay name under cfg.
+func (t sharedTraces) add(name string, cfg workload.Config, n int) {
+	k := traceKey{name, cfg}
+	if t[k] == nil {
+		t[k] = &sharedTrace{}
+	}
+	t[k].left.Add(int64(n))
+}
+
+// run is Run over a cursor of the spec's shared trace.
+func (t sharedTraces) run(spec Spec) (Result, error) {
+	e := t[traceKey{spec.Workload, spec.WL}]
+	e.once.Do(func() { e.w = workload.New(spec.Workload, spec.WL) })
+	res, err := RunWorkload(spec, e.w.Cursor())
+	if e.left.Add(-1) == 0 {
+		e.w = nil
+	}
+	return res, err
+}
+
+// RunWorkload is Run over a caller-supplied workload, replayed as given
+// (never through a Cursor). The golden equivalence tests use it to
+// replay one spec through the block path and the per-event Next shim;
+// it also lets callers drive custom traces through the harness.
 func RunWorkload(spec Spec, w workload.Workload) (Result, error) {
 	if spec.WarmupFrac == 0 {
 		spec.WarmupFrac = 0.2

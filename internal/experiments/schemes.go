@@ -94,9 +94,8 @@ func SchemesStudy(cfg sched.Config, scale Scale, workloads []string) ([]FlatRow,
 		if err != nil {
 			return Result{}, err
 		}
-		class := workload.New(wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 		spec.Workload = wl
-		spec.WL = scale.WLConfig(class, 1)
+		spec.WL = scale.WLConfig(workload.ClassOf(wl), 1)
 		spec.MMU = schemeStudyHardware()
 		res, err := Run(spec)
 		if err != nil {

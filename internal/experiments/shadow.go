@@ -64,8 +64,7 @@ func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]Shado
 	}
 	runs, err := sched.Run(cfg, len(cells), func(i int) (outcome, error) {
 		c := cells[i]
-		class := workload.New(c.wl, workload.Config{MemoryMB: 1, Ops: 1}).Class()
-		wlCfg := scale.WLConfig(class, 1)
+		wlCfg := scale.WLConfig(workload.ClassOf(c.wl), 1)
 		if c.label == "" {
 			sh, err := runShadow(c.wl, wlCfg)
 			return outcome{shadow: sh}, err

@@ -31,6 +31,9 @@ type Config struct {
 	// cell i. It is only consulted while a telemetry run is active, so
 	// the closure costs nothing otherwise.
 	SpanName func(i int) string
+	// Section, when non-empty, names the report section the cells run
+	// under; their manifest timings carry it.
+	Section string
 }
 
 // workers returns the effective worker count for n cells.
@@ -104,7 +107,7 @@ func Run[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 				// time rather than queueing.
 				var span telemetry.Span
 				if cfg.SpanName != nil && telemetry.Active() {
-					span = telemetry.StartSpan("cell", cfg.SpanName(i))
+					span = telemetry.StartSpanIn(cfg.Section, "cell", cfg.SpanName(i))
 				}
 				res, err := fn(i)
 				span.End()

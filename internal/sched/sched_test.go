@@ -145,7 +145,7 @@ func TestNilProgressSafe(t *testing.T) {
 func TestRunRecordsCellSpans(t *testing.T) {
 	run := telemetry.StartRun("sched-test", nil, true)
 	defer run.Stop()
-	_, err := Run(Config{Parallelism: 2, SpanName: func(i int) string {
+	_, err := Run(Config{Parallelism: 2, Section: "figure1", SpanName: func(i int) string {
 		return fmt.Sprintf("cell-%d", i)
 	}}, 6, func(i int) (int, error) { return i, nil })
 	if err != nil {
@@ -154,8 +154,17 @@ func TestRunRecordsCellSpans(t *testing.T) {
 	if got := run.Tracer().Len(); got != 6 {
 		t.Errorf("traced %d cell spans, want 6", got)
 	}
-	if got := len(run.Timings()); got != 6 {
+	timings := run.Timings()
+	if got := len(timings); got != 6 {
 		t.Errorf("manifest has %d cell timings, want 6", got)
+	}
+	for _, tm := range timings {
+		if tm.Section != "figure1" {
+			t.Errorf("cell timing %+v does not name its section", tm)
+		}
+	}
+	if secs := run.Manifest(nil).Sections; len(secs) != 1 || secs[0].Name != "figure1" || secs[0].Cells != 6 {
+		t.Errorf("manifest sections = %+v, want figure1 with 6 cells", secs)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"time"
 )
@@ -80,8 +81,10 @@ type HostInfo struct {
 // ManifestSchemaVersion is the manifest schema this package writes and
 // understands. History: v1 was the unversioned PR 3 shape (implicitly
 // version 0 on disk); v2 adds schema_version itself and the
-// interpolated p50/p95/p99 fields on histogram snapshots.
-const ManifestSchemaVersion = 2
+// interpolated p50/p95/p99 fields on histogram snapshots; v3 adds the
+// section name to cell timings and the per-section cell sums
+// (sections).
+const ManifestSchemaVersion = 3
 
 // Manifest is the serialized run record.
 type Manifest struct {
@@ -95,12 +98,46 @@ type Manifest struct {
 	DurationMS    float64           `json:"duration_ms"`
 	Error         string            `json:"error,omitempty"`
 	Timings       []Timing          `json:"timings,omitempty"`
+	Sections      []SectionTime     `json:"sections,omitempty"`
 	Metrics       Snapshot          `json:"metrics"`
+}
+
+// SectionTime sums the cell spans that ran under one report section.
+// Sections run at once and share one worker pool, so a section span
+// lasts about as long as the whole run; the summed cell time is what
+// the section cost.
+type SectionTime struct {
+	Name   string  `json:"name"`
+	Cells  int     `json:"cells"`
+	CellMS float64 `json:"cell_ms"`
+}
+
+// sectionTimes sums the cell timings by section, in name order; cells
+// that ran under no section are left out.
+func sectionTimes(timings []Timing) []SectionTime {
+	at := map[string]int{}
+	var out []SectionTime
+	for _, t := range timings {
+		if t.Cat != "cell" || t.Section == "" {
+			continue
+		}
+		i, ok := at[t.Section]
+		if !ok {
+			i = len(out)
+			at[t.Section] = i
+			out = append(out, SectionTime{Name: t.Section})
+		}
+		out[i].Cells++
+		out[i].CellMS += t.DurMS
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Manifest assembles the run record as of now. runErr, when non-nil, is
 // recorded so a manifest from a failed run says so.
 func (r *Run) Manifest(runErr error) Manifest {
+	timings := r.Timings()
 	m := Manifest{
 		SchemaVersion: ManifestSchemaVersion,
 		Tool:          r.Tool,
@@ -114,7 +151,8 @@ func (r *Run) Manifest(runErr error) Manifest {
 		},
 		Start:      r.StartTime,
 		DurationMS: time.Since(r.StartTime).Seconds() * 1e3,
-		Timings:    r.Timings(),
+		Timings:    timings,
+		Sections:   sectionTimes(timings),
 		Metrics:    Default().Snapshot(),
 	}
 	if runErr != nil {

@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// TestManifestGoldenRead pins the v2 manifest shape: the checked-in
+// TestManifestGoldenRead pins the v3 manifest shape: the checked-in
 // golden document must parse, version-check, and surface its fields.
 func TestManifestGoldenRead(t *testing.T) {
-	m, err := ReadManifest(filepath.Join("testdata", "manifest_v2.json"))
+	m, err := ReadManifest(filepath.Join("testdata", "manifest_v3.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,11 @@ func TestManifestGoldenRead(t *testing.T) {
 	if !ok || h.Count != 4096 || h.P50 == 0 {
 		t.Errorf("histogram snapshot = %+v (ok=%v)", h, ok)
 	}
-	if len(m.Timings) != 1 || m.Timings[0].Cat != "cell" {
+	if len(m.Timings) != 2 || m.Timings[0].Cat != "cell" || m.Timings[0].Section != "figure1" {
 		t.Errorf("timings = %+v", m.Timings)
+	}
+	if want := (SectionTime{Name: "figure1", Cells: 1, CellMS: 400.2}); len(m.Sections) != 1 || m.Sections[0] != want {
+		t.Errorf("sections = %+v, want [%+v]", m.Sections, want)
 	}
 }
 
@@ -65,6 +68,9 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	r := StartRun("test-tool", map[string]string{"k": "v"}, false)
 	Default().Counter("x").Add(3)
 	Default().Histogram("h").Observe(10)
+	for _, sec := range []string{"figure13", "figure1", "figure13", ""} {
+		StartSpanIn(sec, "cell", "c").End()
+	}
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := r.WriteManifest(path, nil); err != nil {
 		t.Fatal(err)
@@ -83,11 +89,21 @@ func TestManifestWriteReadRoundtrip(t *testing.T) {
 	if h := m.Metrics.Histograms["h"]; h.P50 == 0 {
 		t.Errorf("histogram p50 not serialized: %+v", h)
 	}
+	// Cells sum by section in name order; a cell under no section is
+	// timed but not summed.
+	if len(m.Timings) != 4 || m.Timings[0].Section != "figure13" {
+		t.Errorf("timings = %+v", m.Timings)
+	}
+	if len(m.Sections) != 2 || m.Sections[0].Name != "figure1" || m.Sections[0].Cells != 1 ||
+		m.Sections[1].Name != "figure13" || m.Sections[1].Cells != 2 ||
+		m.Sections[1].CellMS != m.Timings[0].DurMS+m.Timings[2].DurMS {
+		t.Errorf("sections = %+v from timings %+v", m.Sections, m.Timings)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"schema_version": 2`) {
+	if !strings.Contains(string(raw), `"schema_version": 3`) {
 		t.Error("written manifest lacks schema_version field")
 	}
 }
@@ -162,12 +178,15 @@ func localFrom(h *Histogram) *Local {
 // error, never a panic, and any manifest it accepts is a fixed point of
 // one encode/parse round trip.
 func FuzzParseManifest(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "manifest_v2.json"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "manifest_v3.json"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	f.Add([]byte(`{"schema_version":2,"tool":"vmemsim","args":[],"config":{},"start":"2026-01-02T03:04:05+01:00"}`))
+	f.Add([]byte(`{"schema_version":3,"tool":"vmemsim","args":[],"config":{},"start":"2026-01-02T03:04:05+01:00"}`))
+	f.Add([]byte(`{"schema_version":3,"timings":[{"cat":"cell","name":"a","section":"s","dur_ms":1}],` +
+		`"sections":[{"name":"s","cells":1,"cell_ms":1}]}`))
+	f.Add([]byte(`{"schema_version":2,"tool":"paperbench"}`))
 	f.Add([]byte(`{"schema_version":1}`))
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -56,9 +56,11 @@ type Run struct {
 }
 
 // Timing is one completed cell or section span, relative to run start.
+// Section names the report section a cell ran under, when it had one.
 type Timing struct {
 	Cat     string  `json:"cat"`
 	Name    string  `json:"name"`
+	Section string  `json:"section,omitempty"`
 	StartMS float64 `json:"start_ms"`
 	DurMS   float64 `json:"dur_ms"`
 }
@@ -93,22 +95,27 @@ func (r *Run) Timings() []Timing {
 
 // Span is one timed region. The zero Span (no active run) is inert.
 type Span struct {
-	r     *Run
-	cat   string
-	name  string
-	tid   uint64
-	start time.Time
+	r       *Run
+	cat     string
+	name    string
+	section string
+	tid     uint64
+	start   time.Time
 }
 
 // StartSpan opens a span under the active run; with no run it returns
 // an inert Span whose End is a no-op. Spans of category "cell" and
 // "section" additionally land in the run manifest's timing list.
-func StartSpan(cat, name string) Span {
+func StartSpan(cat, name string) Span { return StartSpanIn("", cat, name) }
+
+// StartSpanIn is StartSpan for a span that runs under a named report
+// section; its manifest timing carries the section's name.
+func StartSpanIn(section, cat, name string) Span {
 	r := current.Load()
 	if r == nil {
 		return Span{}
 	}
-	return Span{r: r, cat: cat, name: name, tid: goid(), start: time.Now()}
+	return Span{r: r, cat: cat, name: name, section: section, tid: goid(), start: time.Now()}
 }
 
 // End closes the span, recording it into the tracer (if tracing) and,
@@ -123,6 +130,7 @@ func (s Span) End() {
 		s.r.timings = append(s.r.timings, Timing{
 			Cat:     s.cat,
 			Name:    s.name,
+			Section: s.section,
 			StartMS: s.start.Sub(s.r.StartTime).Seconds() * 1e3,
 			DurMS:   end.Sub(s.start).Seconds() * 1e3,
 		})

@@ -58,9 +58,6 @@ type Generator interface {
 	Next() (ev Event, ok bool)
 	// Reset rewinds the generator to the start of its trace.
 	Reset()
-	// WorkingSet returns the span of guest virtual memory the trace
-	// touches, used to size primary regions and direct segments.
-	WorkingSet() addr.Range
 }
 
 // BlockGenerator is the streaming fast path: generators that can fill a
@@ -228,41 +225,22 @@ func (z *Zipf) Rank() uint64 {
 }
 
 // Slice is an in-memory trace, convenient for tests and for replaying a
-// fixed event sequence under several configurations.
+// fixed event sequence under several configurations. A Slice never
+// writes its events, so any number of cursors (Cursor) may read them
+// at once.
 type Slice struct {
-	name     string
-	evs      []Event
-	pos      int
-	ws       addr.Range
-	accesses uint64
+	name string
+	evs  []Event
+	pos  int
 }
 
-// NewSlice builds a replayable trace from events. The working set is the
-// tight bounding range over all event addresses.
-func NewSlice(name string, evs []Event) *Slice {
-	s := &Slice{name: name, evs: evs}
-	if len(evs) > 0 {
-		lo, hi := uint64(math.MaxUint64), uint64(0)
-		for _, e := range evs {
-			if e.Kind == Access {
-				s.accesses++
-			}
-			v := uint64(e.VA)
-			end := v + 1
-			if e.Kind != Access && e.Size > 0 {
-				end = v + e.Size
-			}
-			if v < lo {
-				lo = v
-			}
-			if end > hi {
-				hi = end
-			}
-		}
-		s.ws = addr.Range{Start: lo, Size: hi - lo}
-	}
-	return s
-}
+// NewSlice builds a replayable trace over evs, which it keeps without
+// copying or scanning.
+func NewSlice(name string, evs []Event) *Slice { return &Slice{name: name, evs: evs} }
+
+// Cursor returns a new reader of the same events, positioned at the
+// start. It shares the event slice, so it costs one small allocation.
+func (s *Slice) Cursor() *Slice { return NewSlice(s.name, s.evs) }
 
 // Name implements Generator.
 func (s *Slice) Name() string { return s.name }
@@ -289,16 +267,8 @@ func (s *Slice) NextBlock(buf []Event) int {
 // Reset implements Generator.
 func (s *Slice) Reset() { s.pos = 0 }
 
-// WorkingSet implements Generator.
-func (s *Slice) WorkingSet() addr.Range { return s.ws }
-
 // Len returns the number of events in the trace.
 func (s *Slice) Len() int { return len(s.evs) }
-
-// AccessCount returns how many Access events the full trace holds,
-// independent of the read cursor. The harness uses it to place the
-// warmup boundary without a counting replay.
-func (s *Slice) AccessCount() uint64 { return s.accesses }
 
 // ErrTruncated reports that Collect hit its max before the generator
 // was exhausted, so the returned Slice is a prefix of the full trace.
@@ -308,8 +278,7 @@ var ErrTruncated = errors.New("trace: collection truncated at max events")
 // max <= 0). When the generator still holds events past max, Collect
 // returns the truncated Slice together with an error wrapping
 // ErrTruncated, so callers can no longer mistake a prefix for the full
-// trace. It is primarily a test helper but also powers trace caching
-// in the experiment harness.
+// trace. It is a test helper.
 func Collect(g Generator, max int) (*Slice, error) {
 	var evs []Event
 	buf := make([]Event, 1024)

@@ -140,10 +140,6 @@ func TestSliceRoundTrip(t *testing.T) {
 	if s.Name() != "demo" || s.Len() != 3 {
 		t.Fatalf("slice meta wrong: %s %d", s.Name(), s.Len())
 	}
-	ws := s.WorkingSet()
-	if ws.Start != 0x1000 || ws.End() != 0x5000 {
-		t.Errorf("WorkingSet = %v, want [0x1000, 0x5000)", ws)
-	}
 	var got []Event
 	for {
 		ev, ok := s.Next()
@@ -166,8 +162,8 @@ func TestSliceEmpty(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("empty slice produced an event")
 	}
-	if !s.WorkingSet().Empty() {
-		t.Error("empty slice has non-empty working set")
+	if s.Len() != 0 || s.Cursor().Len() != 0 {
+		t.Error("empty slice has events")
 	}
 }
 

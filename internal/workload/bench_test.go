@@ -8,8 +8,8 @@ func BenchmarkGenerate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w := New(name, Config{Seed: uint64(i) + 1, MemoryMB: 64, Ops: 100000})
-				if w.WorkingSet().Empty() {
-					b.Fatal("empty working set")
+				if w.AccessCount() == 0 {
+					b.Fatal("empty trace")
 				}
 			}
 		})

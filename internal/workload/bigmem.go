@@ -11,11 +11,11 @@ import (
 )
 
 func init() {
-	register("graph500", newGraph500)
-	register("memcached", newMemcached)
-	register("npb:cg", newNPBCG)
-	register("gups", newGUPS)
-	register("tlbstress", newTLBStress)
+	register("graph500", BigMemory, newGraph500)
+	register("memcached", BigMemory, newMemcached)
+	register("npb:cg", BigMemory, newNPBCG)
+	register("gups", BigMemory, newGUPS)
+	register("tlbstress", BigMemory, newTLBStress)
 }
 
 // newTLBStress is the microbenchmark the paper uses to confirm the
@@ -35,7 +35,7 @@ func newTLBStress(cfg Config) Workload {
 			break
 		}
 	}
-	return b.finish("tlbstress", BigMemory, 20, primarySpan(pages<<12))
+	return b.finish("tlbstress", 20, primarySpan(pages<<12))
 }
 
 // newGUPS builds the HPCC RandomAccess micro-benchmark: read-modify-
@@ -84,36 +84,19 @@ type gupsStream struct {
 	// op, so undelivered events wait here.
 	pending [4]trace.Event
 	pi, pn  int
-
-	// Tight working-set bounds depend on the random draws, so they are
-	// computed by a one-off scan on first use (tests only — the cell
-	// path never asks).
-	ws     addr.Range
-	wsDone bool
 }
 
 var _ trace.BlockGenerator = (*gupsStream)(nil)
 
-// gupsAccessCount replays the access-counter evolution of the builder
-// loop without touching the PRNG: stack sprinkles land after every
-// 256th access regardless of the random values, so the final count is
-// pure arithmetic.
+// gupsAccessCount is the trace's access count in closed form. The
+// counter steps by one per access and the generator stops as soon as
+// it reaches limit; only a stack sprinkle, which follows the access
+// that lands on a multiple of 256, can carry it one past.
 func gupsAccessCount(limit int) uint64 {
-	acc := 0
-	for acc < limit {
-		acc++ // read
-		if acc%256 == 0 {
-			acc++ // stack sprinkle
-		}
-		if acc >= limit {
-			break // builder.read returned false: the write is skipped
-		}
-		acc++ // write
-		if acc%256 == 0 {
-			acc++
-		}
+	if limit%256 == 0 {
+		return uint64(limit) + 1
 	}
-	return uint64(acc)
+	return uint64(limit)
 }
 
 // stepInto runs one loop iteration of the builder, writing events at
@@ -219,38 +202,15 @@ func (g *gupsStream) Reset() {
 	g.pi, g.pn = 0, 0
 }
 
-// WorkingSet scans a throwaway cursor for the tight bounds NewSlice
-// would have computed. Only tests ask; the result is cached.
-func (g *gupsStream) WorkingSet() addr.Range {
-	if !g.wsDone {
-		scan := &gupsStream{seed: g.seed, elems: g.elems, limit: g.limit}
-		scan.Reset()
-		lo, hi := uint64(1)<<63, uint64(0)
-		any := false
-		for {
-			ev, ok := scan.Next()
-			if !ok {
-				break
-			}
-			any = true
-			v := uint64(ev.VA)
-			if v < lo {
-				lo = v
-			}
-			if v+1 > hi {
-				hi = v + 1
-			}
-		}
-		if any {
-			g.ws = addr.Range{Start: lo, Size: hi - lo}
-		}
-		g.wsDone = true
-	}
-	return g.ws
+// Cursor returns a fresh generator: gups holds no events to share.
+func (g *gupsStream) Cursor() Workload {
+	c := *g
+	c.Reset()
+	return &c
 }
 
 func (g *gupsStream) AccessCount() uint64       { return g.count }
-func (g *gupsStream) Class() Class              { return BigMemory }
+func (g *gupsStream) Class() Class              { return ClassOf(g.Name()) }
 func (g *gupsStream) BaseCPI() float64          { return 56 }
 func (g *gupsStream) PrimaryRegion() addr.Range { return g.primary }
 
@@ -336,7 +296,7 @@ func newGraph500(cfg Config) Workload {
 			}
 		}
 	}
-	return b.finish("graph500", BigMemory, 96, primarySpan(totalBytes))
+	return b.finish("graph500", 96, primarySpan(totalBytes))
 }
 
 // newMemcached builds the key-value cache pattern: Zipf-skewed GETs
@@ -377,7 +337,7 @@ func newMemcached(cfg Config) Workload {
 		}
 		churn.tick()
 	}
-	return b.finish("memcached", BigMemory, 98, primarySpan(totalBytes))
+	return b.finish("memcached", 98, primarySpan(totalBytes))
 }
 
 // newNPBCG builds the NAS CG kernel: conjugate gradient iterations
@@ -429,5 +389,5 @@ func newNPBCG(cfg Config) Workload {
 		b.write(xBase + rows*8 + row*8) // q[row] = acc (q vector after x)
 		_ = acc
 	}
-	return b.finish("npb:cg", BigMemory, 5.0, primarySpan(totalBytes))
+	return b.finish("npb:cg", 5.0, primarySpan(totalBytes))
 }

@@ -5,12 +5,12 @@
 package workload
 
 func init() {
-	register("cactusadm", newCactusADM)
-	register("gemsfdtd", newGemsFDTD)
-	register("mcf", newMCF)
-	register("omnetpp", newOmnetpp)
-	register("canneal", newCanneal)
-	register("streamcluster", newStreamcluster)
+	register("cactusadm", Compute, newCactusADM)
+	register("gemsfdtd", Compute, newGemsFDTD)
+	register("mcf", Compute, newMCF)
+	register("omnetpp", Compute, newOmnetpp)
+	register("canneal", Compute, newCanneal)
+	register("streamcluster", Compute, newStreamcluster)
 }
 
 // newCactusADM models the BSSN numerical-relativity kernel: a 3D
@@ -69,7 +69,7 @@ func newCactusADM(cfg Config) Workload {
 			}
 		}
 	}
-	return b.finish("cactusadm", Compute, 1.6, primarySpan(2*gridBytes))
+	return b.finish("cactusadm", 1.6, primarySpan(2*gridBytes))
 }
 
 // newGemsFDTD models the finite-difference time-domain solver: six
@@ -122,7 +122,7 @@ func newGemsFDTD(cfg Config) Workload {
 		}
 		idx++
 	}
-	return b.finish("gemsfdtd", Compute, 0.55, primarySpan(6*(stride+2<<20)))
+	return b.finish("gemsfdtd", 0.55, primarySpan(6*(stride+2<<20)))
 }
 
 // newMCF models the network-simplex solver: pointer chasing through
@@ -162,7 +162,7 @@ func newMCF(cfg Config) Workload {
 			cur = (cur + stride) % nodes
 		}
 	}
-	return b.finish("mcf", Compute, 12, primarySpan(nodes*nodeSize))
+	return b.finish("mcf", 12, primarySpan(nodes*nodeSize))
 }
 
 // newOmnetpp models the discrete-event network simulator: a binary
@@ -203,7 +203,7 @@ func newOmnetpp(cfg Config) Workload {
 		b.write(heapBase + b.rng.Uint64n(heapSlots)*8)
 		churn.tick()
 	}
-	return b.finish("omnetpp", Compute, 78, primarySpan(heapSlots*8+msgs*msgSize))
+	return b.finish("omnetpp", 78, primarySpan(heapSlots*8+msgs*msgSize))
 }
 
 // newCanneal models the simulated-annealing netlist router: pick two
@@ -235,7 +235,7 @@ func newCanneal(cfg Config) Workload {
 		}
 		churn.tick()
 	}
-	return b.finish("canneal", Compute, 135, primarySpan(elems*elemSize))
+	return b.finish("canneal", 135, primarySpan(elems*elemSize))
 }
 
 // newStreamcluster models the online clustering kernel: stream through
@@ -272,5 +272,5 @@ func newStreamcluster(cfg Config) Workload {
 		p++
 	}
 	total := points*pointSize + centers*pointSize + points*8
-	return b.finish("streamcluster", Compute, 2.9, primarySpan(total))
+	return b.finish("streamcluster", 2.9, primarySpan(total))
 }

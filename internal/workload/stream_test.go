@@ -23,7 +23,7 @@ func eagerGUPS(cfg Config) Workload {
 		}
 		b.write(va)
 	}
-	return b.finish("gups", BigMemory, 56, primarySpan(tableBytes))
+	return b.finish("gups", 56, primarySpan(tableBytes))
 }
 
 // TestGUPSStreamMatchesBuilder holds the streaming generator and the
@@ -52,9 +52,6 @@ func TestGUPSStreamMatchesBuilder(t *testing.T) {
 		comparePerEvent(t, cfg, want, got)
 		if w, g := want.AccessCount(), got.AccessCount(); w != g {
 			t.Errorf("gups %+v: AccessCount %d, reference %d", cfg, g, w)
-		}
-		if w, g := want.WorkingSet(), got.WorkingSet(); w != g {
-			t.Errorf("gups %+v: WorkingSet %v, reference %v", cfg, g, w)
 		}
 		if w, g := want.PrimaryRegion(), got.PrimaryRegion(); w != g {
 			t.Errorf("gups %+v: PrimaryRegion %v, reference %v", cfg, g, w)

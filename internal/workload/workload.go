@@ -76,10 +76,14 @@ func (c Config) withDefaults() Config {
 // the evaluation needs.
 type Workload interface {
 	trace.Generator
+	// Cursor returns a new reader of the same trace, positioned at its
+	// start. A built trace is read-only, so cursors of one workload may
+	// replay at once on different goroutines.
+	Cursor() Workload
 	// AccessCount reports how many Access events the full trace emits,
-	// known analytically (generators build their event stream eagerly)
-	// so the harness can place the warmup boundary without replaying
-	// the whole trace once just to count it.
+	// known without replaying it (counted while an eager trace is
+	// built, closed-form for a streaming one) so the harness can place
+	// the warmup boundary without a counting pass.
 	AccessCount() uint64
 	// Class reports big-memory vs compute (Table III / Figures 11-12).
 	Class() Class
@@ -100,7 +104,7 @@ func Names() []string {
 	for n := range registry {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool { return order[names[i]] < order[names[j]] })
+	sort.Slice(names, func(i, j int) bool { return registry[names[i]].order < registry[names[j]].order })
 	return names
 }
 
@@ -112,25 +116,36 @@ func ComputeNames() []string {
 	return []string{"cactusadm", "gemsfdtd", "mcf", "omnetpp", "canneal", "streamcluster"}
 }
 
-type factory func(Config) Workload
-
-var registry = map[string]factory{}
-var order = map[string]int{}
-
-func register(name string, f factory) {
-	registry[name] = f
-	order[name] = len(order)
+type entry struct {
+	build factory
+	class Class
+	order int
 }
 
-// New builds the named workload; it panics on unknown names, which are
-// harness bugs.
-func New(name string, cfg Config) Workload {
-	f, ok := registry[name]
+type factory func(Config) Workload
+
+var registry = map[string]entry{}
+
+func register(name string, class Class, f factory) {
+	registry[name] = entry{f, class, len(registry)}
+}
+
+// lookup returns the named registry entry; it panics on unknown names,
+// which are harness bugs.
+func lookup(name string) entry {
+	e, ok := registry[name]
 	if !ok {
 		panic(fmt.Sprintf("workload: unknown workload %q", name))
 	}
-	return f(cfg.withDefaults())
+	return e
 }
+
+// New builds the named workload; it panics on unknown names.
+func New(name string, cfg Config) Workload { return lookup(name).build(cfg.withDefaults()) }
+
+// ClassOf reports the named workload's class without building its
+// trace; it panics on unknown names.
+func ClassOf(name string) Class { return lookup(name).class }
 
 // Exists reports whether a workload name is registered.
 func Exists(name string) bool {
@@ -140,21 +155,30 @@ func Exists(name string) bool {
 
 // base carries the state all generators share: an eagerly built event
 // slice plus metadata. Eager construction keeps Next allocation-free
-// and makes Reset trivial, at the cost of holding the trace in memory.
-// Embedding *trace.Slice also makes every workload a
+// and makes Reset and Cursor trivial, at the cost of holding the trace
+// in memory. Embedding *trace.Slice also makes every workload a
 // trace.BlockGenerator, so the replay engine streams events in blocks
 // rather than one interface call per event.
 type base struct {
 	*trace.Slice
-	class   Class
-	cpi     float64
-	primary addr.Range
+	accesses uint64
+	cpi      float64
+	primary  addr.Range
 }
 
 // Every workload streams in blocks; the replay hot path relies on it.
 var _ trace.BlockGenerator = (*base)(nil)
 
-func (b *base) Class() Class              { return b.class }
+// Cursor shares the read-only event slice; only the read position is
+// new.
+func (b *base) Cursor() Workload {
+	c := *b
+	c.Slice = b.Slice.Cursor()
+	return &c
+}
+
+func (b *base) AccessCount() uint64       { return b.accesses }
+func (b *base) Class() Class              { return ClassOf(b.Name()) }
 func (b *base) BaseCPI() float64          { return b.cpi }
 func (b *base) PrimaryRegion() addr.Range { return b.primary }
 
@@ -280,13 +304,14 @@ func (c *churner) tick() {
 	c.prevVA, c.prevSize = va, c.chunk
 }
 
-// finish builds the base from accumulated events.
-func (b *builder) finish(name string, class Class, cpi float64, primary addr.Range) *base {
+// finish builds the base from accumulated events; the access count is
+// the one the budget was kept with, so nothing rescans them.
+func (b *builder) finish(name string, cpi float64, primary addr.Range) *base {
 	return &base{
-		Slice:   trace.NewSlice(name, b.evs),
-		class:   class,
-		cpi:     cpi,
-		primary: primary,
+		Slice:    trace.NewSlice(name, b.evs),
+		accesses: uint64(b.accesses),
+		cpi:      cpi,
+		primary:  primary,
 	}
 }
 

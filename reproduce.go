@@ -46,9 +46,8 @@ func RunCell(workloadName, config string, scale Scale) (CellResult, error) {
 	if !workload.Exists(workloadName) {
 		return CellResult{}, fmt.Errorf("vdirect: unknown workload %q", workloadName)
 	}
-	class := workload.New(workloadName, workload.Config{MemoryMB: 1, Ops: 1}).Class()
 	spec.Workload = workloadName
-	spec.WL = scale.WLConfig(class, 1)
+	spec.WL = scale.WLConfig(workload.ClassOf(workloadName), 1)
 	return experiments.Run(spec)
 }
 
@@ -195,12 +194,15 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 	}
 	// section wraps a report section's task in a telemetry span so the
 	// trace shows one lane per concurrently running section (inert when
-	// no telemetry run is active).
-	section := func(name string, f func() error) func() error {
+	// no telemetry run is active), and hands the task a scheduler
+	// configuration that names the section on every cell's timing.
+	section := func(name string, f func(cfg sched.Config) error) func() error {
 		return func() error {
 			span := telemetry.StartSpan("section", name)
 			defer span.End()
-			return f()
+			cfg := cfg
+			cfg.Section = name
+			return f(cfg)
 		}
 	}
 
@@ -221,45 +223,51 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 		if density <= 0 {
 			density = 8
 		}
-		tasks = append(tasks, section("host", func() (err error) {
+		tasks = append(tasks, section("host", func(cfg sched.Config) (err error) {
 			hostRows, err = experiments.HostStudy(cfg, scale, "gups", density, opts.Shards)
 			return
 		}))
 	}
 	if opts.Schemes {
-		tasks = append(tasks, section("schemes", func() (err error) {
+		tasks = append(tasks, section("schemes", func(cfg sched.Config) (err error) {
 			flatRows, err = experiments.SchemesStudy(cfg, scale, workload.BigMemoryNames())
 			return
 		}))
 	}
 	if opts.Consolidation {
 		tenants := map[Scale]int{ScaleSmall: 2, ScaleMedium: 4, ScaleFull: 8}[scale]
-		tasks = append(tasks, section("consolidation", func() (err error) {
+		tasks = append(tasks, section("consolidation", func(sched.Config) (err error) {
 			consolidation, err = experiments.ConsolidationStudy(scale,
 				[]string{"gups", "memcached"}, tenants, opts.Shards)
 			return
 		}))
 	}
 	err := sched.Tasks(append(tasks,
-		section("figure1", func() (err error) { fig1, err = experiments.Figure1Opts(cfg, scale); return }),
-		section("figure11", func() (err error) { fig11, err = experiments.Figure11Opts(cfg, scale); return }),
-		section("figure12", func() (err error) { fig12, err = experiments.Figure12Opts(cfg, scale); return }),
-		section("breakdown", func() (err error) {
+		section("figure1", func(cfg sched.Config) (err error) { fig1, err = experiments.Figure1Opts(cfg, scale); return }),
+		section("figure11", func(cfg sched.Config) (err error) { fig11, err = experiments.Figure11Opts(cfg, scale); return }),
+		section("figure12", func(cfg sched.Config) (err error) { fig12, err = experiments.Figure12Opts(cfg, scale); return }),
+		section("breakdown", func(cfg sched.Config) (err error) {
 			breakdown, err = experiments.BreakdownOpts(cfg, scale,
 				append([]string{"tlbstress"}, workload.BigMemoryNames()...))
 			return
 		}),
-		section("tableIV", func() (err error) {
+		section("tableIV", func(cfg sched.Config) (err error) {
 			models, err = experiments.TableIVValidationOpts(cfg, scale, workload.BigMemoryNames())
 			return
 		}),
-		section("figure13", func() (err error) { points, err = experiments.Figure13Opts(cfg, scale, trials, nil); return }),
-		section("shadow", func() (err error) {
+		section("figure13", func(cfg sched.Config) (err error) {
+			points, err = experiments.Figure13Opts(cfg, scale, trials, nil)
+			return
+		}),
+		section("shadow", func(cfg sched.Config) (err error) {
 			shadow, err = experiments.ShadowStudyOpts(cfg, scale,
 				append(append([]string{}, workload.BigMemoryNames()...), workload.ComputeNames()...))
 			return
 		}),
-		section("sharing", func() (err error) { sharing, err = experiments.SharingStudyOpts(cfg, 128, 0.03, 0.01); return }),
+		section("sharing", func(cfg sched.Config) (err error) {
+			sharing, err = experiments.SharingStudyOpts(cfg, 128, 0.03, 0.01)
+			return
+		}),
 	)...)
 	if err != nil {
 		return Report{}, err

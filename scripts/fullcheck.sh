@@ -8,9 +8,9 @@
 # The medium golden (scripts/samplecheck.sh) cannot stand in for this:
 # where nested page-table pages sit in host memory moves 4K+4K walk
 # cycles only at full scale, and that drift went unseen in 6 of the 12
-# full-scale sections while the medium report held. The run takes about
-# a minute on a 2-vCPU host, so it is its own CI job rather than a step
-# of scripts/check.sh.
+# full-scale sections while the medium report held. The report takes
+# 39-41 s on a loaded 2-vCPU host, so it is its own CI job rather than
+# a step of scripts/check.sh.
 #
 # Re-recording the digests is an explicit, reviewed step:
 #   GOLDEN_RECORD=1 sh scripts/fullcheck.sh
