@@ -12,7 +12,7 @@
 //	paperbench                       # everything at medium scale, all cores
 //	paperbench -scale full           # the EXPERIMENTS.md setting
 //	paperbench -j 1                  # serial run (same bytes, slower)
-//	paperbench -only figure11,shadow # a subset
+//	paperbench -only figure11,shadow # run and print only these sections
 //	paperbench -out results/         # also write one file per section
 //	paperbench -cpuprofile cpu.pb    # profile the replay hot path
 //	paperbench -trace run.json -manifest run-manifest.json
@@ -21,8 +21,9 @@
 //	paperbench -sample 64 -samples walks.jsonl
 //	                                 # 1-in-64 walk sampling, analyzed
 //	                                 # offline with cmd/walkprof
-//	paperbench -only walkprof        # walk-level attribution section
-//	                                 # (auto-enables sampling)
+//	paperbench -only walkprof        # walk-level attribution of the paper
+//	                                 # sections' cells (auto-enables
+//	                                 # sampling)
 //	paperbench -only host -shards 4  # whole-host consolidation-density
 //	                                 # sweep (fragmentation knee and
 //	                                 # escape-filter cost)
@@ -55,7 +56,7 @@ func main() {
 func run() (retErr error) {
 	var (
 		scaleName  = flag.String("scale", "medium", "simulation scale: small|medium|full")
-		only       = flag.String("only", "", "comma-separated section subset ("+strings.Join(vdirect.PaperSections, ",")+"; naming one of "+strings.Join(vdirect.ExtensionSections, ", ")+" also enables its extension study)")
+		only       = flag.String("only", "", "comma-separated sections to run and print ("+strings.Join(vdirect.PaperSections, ",")+", or the extension studies "+strings.Join(vdirect.ExtensionSections, ", ")+"); empty runs the paper sections")
 		shards     = flag.Int("shards", 1, "intra-cell shard goroutines for the consolidation and host studies; output is identical at any value")
 		density    = flag.Int("density", 8, "host study's maximum consolidation density (guests at the deepest sweep step)")
 		outDir     = flag.String("out", "", "directory to write per-section files into")
@@ -87,7 +88,7 @@ func run() (retErr error) {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 
-	want, err := checkFlags(*only, *trials, *density, *jobs, *shards)
+	sections, err := checkFlags(*only, *trials, *density, *jobs, *shards)
 	if err != nil {
 		return err
 	}
@@ -96,7 +97,7 @@ func run() (retErr error) {
 	// -manifest path was given; the walkprof section likewise needs
 	// sampling on even when no -sample/-samples flag asked for it.
 	tf.Force = tf.Force || *histograms
-	if want["walkprof"] && tf.Sample == 0 && tf.SamplesOut == "" {
+	if slices.Contains(sections, "walkprof") && tf.Sample == 0 && tf.SamplesOut == "" {
 		tf.Sample = 64
 	}
 	sess, err := tf.Start("paperbench", map[string]string{
@@ -128,14 +129,11 @@ func run() (retErr error) {
 	}()
 
 	opts := vdirect.Options{
-		Parallelism:   *jobs,
-		Fig13Trials:   *trials,
-		Consolidation: want["consolidation"],
-		Schemes:       want["schemes"],
-		Walkprof:      want["walkprof"],
-		Host:          want["host"],
-		HostDensity:   *density,
-		Shards:        *shards,
+		Parallelism: *jobs,
+		Fig13Trials: *trials,
+		Sections:    sections,
+		HostDensity: *density,
+		Shards:      *shards,
 	}
 	if !*quiet {
 		opts.Progress = func(done, total int) {
@@ -151,9 +149,6 @@ func run() (retErr error) {
 		return err
 	}
 	for _, sec := range report.Sections {
-		if len(want) > 0 && !want[sec.Name] {
-			continue
-		}
 		fmt.Println(sec.Text)
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -181,10 +176,10 @@ func run() (retErr error) {
 }
 
 // checkFlags rejects bad flag values before any work starts and returns
-// the -only selection (empty selects every section). Unchecked, an
+// the -only selection (nil selects the paper sections). Unchecked, an
 // unknown -only name printed an empty report and exited 0, and a
 // -fig13-trials or -density below 1 silently ran the defaults.
-func checkFlags(only string, trials, density, jobs, shards int) (map[string]bool, error) {
+func checkFlags(only string, trials, density, jobs, shards int) ([]string, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("-fig13-trials must be at least 1, got %d", trials)
 	}
@@ -197,19 +192,17 @@ func checkFlags(only string, trials, density, jobs, shards int) (map[string]bool
 	if shards < 0 {
 		return nil, fmt.Errorf("-shards must not be negative, got %d", shards)
 	}
-	want := map[string]bool{}
 	if only == "" {
-		return want, nil
+		return nil, nil
 	}
+	var sections []string
 	for _, s := range strings.Split(only, ",") {
-		s = strings.TrimSpace(s)
-		if !slices.Contains(vdirect.PaperSections, s) && !slices.Contains(vdirect.ExtensionSections, s) {
-			return nil, fmt.Errorf("unknown -only section %q (valid: %s)", s,
-				strings.Join(slices.Concat(vdirect.PaperSections, vdirect.ExtensionSections), ", "))
-		}
-		want[s] = true
+		sections = append(sections, strings.TrimSpace(s))
 	}
-	return want, nil
+	if err := vdirect.CheckSections(sections); err != nil {
+		return nil, fmt.Errorf("-only: %w", err)
+	}
+	return sections, nil
 }
 
 // startProfiles begins CPU profiling and arranges the heap profile.

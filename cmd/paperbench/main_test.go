@@ -10,12 +10,12 @@ func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
 		only                          string
 		trials, density, jobs, shards int
-		want                          map[string]bool // nil: an error
-		errHas                        string
+		want                          []string
+		errHas                        string // non-empty: an error naming it
 	}{
-		{"", 30, 8, 0, 1, map[string]bool{}, ""},
-		{"figure11, shadow", 1, 1, 4, 0, map[string]bool{"figure11": true, "shadow": true}, ""},
-		{"host,walkprof", 30, 8, 0, 4, map[string]bool{"host": true, "walkprof": true}, ""},
+		{"", 30, 8, 0, 1, nil, ""},
+		{"figure11, shadow", 1, 1, 4, 0, []string{"figure11", "shadow"}, ""},
+		{"host,walkprof", 30, 8, 0, 4, []string{"host", "walkprof"}, ""},
 		{"bogus", 30, 8, 0, 1, nil, "valid: figure1, "},
 		{"figure1,", 30, 8, 0, 1, nil, `""`},
 		{"", -5, 8, 0, 1, nil, "-fig13-trials"},
@@ -26,7 +26,7 @@ func TestCheckFlags(t *testing.T) {
 		{"", 30, 8, 0, -2, nil, "-shards"},
 	} {
 		got, err := checkFlags(c.only, c.trials, c.density, c.jobs, c.shards)
-		if c.want == nil {
+		if c.errHas != "" {
 			if err == nil || !strings.Contains(err.Error(), c.errHas) {
 				t.Errorf("checkFlags(%q, %d, %d, %d, %d) = %v, want an error naming %s",
 					c.only, c.trials, c.density, c.jobs, c.shards, err, c.errHas)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"vdirect/internal/sched"
 )
 
 // TestConsolidationDeterminism runs the study serially and sharded and
@@ -10,12 +12,12 @@ import (
 // the aggregate. Under -race this also exercises the shard goroutines
 // for data races.
 func TestConsolidationDeterminism(t *testing.T) {
-	base, err := ConsolidationStudy(Small, []string{"gups"}, 3, 1)
+	base, err := ConsolidationStudy(sched.Config{}, Small, []string{"gups"}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 3, 8} {
-		got, err := ConsolidationStudy(Small, []string{"gups"}, 3, shards)
+		got, err := ConsolidationStudy(sched.Config{}, Small, []string{"gups"}, 3, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -28,7 +30,7 @@ func TestConsolidationDeterminism(t *testing.T) {
 // TestConsolidationOrdering pins the row layout the report section
 // depends on: workload-major, config-minor, constant tenant count.
 func TestConsolidationOrdering(t *testing.T) {
-	rows, err := ConsolidationStudy(Small, []string{"gups", "memcached"}, 2, 2)
+	rows, err := ConsolidationStudy(sched.Config{}, Small, []string{"gups", "memcached"}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,24 @@
-// Whole-host consolidation-density study (extension): one fixed host,
-// swept over consolidation density. Every density is an independent
-// cell — its own physical memory, VMM, guests, policy engine — so the
-// cells fan across the scheduler's worker pool like any figure grid,
-// while each cell's guests additionally shard across goroutines via
-// the host layer's own RunSharded phase. Both axes of parallelism are
-// presentation-only: rows come back byte-identical at any -j and any
-// -shards.
+// The two consolidation studies (extensions), both driven by the
+// internal/host layer: N guests over one shared physical memory,
+// replayed in quantum lockstep across shard goroutines, with owner
+// accounting, per-guest stats identities and an oracle cross-check.
 //
-// The modeled question extends §VI.A/§VIII to machine scale: admitting
+// The consolidation study is the paper's §VIII argument at
+// consolidation scale: nested paging's overhead compounds as tenants
+// multiply, while Dual Direct holds per-tenant overhead near zero. Each
+// workload × mode cell is one host with one tenant per guest, no
+// policy churn, and enough memory that admission never contends.
+//
+// The density study sweeps one fixed host over consolidation density.
+//
+// In both, every cell is independent — its own physical memory, VMM,
+// guests, policy engine — so the cells fan across the scheduler's
+// worker pool like any figure grid, while each cell's guests
+// additionally shard across goroutines via the host layer's own
+// RunSharded phase. Both axes of parallelism are presentation-only:
+// rows come back byte-identical at any -j and any -shards.
+//
+// The density study's question extends §VI.A/§VIII to machine scale: admitting
 // guests Dual Direct requires a boot-time contiguous host run, so as
 // density rises on a fixed host the allocator eventually cannot carve
 // one more — the fragmentation knee — and late guests fall back to
@@ -23,6 +34,7 @@ import (
 	"fmt"
 
 	"vdirect/internal/host"
+	"vdirect/internal/mmu"
 	"vdirect/internal/sched"
 	"vdirect/internal/stats"
 	"vdirect/internal/workload"
@@ -94,6 +106,94 @@ func HostStudy(cfg sched.Config, scale Scale, wl string, maxDensity, shards int)
 		}
 		return res, nil
 	})
+}
+
+// ConsolidationResult aggregates one workload × mode cell over all
+// tenants.
+type ConsolidationResult struct {
+	Workload string
+	Config   string
+	Tenants  int
+	// Accesses and WalkCycles summed over tenants, in tenant order.
+	Accesses   uint64
+	WalkCycles uint64
+	// Overhead is the aggregate translation overhead across tenants.
+	Overhead float64
+	// WorstTenant is the highest single-tenant overhead — the noisy-
+	// neighbour view.
+	WorstTenant float64
+}
+
+// consolidationConfigs are the study's two rows per workload: nested
+// paging and Dual Direct.
+var consolidationConfigs = []string{"4K+4K", "DD"}
+
+// ConsolidationStudy simulates `tenants` VMs per workload × config
+// cell. Cells are scheduled through cfg's worker pool; within a cell,
+// tenants replay across `shards` goroutines. Rows are workload-major,
+// config-minor, and identical at any parallelism or shard count.
+func ConsolidationStudy(cfg sched.Config, scale Scale, workloads []string, tenants, shards int) ([]ConsolidationResult, error) {
+	if tenants <= 0 {
+		tenants = 4
+	}
+	for _, wl := range workloads {
+		if !workload.Exists(wl) {
+			return nil, fmt.Errorf("experiments: unknown workload %q", wl)
+		}
+	}
+	n := len(consolidationConfigs)
+	if cfg.SpanName == nil {
+		cfg.SpanName = func(i int) string {
+			return "consolidation " + workloads[i/n] + "/" + consolidationConfigs[i%n]
+		}
+	}
+	return sched.Run(cfg, len(workloads)*n, func(i int) (ConsolidationResult, error) {
+		wl, config := workloads[i/n], consolidationConfigs[i%n]
+		spec, err := ParseConfig(config)
+		if err != nil {
+			return ConsolidationResult{}, err
+		}
+		s, err := host.NewSim(host.Config{
+			Name:            wl + "/" + config,
+			Guests:          tenants,
+			TenantsPerGuest: 1,
+			Workload:        wl,
+			WL:              scale.WLConfig(workload.ClassOf(wl), 1),
+			AdmitChurn:      -1,
+			RoundChurn:      -1,
+			Shards:          shards,
+			NoDirect:        spec.Mode != mmu.ModeDualDirect,
+		})
+		if err != nil {
+			return ConsolidationResult{}, fmt.Errorf("experiments: consolidation %s/%s: %w", wl, config, err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			return ConsolidationResult{}, fmt.Errorf("experiments: consolidation %s/%s: %w", wl, config, err)
+		}
+		out := ConsolidationResult{Workload: wl, Config: config, Tenants: tenants,
+			Overhead: res.Overhead, WorstTenant: res.WorstGuest}
+		for _, g := range res.Guests {
+			if g.Mode != spec.Mode {
+				return ConsolidationResult{}, fmt.Errorf("experiments: consolidation %s/%s: tenant %d admitted %v",
+					wl, config, g.Guest, g.Mode)
+			}
+			out.Accesses += g.Accesses
+			out.WalkCycles += g.WalkCycles
+		}
+		return out, nil
+	})
+}
+
+// ConsolidationTable renders the consolidation study.
+func ConsolidationTable(rows []ConsolidationResult) *stats.Table {
+	t := stats.NewTable("Consolidation — aggregate translation overhead across tenants",
+		"workload", "config", "tenants", "accesses", "overhead", "worst tenant")
+	for _, r := range rows {
+		t.AddRow(r.Workload, r.Config, fmt.Sprint(r.Tenants), fmt.Sprint(r.Accesses),
+			stats.Percent(r.Overhead), stats.Percent(r.WorstTenant))
+	}
+	return t
 }
 
 // HostTable renders the density sweep: one row per density, with the

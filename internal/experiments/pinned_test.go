@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"vdirect/internal/sched"
 )
 
 // TestConsolidationPinned locks the consolidation study's output — the
@@ -12,7 +14,7 @@ import (
 // per-tenant access hook and cycle accounting to their recorded
 // behaviour.
 func TestConsolidationPinned(t *testing.T) {
-	rows, err := ConsolidationStudy(Small, []string{"gups", "memcached"}, 3, 2)
+	rows, err := ConsolidationStudy(sched.Config{}, Small, []string{"gups", "memcached"}, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func sampledConsolidationBytes(t *testing.T, shards int) []byte {
 	t.Helper()
 	p := walkprof.Enable(16)
 	defer p.Stop()
-	if _, err := ConsolidationStudy(Small, []string{"gups"}, 4, shards); err != nil {
+	if _, err := ConsolidationStudy(sched.Config{}, Small, []string{"gups"}, 4, shards); err != nil {
 		t.Fatal(err)
 	}
 	d := p.Snapshot()

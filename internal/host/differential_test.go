@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"vdirect/internal/addr"
+	"vdirect/internal/mmu"
 	"vdirect/internal/oracle"
+	"vdirect/internal/physmem"
 	"vdirect/internal/trace"
 	"vdirect/internal/workload"
 )
@@ -84,6 +86,45 @@ func TestHostDifferentialFourGuests(t *testing.T) {
 	}
 	if err := oracle.CheckModeMonotonicity(vas); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrossCheckCatchesStaleNestedTLB shows the cross-check is not
+// vacuous: moving a probed page's nested mapping without flushing the
+// guest's nested TLB state leaves the MMU translating to the old frame,
+// and the oracle, which reads the nested table, must disagree.
+func TestCrossCheckCatchesStaleNestedTLB(t *testing.T) {
+	s, err := NewSim(tightConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	g := s.Guests[len(s.Guests)-1]
+	if g.Mode != mmu.ModeBaseVirtualized {
+		t.Fatalf("last guest admitted %v, want the Base Virtualized fallback", g.Mode)
+	}
+	va := s.probes(g, 0)[0]
+	if err := g.Sched.SwitchTo(0, g.MMU); err != nil {
+		t.Fatal(err)
+	}
+	if _, fault := g.MMU.Translate(va); fault != nil {
+		t.Fatalf("probe VA %#x faults: %v", va, fault)
+	}
+	gpa, _, ok := g.Procs[0].PT.Translate(va)
+	if !ok {
+		t.Fatalf("probe VA %#x has no guest mapping", va)
+	}
+	f, err := s.Host.Mem.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.VM.NPT.Remap(addr.AlignDown(gpa, addr.PageSize4K), physmem.FrameToAddr(f)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CrossCheck(); err == nil {
+		t.Fatal("cross-check passed with a stale nested translation in the TLB")
 	}
 }
 

@@ -37,12 +37,11 @@ import (
 	"vdirect/internal/workload"
 )
 
-// Quantum is the default per-tenant scheduling quantum, in accesses,
-// between policy barriers. Smaller than the consolidation study's so a
-// host run interleaves several policy rounds with replay even at small
-// trace sizes; like there, results are identical at any value only in
-// the absence of policy churn — the quantum is part of the host
-// configuration, not a performance knob.
+// Quantum is the per-tenant scheduling quantum, in accesses, between
+// policy barriers. It is small so a host run interleaves several
+// policy rounds with replay even at small trace sizes. Results are
+// identical at any value only in the absence of policy churn, so the
+// quantum is part of the host model, not a performance knob.
 const Quantum = 1 << 13
 
 // Config describes one whole-host simulation cell.
@@ -79,8 +78,9 @@ type Config struct {
 	// Shards is host-side parallelism for the replay phase (results are
 	// identical at any value ≥ 1).
 	Shards int
-	// Quantum overrides the scheduling quantum (default Quantum).
-	Quantum int
+	// NoDirect admits every guest Base Virtualized 4K+4K without trying
+	// for the contiguous host run Dual Direct needs.
+	NoDirect bool
 	// SkipCrossCheck disables the per-guest oracle differential check
 	// after replay (it is cheap; benchmarks may skip it).
 	SkipCrossCheck bool
@@ -121,9 +121,6 @@ func (c *Config) defaults() error {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = Quantum
 	}
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("host-d%d/%s", c.Guests, c.Workload)
@@ -222,7 +219,6 @@ type Sim struct {
 	byVM      map[*vmm.VM]*Guest
 	prof      *walkprof.Profile
 	samplers  []*walkprof.Sampler
-	baseCPI   float64
 }
 
 // NewSim builds the host and admits every guest, running policy churn
@@ -252,7 +248,6 @@ func NewSim(cfg Config) (*Sim, error) {
 		rng:       trace.NewRand(cfg.Seed ^ 0x4057),
 		byVM:      make(map[*vmm.VM]*Guest),
 		prof:      walkprof.Enabled(),
-		baseCPI:   workload.New(cfg.Workload, cfg.WL).BaseCPI(),
 	}
 	s.Host.Mem.TrackOwners()
 	s.Host.SetCallbacks(s.callbacks())
@@ -281,14 +276,19 @@ func (s *Sim) admit(i int) error {
 	}
 
 	// Dual Direct needs the §VI.A boot-time contiguous reservation;
-	// when host memory is too fragmented (or too full) for that, the
-	// guest is admitted Base Virtualized over scattered 4K frames.
-	vm, err := s.Host.CreateVM(vmm.VMConfig{
-		Name:              g.Name,
-		MemorySize:        s.guestSize,
-		NestedPageSize:    addr.Page4K,
-		ContiguousBacking: true,
-	})
+	// when host memory is too fragmented (or too full) for that, or
+	// the configuration rules it out, the guest is admitted Base
+	// Virtualized over scattered 4K frames.
+	var vm *vmm.VM
+	err := vmm.ErrHostFragmented
+	if !s.Cfg.NoDirect {
+		vm, err = s.Host.CreateVM(vmm.VMConfig{
+			Name:              g.Name,
+			MemorySize:        s.guestSize,
+			NestedPageSize:    addr.Page4K,
+			ContiguousBacking: true,
+		})
+	}
 	switch {
 	case err == nil:
 		g.Direct = true
@@ -456,7 +456,7 @@ func (s *Sim) buildTenants(g *Guest) error {
 // costs tag updates, not TLB flushes). Returns true when every tenant
 // has drained its trace. Runs inside a shard goroutine; touches only
 // guest-private state.
-func (g *Guest) step(quantum int) (bool, error) {
+func (g *Guest) step() (bool, error) {
 	allDone := true
 	for t, eng := range g.engines {
 		if g.done[t] {
@@ -466,7 +466,7 @@ func (g *Guest) step(quantum int) (bool, error) {
 			return true, err
 		}
 		before := g.MMU.Stats().WalkCycles
-		n, more, err := eng.Step(quantum)
+		n, more, err := eng.Step(Quantum)
 		g.walkCycles += g.MMU.Stats().WalkCycles - before
 		g.accesses[t] += uint64(n)
 		if err != nil {

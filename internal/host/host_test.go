@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vdirect/internal/mmu"
 	"vdirect/internal/workload"
 )
 
@@ -68,6 +69,34 @@ func TestDensityFourGuests(t *testing.T) {
 	}
 	if res.DirectGuests == 0 {
 		t.Error("no guest admitted Dual Direct")
+	}
+}
+
+// TestNoDirectAdmitsBaseVirtualized: on an auto-sized host every guest
+// fits Dual Direct, and NoDirect puts every one on 4K+4K instead.
+func TestNoDirectAdmitsBaseVirtualized(t *testing.T) {
+	for _, noDirect := range []bool{false, true} {
+		cfg := testConfig(3)
+		cfg.AdmitChurn, cfg.RoundChurn = -1, -1
+		cfg.NoDirect = noDirect
+		s, err := NewSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mmu.ModeDualDirect
+		if noDirect {
+			want = mmu.ModeBaseVirtualized
+		}
+		for _, g := range res.Guests {
+			if g.Mode != want || g.Direct != !noDirect {
+				t.Errorf("NoDirect %v: guest %d admitted %v (direct %v), want %v",
+					noDirect, g.Guest, g.Mode, g.Direct, want)
+			}
+		}
 	}
 }
 

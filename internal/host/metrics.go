@@ -71,6 +71,7 @@ type Result struct {
 // in reported counters.
 func (s *Sim) collect() Result {
 	res := Result{Density: len(s.Guests)}
+	cpi := s.Guests[0].workloads[0].BaseCPI() // every tenant runs the same workload
 	worst := 0.0
 	var totalAccesses, totalCycles uint64
 	for _, g := range s.Guests {
@@ -79,7 +80,7 @@ func (s *Sim) collect() Result {
 		for _, a := range g.accesses {
 			accesses += a
 		}
-		ideal := float64(accesses) * s.baseCPI
+		ideal := float64(accesses) * cpi
 		gr := GuestResult{
 			Guest:        g.Index,
 			Mode:         g.Mode,
@@ -109,7 +110,7 @@ func (s *Sim) collect() Result {
 		res.EscapeTaken += st.EscapeTaken
 		res.Guests = append(res.Guests, gr)
 	}
-	res.Overhead = perfmodel.Overhead(float64(totalCycles), float64(totalAccesses)*s.baseCPI)
+	res.Overhead = perfmodel.Overhead(float64(totalCycles), float64(totalAccesses)*cpi)
 	res.WorstGuest = worst
 	res.Frag = s.Host.Mem.FragStats()
 	// Cap the trial allocation by host capacity (not density — the cap

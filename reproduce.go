@@ -2,11 +2,13 @@ package vdirect
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vdirect/internal/experiments"
 	"vdirect/internal/host"
 	"vdirect/internal/sched"
+	"vdirect/internal/stats"
 	"vdirect/internal/telemetry"
 	"vdirect/internal/telemetry/walkprof"
 	"vdirect/internal/workload"
@@ -130,46 +132,56 @@ type Options struct {
 	// Progress, when non-nil, is called — serialized — as simulation
 	// cells complete; total grows as sections register their cells.
 	Progress func(done, total int)
-	// Consolidation adds the multi-tenant consolidation study to the
-	// report. Off by default: it is an extension section, and leaving it
-	// out keeps the default report stable.
-	Consolidation bool
-	// Schemes adds the translation-schemes section: the registry's
-	// closed-form cost table and the measured flattened-nested-walk
-	// comparison. Off by default for the same reason as Consolidation.
-	Schemes bool
-	// Shards is the consolidation study's intra-cell parallelism: its
-	// tenants are partitioned across this many goroutines (0 or 1 =
-	// serial). Results are byte-identical at any setting.
+	// Sections names the report sections to run, from PaperSections and
+	// ExtensionSections; nil means PaperSections. The report holds the
+	// named sections, in report order. Figures 11 and 12 also run when
+	// sectionVIII or energy, which are computed from their rows, is
+	// named; walkprof named alone also runs the paper sections, whose
+	// cells its samples come from.
+	//
+	// The extension sections are: consolidation, the multi-tenant
+	// consolidation study; host, the whole-host consolidation-density
+	// sweep (fragmentation knee and escape-filter cost); schemes, the
+	// registry's closed-form cost table and the measured
+	// flattened-nested-walk comparison; and walkprof, the walk-level
+	// attribution rendered from the samples the active walkprof profile
+	// collected across every section's cells. walkprof requires
+	// sampling to be enabled (the -sample / -samples flags, or
+	// walkprof.Enable); with sampling off the section says so instead
+	// of rendering empty tables.
+	Sections []string
+	// Shards is the consolidation and host studies' intra-cell
+	// parallelism: each cell's guests are partitioned across this many
+	// goroutines (0 or 1 = serial). Results are byte-identical at any
+	// setting.
 	Shards int
-	// Walkprof appends the walk-level attribution section, rendered from
-	// the samples the active walkprof profile collected across every
-	// section's cells. It requires sampling to be enabled (the -sample /
-	// -samples flags, or walkprof.Enable); with sampling off the section
-	// says so instead of rendering empty tables.
-	Walkprof bool
-	// Host adds the whole-host consolidation-density study: N guest VMs
-	// over one shared host memory, swept over density on a fixed host
-	// size, reporting the fragmentation knee and escape-filter cost.
-	// Off by default like the other extension sections. Shards also
-	// applies: each density cell's guests replay across that many
-	// goroutines.
-	Host bool
 	// HostDensity is the host study's maximum consolidation density
 	// (0 means 8 guests).
 	HostDensity int
 }
 
-// PaperSections names the sections every report holds, in report order.
+// PaperSections names the paper's sections, in report order: the
+// report a nil Options.Sections selects.
 var PaperSections = []string{
 	"figure1", "figure11", "figure12", "sectionVIII", "breakdown", "tableIV",
 	"figure13", "shadow", "sharing", "energy", "tableII", "tableIII",
 }
 
-// ExtensionSections names the sections an Options field adds, in the
-// order they follow PaperSections: Consolidation, Host, Schemes and
-// Walkprof.
+// ExtensionSections names the sections Options.Sections may add, in
+// the order they follow PaperSections.
 var ExtensionSections = []string{"consolidation", "host", "schemes", "walkprof"}
+
+// CheckSections reports the first name that is neither a paper nor an
+// extension section.
+func CheckSections(sections []string) error {
+	for _, name := range sections {
+		if !slices.Contains(PaperSections, name) && !slices.Contains(ExtensionSections, name) {
+			return fmt.Errorf("unknown section %q (valid: %s)", name,
+				strings.Join(slices.Concat(PaperSections, ExtensionSections), ", "))
+		}
+	}
+	return nil
+}
 
 // ReproduceAll runs the complete evaluation at the given scale —
 // everything EXPERIMENTS.md records — using every core. At ScaleFull
@@ -206,6 +218,26 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 		}
 	}
 
+	sections := opts.Sections
+	if sections == nil {
+		sections = PaperSections
+	}
+	if err := CheckSections(sections); err != nil {
+		return Report{}, err
+	}
+	want, run := map[string]bool{}, map[string]bool{}
+	for _, name := range sections {
+		want[name], run[name] = true, true
+	}
+	if len(want) == 1 && want["walkprof"] {
+		for _, name := range PaperSections {
+			run[name] = true
+		}
+	}
+	if run["sectionVIII"] || run["energy"] {
+		run["figure11"], run["figure12"] = true, true
+	}
+
 	var (
 		fig1, fig11, fig12 experiments.Figure
 		breakdown          []experiments.BreakdownRow
@@ -216,88 +248,83 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 		consolidation      []experiments.ConsolidationResult
 		flatRows           []experiments.FlatRow
 		hostRows           []host.Result
+		tasks              []func() error
 	)
-	tasks := []func() error{}
-	if opts.Host {
+	task := func(name string, f func(cfg sched.Config) error) {
+		if run[name] {
+			tasks = append(tasks, section(name, f))
+		}
+	}
+	task("host", func(cfg sched.Config) (err error) {
 		density := opts.HostDensity
 		if density <= 0 {
 			density = 8
 		}
-		tasks = append(tasks, section("host", func(cfg sched.Config) (err error) {
-			hostRows, err = experiments.HostStudy(cfg, scale, "gups", density, opts.Shards)
-			return
-		}))
-	}
-	if opts.Schemes {
-		tasks = append(tasks, section("schemes", func(cfg sched.Config) (err error) {
-			flatRows, err = experiments.SchemesStudy(cfg, scale, workload.BigMemoryNames())
-			return
-		}))
-	}
-	if opts.Consolidation {
+		hostRows, err = experiments.HostStudy(cfg, scale, "gups", density, opts.Shards)
+		return
+	})
+	task("schemes", func(cfg sched.Config) (err error) {
+		flatRows, err = experiments.SchemesStudy(cfg, scale, workload.BigMemoryNames())
+		return
+	})
+	task("consolidation", func(cfg sched.Config) (err error) {
 		tenants := map[Scale]int{ScaleSmall: 2, ScaleMedium: 4, ScaleFull: 8}[scale]
-		tasks = append(tasks, section("consolidation", func(sched.Config) (err error) {
-			consolidation, err = experiments.ConsolidationStudy(scale,
-				[]string{"gups", "memcached"}, tenants, opts.Shards)
-			return
-		}))
-	}
-	err := sched.Tasks(append(tasks,
-		section("figure1", func(cfg sched.Config) (err error) { fig1, err = experiments.Figure1Opts(cfg, scale); return }),
-		section("figure11", func(cfg sched.Config) (err error) { fig11, err = experiments.Figure11Opts(cfg, scale); return }),
-		section("figure12", func(cfg sched.Config) (err error) { fig12, err = experiments.Figure12Opts(cfg, scale); return }),
-		section("breakdown", func(cfg sched.Config) (err error) {
-			breakdown, err = experiments.BreakdownOpts(cfg, scale,
-				append([]string{"tlbstress"}, workload.BigMemoryNames()...))
-			return
-		}),
-		section("tableIV", func(cfg sched.Config) (err error) {
-			models, err = experiments.TableIVValidationOpts(cfg, scale, workload.BigMemoryNames())
-			return
-		}),
-		section("figure13", func(cfg sched.Config) (err error) {
-			points, err = experiments.Figure13Opts(cfg, scale, trials, nil)
-			return
-		}),
-		section("shadow", func(cfg sched.Config) (err error) {
-			shadow, err = experiments.ShadowStudyOpts(cfg, scale,
-				append(append([]string{}, workload.BigMemoryNames()...), workload.ComputeNames()...))
-			return
-		}),
-		section("sharing", func(cfg sched.Config) (err error) {
-			sharing, err = experiments.SharingStudyOpts(cfg, 128, 0.03, 0.01)
-			return
-		}),
-	)...)
-	if err != nil {
+		consolidation, err = experiments.ConsolidationStudy(cfg, scale,
+			[]string{"gups", "memcached"}, tenants, opts.Shards)
+		return
+	})
+	task("figure1", func(cfg sched.Config) (err error) { fig1, err = experiments.Figure1Opts(cfg, scale); return })
+	task("figure11", func(cfg sched.Config) (err error) { fig11, err = experiments.Figure11Opts(cfg, scale); return })
+	task("figure12", func(cfg sched.Config) (err error) { fig12, err = experiments.Figure12Opts(cfg, scale); return })
+	task("breakdown", func(cfg sched.Config) (err error) {
+		breakdown, err = experiments.BreakdownOpts(cfg, scale,
+			append([]string{"tlbstress"}, workload.BigMemoryNames()...))
+		return
+	})
+	task("tableIV", func(cfg sched.Config) (err error) {
+		models, err = experiments.TableIVValidationOpts(cfg, scale, workload.BigMemoryNames())
+		return
+	})
+	task("figure13", func(cfg sched.Config) (err error) {
+		points, err = experiments.Figure13Opts(cfg, scale, trials, nil)
+		return
+	})
+	task("shadow", func(cfg sched.Config) (err error) {
+		shadow, err = experiments.ShadowStudyOpts(cfg, scale,
+			append(append([]string{}, workload.BigMemoryNames()...), workload.ComputeNames()...))
+		return
+	})
+	task("sharing", func(cfg sched.Config) (err error) {
+		sharing, err = experiments.SharingStudyOpts(cfg, 128, 0.03, 0.01)
+		return
+	})
+	if err := sched.Tasks(tasks...); err != nil {
 		return Report{}, err
 	}
 
 	// Assembly order is fixed regardless of section completion order.
 	var rep Report
-	type tabler interface {
-		Render() string
-		CSV() string
+	add := func(name string, table func() *stats.Table) {
+		if want[name] {
+			t := table()
+			rep.Sections = append(rep.Sections, ReportSection{Name: name, Text: t.Render(), CSV: t.CSV()})
+		}
 	}
-	add := func(name string, t tabler) {
-		rep.Sections = append(rep.Sections, ReportSection{Name: name, Text: t.Render(), CSV: t.CSV()})
-	}
-	add("figure1", fig1.Grid())
-	add("figure11", fig11.Grid())
-	add("figure12", fig12.Grid())
-	add("sectionVIII", experiments.SectionVIII(append(fig11.Rows, fig12.Rows...)))
-	add("breakdown", experiments.BreakdownTable(breakdown))
-	add("tableIV", experiments.ModelTable(models))
-	add("figure13", experiments.Figure13Table(points))
-	add("shadow", experiments.ShadowTable(shadow))
-	add("sharing", experiments.SharingTable(sharing))
-	add("energy", experiments.EnergyTable(experiments.Energy(append(fig11.Rows, fig12.Rows...))))
-	add("tableII", experiments.TableII())
-	add("tableIII", experiments.TableIII())
-	if opts.Consolidation {
-		add("consolidation", experiments.ConsolidationTable(consolidation))
-	}
-	if opts.Host {
+	bigAndCompute := func() []experiments.Row { return append(fig11.Rows, fig12.Rows...) }
+	add("figure1", fig1.Grid)
+	add("figure11", fig11.Grid)
+	add("figure12", fig12.Grid)
+	add("sectionVIII", func() *stats.Table { return experiments.SectionVIII(bigAndCompute()) })
+	add("breakdown", func() *stats.Table { return experiments.BreakdownTable(breakdown) })
+	add("tableIV", func() *stats.Table { return experiments.ModelTable(models) })
+	add("figure13", func() *stats.Table { return experiments.Figure13Table(points) })
+	add("shadow", func() *stats.Table { return experiments.ShadowTable(shadow) })
+	add("sharing", func() *stats.Table { return experiments.SharingTable(sharing) })
+	add("energy", func() *stats.Table { return experiments.EnergyTable(experiments.Energy(bigAndCompute())) })
+	add("tableII", experiments.TableII)
+	add("tableIII", experiments.TableIII)
+	add("consolidation", func() *stats.Table { return experiments.ConsolidationTable(consolidation) })
+	if want["host"] {
 		hostT := experiments.HostTable(hostRows)
 		text := hostT.Render()
 		if len(hostRows) > 0 {
@@ -306,7 +333,7 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 		rep.Sections = append(rep.Sections, ReportSection{
 			Name: "host", Text: text, CSV: hostT.CSV()})
 	}
-	if opts.Schemes {
+	if want["schemes"] {
 		flatT := experiments.FlattenedTable(flatRows)
 		rep.Sections = append(rep.Sections, ReportSection{
 			Name: "schemes",
@@ -314,7 +341,7 @@ func ReproduceAllOpts(scale Scale, opts Options) (Report, error) {
 			CSV:  flatT.CSV(),
 		})
 	}
-	if opts.Walkprof {
+	if want["walkprof"] {
 		rep.Sections = append(rep.Sections, walkprofSection())
 	}
 	return rep, nil

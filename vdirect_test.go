@@ -256,8 +256,8 @@ func TestReproduceExtensionSections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole evaluation at small scale")
 	}
-	rep, err := ReproduceAllOpts(ScaleSmall, Options{Fig13Trials: 1,
-		Consolidation: true, Host: true, HostDensity: 2, Schemes: true, Walkprof: true})
+	rep, err := ReproduceAllOpts(ScaleSmall, Options{Fig13Trials: 1, HostDensity: 2,
+		Sections: slices.Concat(PaperSections, ExtensionSections)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +267,49 @@ func TestReproduceExtensionSections(t *testing.T) {
 	}
 	if want := slices.Concat(PaperSections, ExtensionSections); !slices.Equal(got, want) {
 		t.Errorf("sections = %v, want %v", got, want)
+	}
+}
+
+// TestReproduceRunsOnlyNamedSections checks that Options.Sections
+// selects what runs, not only what is reported: a table with no cells
+// simulates nothing, energy runs the figure 11 and 12 cells it is
+// computed from, and walkprof alone runs the paper sections.
+func TestReproduceRunsOnlyNamedSections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation at small scale")
+	}
+	cells := func(sections ...string) int {
+		t.Helper()
+		total := 0
+		rep, err := ReproduceAllOpts(ScaleSmall, Options{Fig13Trials: 1, Sections: sections,
+			Progress: func(_, n int) { total = n }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, s := range rep.Sections {
+			got = append(got, s.Name)
+		}
+		if !slices.Equal(got, sections) {
+			t.Errorf("Sections %v reported %v", sections, got)
+		}
+		return total
+	}
+	if n := cells("tableII"); n != 0 {
+		t.Errorf("tableII simulated %d cells, want 0", n)
+	}
+	figs := cells("figure11", "figure12")
+	if figs == 0 {
+		t.Fatal("figures 11 and 12 simulated no cells")
+	}
+	if n := cells("energy"); n != figs {
+		t.Errorf("energy simulated %d cells, want figure 11 and 12's %d", n, figs)
+	}
+	if n := cells("walkprof"); n <= figs {
+		t.Errorf("walkprof alone simulated %d cells, want every paper section's (more than %d)", n, figs)
+	}
+	if _, err := ReproduceAllOpts(ScaleSmall, Options{Sections: []string{"bogus"}}); err == nil {
+		t.Error("unknown section accepted")
 	}
 }
 
