@@ -282,8 +282,12 @@ func TestFusedWalkNestedFaults(t *testing.T) {
 // TestNestedWalkSkipClamp: a nested 2M leaf walked while the nested
 // PDE cache covers its block yields a skip level (3) past the walk's
 // last reference (index 2) — the clamp must charge exactly the leaf.
-// Exercised unobserved and again with a sampler attached: both runs go
-// through the same walker, and both must resolve inside the 2M block.
+// Each access below costs two references: the guest PT entry (the
+// guest PDE cache skips the rest, and the nested TLB holds the PT
+// page's gPA) and the repacked 2M nested leaf. Without the clamp the
+// nested walk would charge nothing. Exercised unobserved and again with
+// a sampler attached: both runs go through the same walker, and both
+// must resolve inside the 2M block.
 func TestNestedWalkSkipClamp(t *testing.T) {
 	e := newEnv(t, 16, Config{})
 	// Prime the nested PDE cache for the 2M block at gPA 0x800000 with
@@ -308,6 +312,7 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 	if err := e.gPT.Map(0x402000, 0x801000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
+	before := e.m.Stats()
 	res, fault := e.m.Translate(0x402008)
 	if fault != nil {
 		t.Fatal(fault)
@@ -315,17 +320,65 @@ func TestNestedWalkSkipClamp(t *testing.T) {
 	if want := uint64(0x40000000 + 0x1008); res.HPA != want {
 		t.Fatalf("2M-block hPA = %#x, want %#x", res.HPA, want)
 	}
+	checkClampRefs(t, e.m, before, "unobserved")
 
 	// Another page in the block with a sampler attached.
 	if err := e.gPT.Map(0x404000, 0x802000, addr.Page4K); err != nil {
 		t.Fatal(err)
 	}
 	sampleEverything(e.m)
+	before = e.m.Stats()
 	res, fault = e.m.Translate(0x404010)
 	if fault != nil {
 		t.Fatal(fault)
 	}
 	if want := uint64(0x40000000 + 0x2010); res.HPA != want {
 		t.Fatalf("sampled 2M-block hPA = %#x, want %#x", res.HPA, want)
+	}
+	checkClampRefs(t, e.m, before, "sampled")
+}
+
+// checkClampRefs asserts TestNestedWalkSkipClamp's per-access counts:
+// one nested walk, charged the guest PT entry plus the nested 2M leaf.
+func checkClampRefs(t *testing.T, m *MMU, before Stats, run string) {
+	t.Helper()
+	after := m.Stats()
+	refs := after.WalkMemRefs - before.WalkMemRefs
+	nw := after.NestedWalks - before.NestedWalks
+	if refs != 2 || nw != 1 {
+		t.Errorf("%s: %d refs in %d nested walks, want 2 in 1", run, refs, nw)
+	}
+}
+
+// TestGuestWalkSkipClamp is the guest-dimension twin of
+// TestNestedWalkSkipClamp: the guest PDE cache is warmed by 4K walks,
+// then the span is repacked as one 2M guest page without a PWC flush.
+// The stale skip level (3) lies past the 2M walk's last reference
+// (index 2); the clamp must charge exactly the PD leaf.
+func TestGuestWalkSkipClamp(t *testing.T) {
+	e := newEnv(t, 16, Config{})
+	e.m.SetNestedPageTable(nil) // native: every reference is a guest one
+	e.mapGuest(t, 0x400000, 0x800000, 2)
+	if _, fault := e.m.Translate(0x400000); fault != nil {
+		t.Fatal(fault)
+	}
+	for off := uint64(0); off < 2*addr.PageSize4K; off += addr.PageSize4K {
+		if err := e.gPT.Unmap(0x400000+off, addr.Page4K); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.gPT.Map(0x400000, 0x800000, addr.Page2M); err != nil {
+		t.Fatal(err)
+	}
+	before := e.m.Stats()
+	res, fault := e.m.Translate(0x401008)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if want := uint64(0x801008); res.HPA != want {
+		t.Fatalf("2M-page PA = %#x, want %#x", res.HPA, want)
+	}
+	if refs := e.m.Stats().WalkMemRefs - before.WalkMemRefs; refs != 1 {
+		t.Errorf("2M walk under a stale PDE hint made %d refs, want 1", refs)
 	}
 }

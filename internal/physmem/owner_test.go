@@ -263,3 +263,42 @@ func TestProbeContiguousNonPerturbing(t *testing.T) {
 		t.Fatalf("post-probe AllocFrame = %d,%v want 16,nil", f, err)
 	}
 }
+
+// ownedMemory is a tracked memory with two owners' runs allocated:
+// owner 1 holds frames 0–7 and owner 2 frames 8–15.
+func ownedMemory(t *testing.T) *Memory {
+	t.Helper()
+	m := New(Config{Name: "t", Size: 1 << 20})
+	m.TrackOwners()
+	for _, o := range []OwnerID{1, 2} {
+		m.SetAllocOwner(o)
+		if f, err := m.AllocContiguous(8, 1); err != nil || f != uint64(o-1)*8 {
+			t.Fatalf("owner %d run at frame %d, %v", o, f, err)
+		}
+	}
+	if err := m.CheckOwnerAccounting(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestOwnerAccountingCatchesMovedStamp: a frame whose owner stamp moves
+// to another listed owner leaves the sum and the owner set intact, so
+// only the per-owner comparison can catch it.
+func TestOwnerAccountingCatchesMovedStamp(t *testing.T) {
+	m := ownedMemory(t)
+	m.owners[3] = 2
+	if err := m.CheckOwnerAccounting(); err == nil {
+		t.Fatal("a frame restamped from owner 1 to owner 2 passed the check")
+	}
+}
+
+// TestOwnerAccountingCatchesUnlistedOwner: a stamp naming an owner the
+// books do not list must fail the check.
+func TestOwnerAccountingCatchesUnlistedOwner(t *testing.T) {
+	m := ownedMemory(t)
+	m.owners[12] = 9
+	if err := m.CheckOwnerAccounting(); err == nil {
+		t.Fatal("a frame stamped for unlisted owner 9 passed the check")
+	}
+}
