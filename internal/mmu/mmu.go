@@ -207,9 +207,6 @@ type MMU struct {
 	walkClass walkprof.MissClass
 	walkSize  addr.PageSize
 
-	refBuf  []pagetable.Ref // reusable guest-walk buffer
-	nrefBuf []pagetable.Ref // reusable nested-walk buffer
-
 	// One-entry last-page cache in front of the L1: the 4K page of the
 	// most recent successful translation. A hit here is exactly the set
 	// of accesses whose immediate predecessor touched the same 4K page —
@@ -256,10 +253,10 @@ func (m *MMU) SetNestedPageTable(t *pagetable.Table) {
 	m.updateScheme()
 }
 
-// SetFlatNested enables the flattened nested page table walker: while
-// virtualized, the FlatNested scheme replaces the base 2D walk
-// (interior guest levels cost one flat-table reference each — see
-// scheme_flat.go). The flag is latent outside virtualized operation
+// SetFlatNested enables flattened nested page tables: while
+// virtualized, the FlatNested scheme's 2D walk charges each interior
+// guest level one flat-table reference instead of a nested translation
+// (see scheme_flat.go). The flag is latent outside virtualized operation
 // and composes with any segment configuration.
 func (m *MMU) SetFlatNested(on bool) {
 	m.flatNested = on
@@ -682,21 +679,20 @@ func (m *MMU) escapeGuest(va uint64) bool {
 	return false
 }
 
-// walk2D resolves an L1 miss for every nested2DScheme (Dual Direct
-// reaches it once its 0D path declines): the shared L2 probe, then the
-// one 2D walk state machine of Figure 5(b). The segment registers
-// decide which dimensions flatten: a covered gVA resolves to gPA by
-// OFFSET_G, a covered gPA to hPA by OFFSET_V, and whatever they do not
-// absorb walks a page table, the guest table's references each
-// nested-translated first (the 5×4 of the 24-reference walk).
+// walk2D resolves an L1 miss for every virtualized scheme (Dual Direct
+// and FlatNested reach it once their 0D path declines): the shared L2
+// probe, then the one 2D walk state machine of Figure 5(b). The segment registers decide which dimensions
+// flatten: a covered gVA resolves to gPA by OFFSET_G, a covered gPA to
+// hPA by OFFSET_V, and whatever they do not absorb walks a page table,
+// the guest table's references each nested-translated (or, under
+// FlatNested, flat-table-resolved) first — the 5×4 of the 24-reference
+// walk.
 //
 // The body is straight-line: the segment and ablation (DisablePWC,
 // DisableNestedTLB) branches are plain ifs that a given configuration
-// always takes the same way, and a guest walk whose 2M prefix is
-// walk-cached emits its references into a fixed array (Probe4K/Emit)
-// instead of the slice-building WalkFrom. Nothing here observes: miss
-// reads the walk's totals off the counters, so an observed run executes
-// exactly the code an unobserved one does.
+// always takes the same way. Nothing here observes: miss reads the
+// walk's totals off the counters, so an observed run executes exactly
+// the code an unobserved one does.
 func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 	var cycles uint64
 	if hpa, hit := m.probeL2(gva, &cycles); hit {
@@ -718,29 +714,6 @@ func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 	if guestCovered {
 		m.stats.GuestSegHits++
 		gpa = m.segs.Guest.Translate(gva)
-	} else if fp, hit := m.gPT.Probe4K(gva); hit {
-		// A present 4K leaf under a walk-cached PT node: its reference
-		// addresses come out as a fixed array. Probe4K touches no modeled
-		// state, so probing it ahead of the guest PWC reorders nothing.
-		skip := 0
-		if !m.cfg.DisablePWC {
-			skip = m.pwc.SkipLevel(gva)
-		}
-		pa, refs, nref := fp.Emit(gva, skip)
-		for i := 0; i < nref; i++ {
-			hpa, _, f := m.nestedTranslate(refs[i], &cycles)
-			if f != nil {
-				m.stats.WalkMemRefs += uint64(i)
-				m.stats.WalkCycles += cycles
-				return 0, f
-			}
-			cycles += m.ptc.Access(hpa)
-		}
-		m.stats.WalkMemRefs += uint64(nref)
-		if !m.cfg.DisablePWC {
-			m.pwc.FillFrom(gva, skip, addr.LvlPT)
-		}
-		gpa = pa
 	} else {
 		pa, size, ok, fault := m.walkGuestTable(gva, &cycles, true)
 		if fault == nil && !ok {
@@ -784,55 +757,60 @@ func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, *Fault) {
 	return pa, nil
 }
 
-// walkGuestTable walks the first-dimension table, applying the guest
-// PWC and, when nested (virtualized mode), translating every table
-// reference (a gPA) through the nested dimension before reading it. It
-// returns the leaf translation and its page size; the references
-// themselves are accounted into the stats and PWC here, so no caller
-// consumes them. A non-nil fault (nested dimension failed mid-walk)
-// takes precedence over !ok at the caller.
+// walkGuestTable is the one guest-table loop, shared by the native
+// (1D), nested (2D) and FlatNested walks. It probes the guest PWC, walks
+// the table, and charges the path from the PWC's skip level through
+// the leaf (or faulting) reference. Each charged PTE address is
+// resolved to the host address the PTE cache sees: as-is when native;
+// through nestedTranslate when nested; and, under FlatNested, to its
+// flat-table entry for an interior level (the gL1 entry still nested-
+// translates). It returns the leaf translation and its page size; the
+// references are accounted into the stats and PWC here. A non-nil fault
+// (the nested dimension failed mid-walk) takes precedence over !ok at
+// the caller.
 func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
-	// The PWC is probed before the walk (it always was probed, success
-	// or fault) so the walk can skip materializing references the
-	// charging loop below would never read; WalkFrom still emits the
-	// leaf (or faulting) reference, matching Walk's clamped refs[skip:].
+	// The guest PWC is probed on every walk, success or fault.
 	skip := 0
 	if !m.cfg.DisablePWC {
 		skip = m.pwc.SkipLevel(va)
 	}
-	m.refBuf = m.refBuf[:0]
-	pa, size, refs, ok := m.gPT.WalkFrom(va, skip, m.refBuf)
-	m.refBuf = refs
-
-	// The ref count is accumulated locally and flushed to the stats
-	// struct once (including on the fault path, where only the refs
-	// performed before the abort count), not read-modify-written per
-	// reference.
-	n := uint64(0)
-	for _, ref := range refs {
-		physAddr := ref.Addr
-		if nested {
-			hpa, _, f := m.nestedTranslate(ref.Addr, cycles)
+	pa, size, path, n, ok := m.gPT.WalkPath(va)
+	flat := nested && m.flatNested
+	start := min(skip, n-1)
+	for lvl := start; lvl < n; lvl++ {
+		a := path[lvl]
+		switch {
+		case flat && lvl < addr.LvlPT:
+			// Flattened interior level: one host reference into the flat
+			// table. A table page the nested dimension no longer maps has
+			// no valid flat entry, and faults where the base walk's nested
+			// translation of it would.
+			if !m.flatResolves(a) {
+				m.stats.NestedFaults++
+				m.stats.WalkMemRefs += uint64(lvl - start)
+				return 0, 0, false, &Fault{Kind: FaultNested, Addr: a}
+			}
+			a = flatEntryAddr(va, lvl)
+		case nested:
+			hpa, _, f := m.nestedTranslate(a, cycles)
 			if f != nil {
-				m.stats.WalkMemRefs += n
+				m.stats.WalkMemRefs += uint64(lvl - start)
 				return 0, 0, false, f
 			}
-			physAddr = hpa
+			a = hpa
 		}
-		n++
-		*cycles += m.ptc.Access(physAddr)
+		*cycles += m.ptc.Access(a)
 	}
-	m.stats.WalkMemRefs += n
+	m.stats.WalkMemRefs += uint64(n - start)
 	if ok && !m.cfg.DisablePWC {
 		// Interior levels traversed feed the paging-structure caches.
-		leafLvl := refs[len(refs)-1].Level
-		m.pwc.FillFrom(va, skip, leafLvl)
+		m.pwc.FillFrom(va, skip, n-1)
 	}
 	return pa, size, ok, nil
 }
 
 // nestedTranslate resolves one gPA to hPA: VMM segment (with escape
-// filter), then nested TLB, then a nested page-table walk.
+// filter), then nested TLB, then one nested page-table walk.
 func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize, *Fault) {
 	// VMM segment check costs Δ whenever the registers are enabled —
 	// the hardware performs it unconditionally (Figure 5(b)).
@@ -854,48 +832,27 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 		m.stats.NestedTLBMisses++
 	}
 	// Nested page-table walk: up to 4 references, reduced by the nested
-	// paging-structure caches. A faulting walk must leave the nested
-	// PWC's LRU state untouched, so the PWC is probed only once success
-	// is certain: before emitting a walk-cache fast walk (which cannot
-	// fault), after the general walk otherwise. The ref buffer is
-	// separate from the guest-walk buffer, which is live while a 2D walk
-	// translates its table references through this path.
+	// paging-structure caches. A faulting walk charges no references and
+	// must leave the nested PWC's LRU state untouched, so the PWC is
+	// probed only after the walk succeeds.
 	m.stats.NestedWalks++
-	var refs [addr.Levels]uint64
-	var hpa uint64
-	nsize := addr.Page4K
-	var n, skip, leafLvl int
-	if fp, hit := m.nPT.Probe4K(gpa); hit {
-		if !m.cfg.DisablePWC {
-			skip = m.npwc.SkipLevel(gpa)
-		}
-		hpa, refs, n = fp.Emit(gpa, skip)
-		leafLvl = addr.LvlPT
-	} else {
-		var rs []pagetable.Ref
-		var ok bool
-		hpa, nsize, rs, ok = m.nPT.Walk(gpa, m.nrefBuf[:0])
-		m.nrefBuf = rs
-		if !ok {
-			m.stats.NestedFaults++
-			return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
-		}
-		if !m.cfg.DisablePWC {
-			skip = min(m.npwc.SkipLevel(gpa), len(rs)-1)
-		}
-		for i, r := range rs[skip:] {
-			refs[i] = r.Addr
-		}
-		n, leafLvl = len(rs)-skip, rs[len(rs)-1].Level
+	hpa, nsize, path, n, ok := m.nPT.WalkPath(gpa)
+	if !ok {
+		m.stats.NestedFaults++
+		return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
 	}
-	m.stats.WalkMemRefs += uint64(n)
+	skip := 0
+	if !m.cfg.DisablePWC {
+		skip = min(m.npwc.SkipLevel(gpa), n-1)
+	}
+	m.stats.WalkMemRefs += uint64(n - skip)
 	cyc := *cycles
-	for _, a := range refs[:n] {
+	for _, a := range path[skip:n] {
 		cyc += m.ptc.Access(a)
 	}
 	*cycles = cyc
 	if !m.cfg.DisablePWC {
-		m.npwc.FillFrom(gpa, skip, leafLvl)
+		m.npwc.FillFrom(gpa, skip, n-1)
 	}
 	if !m.cfg.DisableNestedTLB {
 		m.l2.InsertNested(gpa&^(addr.PageSize4K-1), hpa&^(addr.PageSize4K-1))

@@ -412,31 +412,29 @@ func TestWarm2DWalkCounts(t *testing.T) {
 		refs, nestedWalks uint64 // this access's own counts
 		why               string
 	}{
-		// Cold. The guest walk takes the general path: 4 references.
-		// The PML4 page's gPA misses the nested TLB and takes the general
-		// nested walk (4 references), which fills the nested walk cache
-		// and nested PWC for the first 2M of gPA. The PDPT, PD and PT
-		// pages' gPAs then each miss the nested TLB, hit the walk cache
-		// (Probe4K) and skip 3 levels on the nested PDE: 1 reference
-		// each. The final gPA 0x800000 takes the general nested walk in
-		// an uncached 2M region, skipping 2 levels on the nested PDPTE:
-		// 2 references. 4 + 4+1+1+1 + 2 = 13 in 5 nested walks.
+		// Cold. The guest walk reads all 4 levels. The PML4 page's gPA
+		// misses the nested TLB and its nested walk reads all 4 levels,
+		// filling the nested walk cache and nested PWC for the first 2M
+		// of gPA. The PDPT, PD and PT pages' gPAs then each miss the
+		// nested TLB, are served by the walk cache and skip 3 levels on
+		// the nested PDE: 1 reference each. The final gPA 0x800000's
+		// nested walk, in an uncached 2M region, skips 2 levels on the
+		// nested PDPTE: 2 references. 4 + 4+1+1+1 + 2 = 13 in 5 nested
+		// walks.
 		{0x400000, 13, 5, "cold"},
-		// Next guest page. The guest walk takes Probe4K and skips 3
-		// levels on the guest PDE: only the PT reference, whose page the
-		// nested TLB holds. The final gPA 0x801000 misses the nested TLB,
-		// takes Probe4K and skips 3 levels: 1 reference. 1 + 1 = 2 in 1
-		// nested walk.
+		// Next guest page. The guest walk skips 3 levels on the guest
+		// PDE: only the PT reference, whose page the nested TLB holds.
+		// The final gPA 0x801000 misses the nested TLB and its nested
+		// walk skips 3 levels: 1 reference. 1 + 1 = 2 in 1 nested walk.
 		{0x401000, 2, 1, "adjacent"},
 		// L1 TLB hit: no walk.
 		{0x400000, 0, 0, "repeat"},
-		// New 2M guest region. The guest walk takes the general path and
-		// skips 2 levels on the guest PDPTE: the PD reference (its page is
-		// in the nested TLB) and the PT reference, whose page at gPA
-		// 0x4000 misses the nested TLB and takes Probe4K with 3 levels
-		// skipped (1 reference). The final gPA 0xa00000 takes the general
-		// nested walk, skipping 2 levels: 2 references. 2 + 1 + 2 = 5 in 2
-		// nested walks.
+		// New 2M guest region. The guest walk skips 2 levels on the
+		// guest PDPTE: the PD reference (its page is in the nested TLB)
+		// and the PT reference, whose page at gPA 0x4000 misses the
+		// nested TLB and takes a nested walk skipping 3 levels (1
+		// reference). The final gPA 0xa00000's nested walk skips 2
+		// levels: 2 references. 2 + 1 + 2 = 5 in 2 nested walks.
 		{0x600000, 5, 2, "new guest region"},
 	} {
 		before := e.m.Stats()

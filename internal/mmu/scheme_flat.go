@@ -15,8 +15,11 @@ import "vdirect/internal/addr"
 //
 // The scheme composes with the paper's segments: enabled guest/VMM
 // registers still flatten their dimension (including the 0D dual fast
-// path), and the flat walker only runs for the references a segment
-// did not absorb.
+// path). Past that, it runs the base 2D walk (walk2D); the one
+// guest-table loop, walkGuestTable, resolves each interior reference
+// to its flat-table entry (flatEntryAddr) instead of nested-
+// translating it, so the scheme differs from the baseline only in what
+// those references cost.
 type flatNestedScheme struct{}
 
 func (flatNestedScheme) Name() Mode        { return ModeFlatNested }
@@ -71,10 +74,7 @@ func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
 	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
 		return hpa, nil
 	}
-	if hpa, hit := m.probeL2(gva, &cycles); hit {
-		return hpa, nil
-	}
-	return m.flatWalk2D(gva, cycles)
+	return m.walk2D(gva)
 }
 
 // flatTableBase places the flat tables in a synthetic host-physical
@@ -103,96 +103,4 @@ func (m *MMU) flatResolves(gpa uint64) bool {
 	}
 	_, _, ok := m.nPT.Translate(gpa)
 	return ok
-}
-
-// walkGuestTableFlat is walkGuestTable's flattened twin: interior
-// references (gL4–gL2) cost one flat-table read each, while the gL1
-// reference — and any level whose flat entry is invalid — behaves
-// exactly as in the base 2D walk, so fault addresses are identical to
-// walkGuestTable's.
-func (m *MMU) walkGuestTableFlat(va uint64, cycles *uint64) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
-	skip := 0
-	if !m.cfg.DisablePWC {
-		skip = m.pwc.SkipLevel(va)
-	}
-	m.refBuf = m.refBuf[:0]
-	pa, size, refs, ok := m.gPT.WalkFrom(va, skip, m.refBuf)
-	m.refBuf = refs
-
-	n := uint64(0)
-	for _, ref := range refs {
-		if ref.Level < addr.LvlPT {
-			// Flattened interior level: one host reference into the
-			// flat table. A table page the nested dimension no longer
-			// maps has no valid flat entry, and faults where the base
-			// walk's nested translation of it would.
-			if !m.flatResolves(ref.Addr) {
-				m.stats.NestedFaults++
-				m.stats.WalkMemRefs += n
-				return 0, 0, false, &Fault{Kind: FaultNested, Addr: ref.Addr}
-			}
-			n++
-			*cycles += m.ptc.Access(flatEntryAddr(va, ref.Level))
-			continue
-		}
-		hpa, _, f := m.nestedTranslate(ref.Addr, cycles)
-		if f != nil {
-			m.stats.WalkMemRefs += n
-			return 0, 0, false, f
-		}
-		n++
-		*cycles += m.ptc.Access(hpa)
-	}
-	m.stats.WalkMemRefs += n
-	if ok && !m.cfg.DisablePWC {
-		leafLvl := refs[len(refs)-1].Level
-		m.pwc.FillFrom(va, skip, leafLvl)
-	}
-	return pa, size, ok, nil
-}
-
-// flatWalk2D mirrors walk2D with the flattened guest-table
-// walker: segment flattening, fault handling, miss classification, and
-// TLB fills are identical, so the scheme differs from the baseline
-// only in what each interior guest reference costs.
-func (m *MMU) flatWalk2D(gva uint64, cycles uint64) (uint64, *Fault) {
-	m.stats.Walks++
-	guestCovered := m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) &&
-		!m.escapeGuest(gva)
-	if m.segs.Guest.Enabled() {
-		cycles += m.cfg.SegmentCheckCycles
-		m.stats.SegmentChecks++
-	}
-
-	var gpa uint64
-	var gsize addr.PageSize
-	if guestCovered {
-		m.stats.GuestSegHits++
-		gpa = m.segs.Guest.Translate(gva)
-		gsize = addr.Page4K
-	} else {
-		pa, size, ok, fault := m.walkGuestTableFlat(gva, &cycles)
-		if fault != nil {
-			m.stats.WalkCycles += cycles
-			return 0, fault
-		}
-		if !ok {
-			m.stats.GuestFaults++
-			m.stats.WalkCycles += cycles
-			return 0, &Fault{Kind: FaultGuest, Addr: gva}
-		}
-		gpa, gsize = pa, size
-	}
-
-	vmmCovered := m.segs.VMM.Enabled() && m.segs.VMM.Contains(gpa)
-	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
-	if fault != nil {
-		m.stats.WalkCycles += cycles
-		return 0, fault
-	}
-
-	m.classifyMiss(guestCovered, vmmCovered)
-	m.stats.WalkCycles += cycles
-	m.insertComposite(gva, hpa, gsize, nsize)
-	return hpa, nil
 }

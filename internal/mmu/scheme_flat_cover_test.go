@@ -88,7 +88,7 @@ func TestFlatWalkFaultsWhereBaseWould(t *testing.T) {
 			e.mapGuest(t, 0x400000, 0x800000, 4)
 			// Locate the guest table pages the walk references.
 			refs, _ := func() ([]uint64, bool) {
-				pa, _, rr, ok := e.gPT.WalkFrom(0x400123, 0, nil)
+				pa, _, rr, ok := e.gPT.Walk(0x400123, nil)
 				_ = pa
 				var addrs []uint64
 				for _, r := range rr {

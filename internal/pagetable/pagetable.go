@@ -71,13 +71,14 @@ func (n *node) setChild(idx uint, child *node) {
 	n.used++
 }
 
-// wcEntry is one walk-cache slot: a host-side shortcut for Walk, keyed
-// by a 2M-aligned va prefix whose path down to a PT (level-3) node has
-// been descended before. Because the three interior PTE addresses are a
-// pure function of the prefix, a cached walk re-emits them verbatim and
-// reads only the PT entry — one load instead of four dependent chases.
-// This is simulator-host state only: the modeled references, accessed
-// bits on leaves, translations, and costs are identical either way.
+// wcEntry is one walk-cache slot: a host-side shortcut for WalkPath,
+// keyed by a 2M-aligned va prefix whose path down to a PT (level-3)
+// node has been descended before. Because the three interior PTE
+// addresses are a pure function of the prefix, a cached walk copies
+// them verbatim and reads only the PT entry — one load instead of four
+// dependent chases. This is simulator-host state only: the modeled
+// references, accessed bits on leaves, translations, and costs are
+// identical either way.
 type wcEntry struct {
 	tag  uint64                  // va>>21, tagged valid by gen != 0 match
 	gen  uint64                  // table generation the entry was filled under
@@ -137,6 +138,10 @@ func (t *Table) TablePages() uint64 { return t.tablePages }
 func (t *Table) Mappings() uint64 { return t.mappings }
 
 // leafLevel returns the level at which a page of size s terminates.
+// Its panic is an invariant, not an input check: every PageSize a
+// caller can hold is one of the three constants (addr.PageSize values
+// come from the simulator's own code, and no flag or file reaches a
+// page size).
 func leafLevel(s addr.PageSize) int {
 	switch s {
 	case addr.Page4K:
@@ -338,80 +343,73 @@ type Ref struct {
 	Level int
 }
 
-// Walk translates va, recording each memory reference in refs (appended
-// to the provided buffer to avoid per-walk allocation). On success it
-// returns the physical address, the mapping's page size, and refs.
-// A translation failure returns ok=false with the references performed
-// before the walk aborted — real walkers touch memory before faulting.
+// Walk is WalkPath with the path appended to refs as (address, level)
+// pairs: it returns the physical address, the mapping's page size, and
+// refs. A translation failure returns ok=false with the references
+// performed before the walk aborted — real walkers touch memory before
+// faulting.
 func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, ok bool) {
-	return t.WalkFrom(va, 0, refs)
+	pa, s, path, n, ok := t.WalkPath(va)
+	for lvl, a := range path[:n] {
+		refs = append(refs, Ref{Addr: a, Level: lvl})
+	}
+	return pa, s, refs, ok
 }
 
-// WalkFrom is Walk with a paging-structure-cache skip applied at the
-// source: the descent still reads (and accessed-marks) every level, but
-// references for levels below skip are not emitted — except the walk's
-// final reference (the leaf, or the faulting level), which is always
-// emitted, so the result equals Walk's refs[min(skip, len(refs)-1):]
-// exactly without materializing the skipped prefix.
-func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, ok bool) {
+// WalkPath is the page walk. It translates va, setting the accessed bit
+// on every entry it reads, and returns the walk's fixed path:
+// path[lvl] is the address of the PTE read at level lvl, and n counts
+// the levels read, through the leaf or the faulting (not-present)
+// level. A paging-structure-cache skip is the caller's to apply, as
+// path[min(skip, n-1):n]: the levels a cache holds are not charged, but
+// the walk's final reference always is.
+//
+// Its two panics are invariants that no input reaches: Map installs
+// leaves only at the PDPT, PD and PT levels (leafLevel), so no PML4
+// entry is a leaf, and a PT entry is always a leaf, so the descent ends
+// by level LvlPT.
+func (t *Table) WalkPath(va uint64) (pa uint64, s addr.PageSize, path [addr.Levels]uint64, n int, ok bool) {
 	// Walk-cache fast path: a previous walk of this 2M prefix reached a
-	// PT node. Its three interior PTE addresses are a pure function of
-	// the prefix, so only the PT entry itself is read live. The entry
-	// word is re-read on every walk, so concurrent Map/Remap edits are
-	// observed; only page-freeing operations invalidate (via gen).
+	// PT node. Its interior PTE addresses are a pure function of the
+	// prefix, so only the PT entry itself is read live. The entry word
+	// is re-read on every walk, so Map/Remap edits are observed; only
+	// page-freeing operations invalidate (via gen).
 	e := &t.wc[va>>21&wcMask]
 	if e.tag == va>>21 && e.gen == t.gen {
-		n := e.pt
+		nd := e.pt
 		idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-		if skip > addr.LvlPT {
-			skip = addr.LvlPT
-		}
-		for lvl := skip; lvl < addr.LvlPT; lvl++ {
-			refs = append(refs, Ref{Addr: e.refs[lvl], Level: lvl})
-		}
-		refs = append(refs, Ref{Addr: n.frame<<addr.PageShift4K + idx*8, Level: addr.LvlPT})
-		w := n.words[idx]
+		copy(path[:], e.refs[:])
+		path[addr.LvlPT] = nd.frame<<addr.PageShift4K + idx*8
+		w := nd.words[idx]
 		if w&peP == 0 {
-			return 0, 0, refs, false
+			return 0, 0, path, addr.Levels, false
 		}
 		if w&peA == 0 {
-			n.words[idx] = w | peA
+			nd.words[idx] = w | peA
 		}
 		return w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1),
-			addr.Page4K, refs, true
+			addr.Page4K, path, addr.Levels, true
 	}
 
-	n := t.root
+	nd := t.root
 	// frame tracks the current table page without re-reading the node
 	// header: after the root it comes from the parent's entry word, so
 	// each level touches exactly one host cache line of table state.
-	frame := n.frame
+	frame := nd.frame
 	shift := uint(addr.PageShift4K + 9*(addr.Levels-1))
-	// interior collects the skipped levels' PTE addresses anyway — the
-	// walk cache needs all three on a 4K-leaf fill regardless of skip.
-	var interior [addr.Levels - 1]uint64
 	for lvl := 0; lvl < addr.Levels; lvl++ {
 		idx := va >> shift & (addr.EntriesPerTable - 1)
 		shift -= 9
-		a := frame<<addr.PageShift4K + idx*8
-		if lvl < addr.Levels-1 {
-			interior[lvl] = a
-		}
-		if lvl >= skip {
-			refs = append(refs, Ref{Addr: a, Level: lvl})
-		}
-		w := n.words[idx]
+		path[lvl] = frame<<addr.PageShift4K + idx*8
+		w := nd.words[idx]
 		if w&peP == 0 {
-			if lvl < skip {
-				refs = append(refs, Ref{Addr: a, Level: lvl})
-			}
-			return 0, 0, refs, false
+			return 0, 0, path, lvl + 1, false
 		}
 		if w&peA == 0 {
 			// Store only when the bit actually flips: re-walked entries
 			// (the common case) then leave the node line clean instead of
 			// forcing a write-back per walk.
-			n.words[idx] = w | peA
+			nd.words[idx] = w | peA
 		}
 		if w&peL != 0 {
 			switch lvl {
@@ -421,78 +419,20 @@ func (t *Table) WalkFrom(va uint64, skip int, refs []Ref) (pa uint64, s addr.Pag
 				s = addr.Page2M
 			case addr.LvlPT:
 				s = addr.Page4K
-			default:
-				panic("pagetable: leaf at PML4 level")
-			}
-			if lvl < skip {
-				refs = append(refs, Ref{Addr: a, Level: lvl})
-			}
-			base := w >> peShift << addr.PageShift4K
-			if lvl == addr.LvlPT {
 				// Remember the path for subsequent walks in this 2M span.
 				// Only 4K-leaf paths are cached: they are the only ones
 				// whose interior shape the fast path can assume.
-				*e = wcEntry{tag: va >> 21, gen: t.gen, pt: n}
-				e.refs = interior
+				*e = wcEntry{tag: va >> 21, gen: t.gen, pt: nd}
+				copy(e.refs[:], path[:])
+			default:
+				panic("pagetable: leaf at PML4 level")
 			}
-			return base + addr.Offset(va, s), s, refs, true
+			return w>>peShift<<addr.PageShift4K + addr.Offset(va, s), s, path, lvl + 1, true
 		}
 		frame = w >> peShift
-		n = n.kids[idx]
+		nd = nd.kids[idx]
 	}
 	panic("pagetable: walk fell off the tree")
-}
-
-// FastProbe is a handle to a confirmed 4K-leaf walk-cache path,
-// returned by Probe4K and consumed by Emit. It exists so a caller can
-// interpose modeled side effects (a PWC skip probe, which must not run
-// on walks that fall back to the general path) between confirming the
-// fast path and emitting its references, without re-reading the walk
-// cache and table node a second time.
-type FastProbe struct {
-	e   *wcEntry
-	nd  *node
-	idx uint64
-	w   uint64
-}
-
-// Probe4K checks whether the walk-cache fast path holds a present 4K
-// leaf for va: the 2M prefix's PT node is cached, current, and the
-// entry is present. It touches no modeled state. The returned handle is
-// only valid until the next table mutation.
-func (t *Table) Probe4K(va uint64) (FastProbe, bool) {
-	e := &t.wc[va>>21&wcMask]
-	if e.tag != va>>21 || e.gen != t.gen {
-		return FastProbe{}, false
-	}
-	nd := e.pt
-	idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-	w := nd.words[idx]
-	if w&peP == 0 {
-		return FastProbe{}, false
-	}
-	return FastProbe{e: e, nd: nd, idx: idx, w: w}, true
-}
-
-// Emit completes the fast walk the handle confirmed: reference
-// addresses for levels [skip, LvlPT] in walk order (fixed array, no
-// slice traffic), the leaf accessed-bit store-on-flip, and the
-// translated physical address — identical modeled behaviour to
-// WalkFrom's walk-cache path with the same skip.
-func (f FastProbe) Emit(va uint64, skip int) (pa uint64, refs [addr.Levels]uint64, n int) {
-	if skip > addr.LvlPT {
-		skip = addr.LvlPT
-	}
-	for lvl := skip; lvl < addr.LvlPT; lvl++ {
-		refs[n] = f.e.refs[lvl]
-		n++
-	}
-	refs[n] = f.nd.frame<<addr.PageShift4K + f.idx*8
-	n++
-	if f.w&peA == 0 {
-		f.nd.words[f.idx] = f.w | peA
-	}
-	return f.w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1), refs, n
 }
 
 // Translate is Walk without reference recording, for software paths

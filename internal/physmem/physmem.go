@@ -229,8 +229,11 @@ func (m *Memory) unstamp(f uint64) {
 
 // CheckOwnerAccounting verifies the owner books against the frame
 // bitmaps: the per-owner counts must sum exactly to the allocated-frame
-// total, and a full per-frame rescan must reproduce each owner's count.
-// It returns nil when tracking is off (nothing to check).
+// total, and a full rescan of the owner stamps must reproduce each
+// owner's count. The rescan counts each run of allocated frames with
+// equal stamps and adds the run once, so a guest's contiguous backing
+// costs one map update, not one per frame. It returns nil when
+// tracking is off (nothing to check).
 func (m *Memory) CheckOwnerAccounting() error {
 	if m.owners == nil {
 		return nil
@@ -244,10 +247,15 @@ func (m *Memory) CheckOwnerAccounting() error {
 			m.name, sum, m.numAlloc)
 	}
 	rescan := map[OwnerID]uint64{}
-	for f := uint64(0); f < m.frames; f++ {
-		if m.bit(m.alloc, f) {
-			rescan[m.owners[f]]++
+	for f := uint64(0); f < m.frames; {
+		if !m.bit(m.alloc, f) {
+			f++
+			continue
 		}
+		o, run := m.owners[f], f
+		for f++; f < m.frames && m.owners[f] == o && m.bit(m.alloc, f); f++ {
+		}
+		rescan[o] += f - run
 	}
 	if len(rescan) != len(m.ownerCount) {
 		return fmt.Errorf("physmem %s: rescan found %d owners, books say %d",
