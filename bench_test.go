@@ -95,7 +95,7 @@ func benchRunGrid(b *testing.B, parallelism int) {
 
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure1(benchScale)
+		fig, err := experiments.Figure1Opts(sched.Config{}, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFigure1(b *testing.B) {
 
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure11(benchScale)
+		fig, err := experiments.Figure11Opts(sched.Config{}, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkFigure11(b *testing.B) {
 
 func BenchmarkFigure12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure12(benchScale)
+		fig, err := experiments.Figure12Opts(sched.Config{}, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFigure12(b *testing.B) {
 
 func BenchmarkFigure13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure13(benchScale, 5, []int{1, 4, 16})
+		points, err := experiments.Figure13Opts(sched.Config{}, benchScale, 5, []int{1, 4, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkFigure13(b *testing.B) {
 func BenchmarkSectionVIII(b *testing.B) {
 	configs := []string{"4K", "4K+4K", "2M", "2M+2M", "1G", "1G+1G"}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunGrid(workload.BigMemoryNames(), configs, benchScale, 1)
+		rows, err := experiments.RunGridOpts(sched.Config{}, workload.BigMemoryNames(), configs, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func BenchmarkSectionVIII(b *testing.B) {
 func BenchmarkBreakdownIXA(b *testing.B) {
 	wls := append([]string{"tlbstress"}, workload.BigMemoryNames()...)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Breakdown(benchScale, wls)
+		rows, err := experiments.BreakdownOpts(sched.Config{}, benchScale, wls)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkBreakdownIXA(b *testing.B) {
 
 func BenchmarkTableIVModels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableIVValidation(benchScale, workload.BigMemoryNames())
+		rows, err := experiments.TableIVValidationOpts(sched.Config{}, benchScale, workload.BigMemoryNames())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func BenchmarkTableIVModels(b *testing.B) {
 func BenchmarkShadowPagingIXD(b *testing.B) {
 	wls := []string{"memcached", "omnetpp", "canneal", "graph500", "streamcluster"}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ShadowStudy(benchScale, wls)
+		rows, err := experiments.ShadowStudyOpts(sched.Config{}, benchScale, wls)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkShadowPagingIXD(b *testing.B) {
 
 func BenchmarkPageSharingIXE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SharingStudy(128, 0.03, 0.01)
+		rows, err := experiments.SharingStudyOpts(sched.Config{}, 128, 0.03, 0.01)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkPageSharingIXE(b *testing.B) {
 
 func BenchmarkEnergyIXB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunGrid([]string{"graph500", "gups"},
+		rows, err := experiments.RunGridOpts(sched.Config{}, []string{"graph500", "gups"},
 			[]string{"4K+4K", "DD", "4K+VD", "4K+GD"}, benchScale, 1)
 		if err != nil {
 			b.Fatal(err)

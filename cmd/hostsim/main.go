@@ -122,6 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
+	s.Fragmentation(&res)
 	fmt.Fprintln(stdout, experiments.HostTable([]host.Result{res}).Render())
 	fmt.Fprintln(stdout, experiments.HostGuestTable(res).Render())
 	return nil
@@ -153,6 +154,7 @@ func runSweep(stdout io.Writer, cfg host.Config) error {
 		if err != nil {
 			return fmt.Errorf("density %d: %w", d, err)
 		}
+		s.Fragmentation(&res)
 		rows = append(rows, res)
 	}
 	fmt.Fprintln(stdout, experiments.HostTable(rows).Render())

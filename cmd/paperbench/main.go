@@ -76,16 +76,9 @@ func run() (retErr error) {
 		return nil
 	}
 
-	var scale vdirect.Scale
-	switch *scaleName {
-	case "small":
-		scale = vdirect.ScaleSmall
-	case "medium":
-		scale = vdirect.ScaleMedium
-	case "full":
-		scale = vdirect.ScaleFull
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	scale, err := vdirect.ParseScale(*scaleName)
+	if err != nil {
+		return err
 	}
 
 	sections, err := checkFlags(*only, *trials, *density, *jobs, *shards)

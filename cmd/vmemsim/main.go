@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if *jobs < 0 {
 		return fmt.Errorf("-j must be 0 (all cores) or positive, got %d", *jobs)
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := vdirect.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -141,16 +141,4 @@ func printCell(w io.Writer, row vdirect.FigureRow) {
 	fmt.Fprintf(w, "escape filter probes %-6d taken %d\n", st.EscapeProbes, st.EscapeTaken)
 	fmt.Fprintf(w, "miss classes  both=%d vmm-only=%d guest-only=%d neither=%d\n",
 		st.MissBoth, st.MissVMMOnly, st.MissGuestOnly, st.MissNeither)
-}
-
-func parseScale(s string) (vdirect.Scale, error) {
-	switch s {
-	case "small":
-		return vdirect.ScaleSmall, nil
-	case "medium":
-		return vdirect.ScaleMedium, nil
-	case "full":
-		return vdirect.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }

@@ -6,6 +6,8 @@ import (
 	"vdirect/internal/addr"
 	"vdirect/internal/guestos"
 	"vdirect/internal/mmu"
+	"vdirect/internal/physmem"
+	"vdirect/internal/trace"
 	"vdirect/internal/vmm"
 )
 
@@ -146,7 +148,7 @@ func TestEndToEndModeTransition(t *testing.T) {
 // must produce exactly the translations segment hardware produces.
 func TestHardwareVsEmulationEquivalence(t *testing.T) {
 	build := func(emulate bool) (*mmu.MMU, *guestos.Process) {
-		mem := guestosMemory(128 << 20)
+		mem := physmem.New(physmem.Config{Name: "machine", Size: 128 << 20})
 		kernel := guestos.NewKernel(mem, nil)
 		proc, err := kernel.CreateProcess("p")
 		if err != nil {
@@ -202,4 +204,4 @@ func TestHardwareVsEmulationEquivalence(t *testing.T) {
 	}
 }
 
-func seededPicker(seed uint64) func(n uint64) uint64 { return newSeededPicker(seed) }
+func seededPicker(seed uint64) func(n uint64) uint64 { return trace.NewRand(seed).Uint64n }

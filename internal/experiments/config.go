@@ -152,6 +152,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is the inverse of Scale.String.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{Small, Medium, Full} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q", name)
+}
+
 // Figure11Configs are the big-memory figure's bars: four native
 // configurations and nine virtualized ones.
 func Figure11Configs() []string {

@@ -1,13 +1,45 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"vdirect/internal/addr"
 	"vdirect/internal/mmu"
+	"vdirect/internal/sched"
 	"vdirect/internal/workload"
 )
+
+// TestParseScale checks that every scale round-trips through String
+// and ParseScale, and that an unknown name is refused with the error
+// the command-line tools print.
+func TestParseScale(t *testing.T) {
+	cases := []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{Small.String(), Small, true},
+		{Medium.String(), Medium, true},
+		{Full.String(), Full, true},
+		{"", 0, false},
+		{"large", 0, false},
+		{"Small", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseScale(c.name)
+		if !c.ok {
+			if want := fmt.Sprintf("unknown scale %q", c.name); err == nil || err.Error() != want {
+				t.Errorf("ParseScale(%q) = %v, %v; want error %q", c.name, got, err, want)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+}
 
 func TestParseConfig(t *testing.T) {
 	cases := []struct {
@@ -176,7 +208,7 @@ func TestBadPagesRequireVMMSegment(t *testing.T) {
 }
 
 func TestFigure1Small(t *testing.T) {
-	fig, err := Figure1(Small)
+	fig, err := Figure1Opts(sched.Config{}, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +226,7 @@ func TestFigure1Small(t *testing.T) {
 }
 
 func TestFigure13Small(t *testing.T) {
-	points, err := Figure13(Small, 3, []int{4, 16})
+	points, err := Figure13Opts(sched.Config{}, Small, 3, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +248,7 @@ func TestFigure13Small(t *testing.T) {
 }
 
 func TestBreakdownSmall(t *testing.T) {
-	rows, err := Breakdown(Small, []string{"tlbstress", "gups"})
+	rows, err := BreakdownOpts(sched.Config{}, Small, []string{"tlbstress", "gups"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +276,7 @@ func TestBreakdownSmall(t *testing.T) {
 }
 
 func TestTableIVValidationSmall(t *testing.T) {
-	rows, err := TableIVValidation(Small, []string{"gups"})
+	rows, err := TableIVValidationOpts(sched.Config{}, Small, []string{"gups"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +302,7 @@ func TestTableIVValidationSmall(t *testing.T) {
 }
 
 func TestSectionVIIITable(t *testing.T) {
-	rows, err := RunGrid([]string{"gups"}, []string{"4K", "4K+4K", "2M", "2M+2M"}, Small, 1)
+	rows, err := RunGridOpts(sched.Config{}, []string{"gups"}, []string{"4K", "4K+4K", "2M", "2M+2M"}, Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +313,7 @@ func TestSectionVIIITable(t *testing.T) {
 }
 
 func TestShadowStudySmall(t *testing.T) {
-	rows, err := ShadowStudy(Small, []string{"memcached", "streamcluster"})
+	rows, err := ShadowStudyOpts(sched.Config{}, Small, []string{"memcached", "streamcluster"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +342,7 @@ func TestShadowStudySmall(t *testing.T) {
 }
 
 func TestSharingStudy(t *testing.T) {
-	rows, err := SharingStudy(64, 0.03, 0.01)
+	rows, err := SharingStudyOpts(sched.Config{}, 64, 0.03, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +379,7 @@ func TestQualitativeTables(t *testing.T) {
 }
 
 func TestEnergyProxy(t *testing.T) {
-	rows, err := RunGrid([]string{"gups"}, []string{"4K+4K", "DD", "4K+VD"}, Small, 1)
+	rows, err := RunGridOpts(sched.Config{}, []string{"gups"}, []string{"4K+4K", "DD", "4K+VD"}, Small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

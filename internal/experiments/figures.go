@@ -85,12 +85,6 @@ func (f Figure) Grid() *stats.Table {
 	return t
 }
 
-// RunGrid simulates every workload × config cell with the default
-// scheduler configuration (all cores).
-func RunGrid(workloads, configs []string, scale Scale, seed uint64) ([]Row, error) {
-	return RunGridOpts(sched.Config{}, workloads, configs, scale, seed)
-}
-
 // RunGridOpts simulates every workload × config cell, fanning cells
 // across the scheduler's worker pool. Each cell builds a fully private
 // stack over its own cursor of the workload's one shared trace, and
@@ -125,32 +119,23 @@ func RunGridOpts(cfg sched.Config, workloads, configs []string, scale Scale, see
 	})
 }
 
-// Figure1 regenerates the motivation preview: graph500, memcached and
-// GUPS under native 4K, three virtualized paging configurations, and
-// the proposed Dual Direct and VMM Direct modes.
-func Figure1(scale Scale) (Figure, error) { return Figure1Opts(sched.Config{}, scale) }
-
-// Figure1Opts is Figure1 under an explicit scheduler configuration.
+// Figure1Opts regenerates the motivation preview: graph500, memcached
+// and GUPS under native 4K, three virtualized paging configurations,
+// and the proposed Dual Direct and VMM Direct modes.
 func Figure1Opts(cfg sched.Config, scale Scale) (Figure, error) {
 	rows, err := RunGridOpts(cfg, []string{"graph500", "memcached", "gups"}, Figure1Configs(), scale, 1)
 	return Figure{ID: "Figure 1", Title: "virtual memory overheads preview", Rows: rows}, err
 }
 
-// Figure11 regenerates the big-memory evaluation: four workloads under
-// four native and nine virtualized configurations.
-func Figure11(scale Scale) (Figure, error) { return Figure11Opts(sched.Config{}, scale) }
-
-// Figure11Opts is Figure11 under an explicit scheduler configuration.
+// Figure11Opts regenerates the big-memory evaluation: four workloads
+// under four native and nine virtualized configurations.
 func Figure11Opts(cfg sched.Config, scale Scale) (Figure, error) {
 	rows, err := RunGridOpts(cfg, workload.BigMemoryNames(), Figure11Configs(), scale, 1)
 	return Figure{ID: "Figure 11", Title: "big-memory workload overheads", Rows: rows}, err
 }
 
-// Figure12 regenerates the compute-workload evaluation with THP
+// Figure12Opts regenerates the compute-workload evaluation with THP
 // configurations.
-func Figure12(scale Scale) (Figure, error) { return Figure12Opts(sched.Config{}, scale) }
-
-// Figure12Opts is Figure12 under an explicit scheduler configuration.
 func Figure12Opts(cfg sched.Config, scale Scale) (Figure, error) {
 	rows, err := RunGridOpts(cfg, workload.ComputeNames(), Figure12Configs(), scale, 1)
 	return Figure{ID: "Figure 12", Title: "compute workload overheads", Rows: rows}, err
@@ -164,15 +149,10 @@ type Fig13Point struct {
 	Normalized stats.Summary
 }
 
-// Figure13 regenerates the escape-filter study: each big-memory
+// Figure13Opts regenerates the escape-filter study: each big-memory
 // workload runs in Dual Direct mode with 1-16 faulty pages placed at
 // `trials` different random locations (the paper uses 30), and reports
 // execution time normalized to Dual Direct with no bad pages.
-func Figure13(scale Scale, trials int, badCounts []int) ([]Fig13Point, error) {
-	return Figure13Opts(sched.Config{}, scale, trials, badCounts)
-}
-
-// Figure13Opts is Figure13 under an explicit scheduler configuration.
 // Every trial is an independent cell — the clean baseline and all
 // trials of all workloads run concurrently, each over its own cursor of
 // the workload's one shared trace — and per-trial bad-page seeds are

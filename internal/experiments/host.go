@@ -104,6 +104,7 @@ func HostStudy(cfg sched.Config, scale Scale, wl string, maxDensity, shards int)
 		if err != nil {
 			return host.Result{}, fmt.Errorf("experiments: host density %d: %w", density, err)
 		}
+		s.Fragmentation(&res)
 		return res, nil
 	})
 }

@@ -42,14 +42,18 @@ func (r Result) ExecutionCycles() float64 {
 	return r.IdealCycles + float64(r.WalkCycles)
 }
 
-// env is the assembled simulation stack for one run.
-type env struct {
-	w      workload.Workload
-	m      *mmu.MMU
-	kernel *guestos.Kernel
-	proc   *guestos.Process
-	host   *vmm.Host
-	vm     *vmm.VM
+// Machine is one assembled simulation stack: the translation hardware,
+// the guest kernel with one process installed as the guest page table,
+// and, for a virtualized scheme, the host and the VM the guest runs in
+// (nil otherwise).
+type Machine struct {
+	MMU    *mmu.MMU
+	Kernel *guestos.Kernel
+	Proc   *guestos.Process
+	Host   *vmm.Host
+	VM     *vmm.VM
+	// Req is what the scheme asked the stack for.
+	Req mmu.Requirements
 }
 
 // Run simulates one Spec end to end.
@@ -84,14 +88,20 @@ func (t sharedTraces) add(name string, cfg workload.Config, n int) {
 	t[k].left.Add(int64(n))
 }
 
-// run is Run over a cursor of the spec's shared trace.
-func (t sharedTraces) run(spec Spec) (Result, error) {
-	e := t[traceKey{spec.Workload, spec.WL}]
-	e.once.Do(func() { e.w = workload.New(spec.Workload, spec.WL) })
-	res, err := RunWorkload(spec, e.w.Cursor())
+// replay runs one cell, f, over a cursor of name's shared trace under
+// cfg.
+func (t sharedTraces) replay(name string, cfg workload.Config, f func(workload.Workload)) {
+	e := t[traceKey{name, cfg}]
+	e.once.Do(func() { e.w = workload.New(name, cfg) })
+	f(e.w.Cursor())
 	if e.left.Add(-1) == 0 {
 		e.w = nil
 	}
+}
+
+// run is Run over a cursor of the spec's shared trace.
+func (t sharedTraces) run(spec Spec) (res Result, err error) {
+	t.replay(spec.Workload, spec.WL, func(w workload.Workload) { res, err = RunWorkload(spec, w) })
 	return res, err
 }
 
@@ -103,124 +113,102 @@ func RunWorkload(spec Spec, w workload.Workload) (Result, error) {
 	if spec.WarmupFrac == 0 {
 		spec.WarmupFrac = 0.2
 	}
-	e, err := build(spec, w)
+	mc, err := build(spec, w)
 	if err != nil {
 		return Result{}, fmt.Errorf("experiments: building %s/%s: %w", spec.Workload, spec.Label, err)
 	}
-	if got := e.m.Mode(); got != spec.Mode {
+	if got := mc.MMU.Mode(); got != spec.Mode {
 		return Result{}, fmt.Errorf("experiments: built mode %v, wanted %v", got, spec.Mode)
 	}
-	return replayRun(spec, e)
+	return replayRun(spec, w, mc)
 }
 
-// build assembles the stack for a spec. What the stack must provide —
-// virtualization, segment registers, contiguous backing, flattened
-// nested tables — comes from the scheme's own Requirements, so a new
-// registered scheme runs here without touching the builder.
-func build(spec Spec, w workload.Workload) (*env, error) {
-	scheme, err := mmu.SchemeByName(string(spec.Mode))
+// NewMachine assembles the stack a scheme's Requirements ask for: a
+// native machine of guestSize bytes, or a host of hostSize bytes
+// running one VM of guestSize bytes backed at nested pages —
+// contiguously, with the VMM segment programmed (§VI.A), when the
+// scheme uses one. hw configures the MMU; name labels the VM and the
+// process. The process's regions and guest segment register are the
+// caller's to set up (guestos.(*Process).LayOut), so a new registered
+// scheme assembles here without touching this code.
+func NewMachine(mode mmu.Mode, name string, guestSize, hostSize uint64, nested addr.PageSize, hw mmu.Config) (*Machine, error) {
+	scheme, err := mmu.SchemeByName(string(mode))
 	if err != nil {
 		return nil, err
 	}
-	req := scheme.Requirements()
-	prim := w.PrimaryRegion()
-
-	// Guest physical sizing: the primary region's backing (rounded up
-	// to whole guest pages, plus one spare so an aligned run exists
-	// above the kernel's low allocations) plus head room for page
-	// tables, stack, churn chunks, and bad-page replacement frames.
-	backing := addr.AlignUp(prim.Size, spec.GuestPage.Bytes()) + spec.GuestPage.Bytes()
-	guestSize := addr.AlignUp(backing+160<<20, spec.NestedPage.Bytes())
-
-	e := &env{w: w, m: mmu.New(spec.MMU)}
-
-	if !req.Virtualized {
+	mc := &Machine{MMU: mmu.New(hw), Req: scheme.Requirements()}
+	if !mc.Req.Virtualized {
 		mem := physmem.New(physmem.Config{Name: "machine", Size: guestSize})
-		e.kernel = guestos.NewKernel(mem, nil)
+		mc.Kernel = guestos.NewKernel(mem, nil)
 	} else {
-		hostSize := addr.AlignUp(guestSize+guestSize/4+spec.NestedPage.Bytes()+256<<20, addr.PageSize4K)
-		e.host = vmm.NewHost(hostSize)
-		vm, err := e.host.CreateVM(vmm.VMConfig{
-			Name:              spec.Workload,
+		mc.Host = vmm.NewHost(hostSize)
+		mc.VM, err = mc.Host.CreateVM(vmm.VMConfig{
+			Name:              name,
 			MemorySize:        guestSize,
-			NestedPageSize:    spec.NestedPage,
-			ContiguousBacking: req.ContiguousBacking,
+			NestedPageSize:    nested,
+			ContiguousBacking: mc.Req.ContiguousBacking,
 		})
 		if err != nil {
 			return nil, err
 		}
-		e.vm = vm
-		e.kernel = guestos.NewKernel(vm.GuestMem, vm)
-		e.m.SetNestedPageTable(vm.NPT)
-		e.m.SetFlatNested(req.FlattenedNested)
+		mc.Kernel = guestos.NewKernel(mc.VM.GuestMem, mc.VM)
+		mc.MMU.SetNestedPageTable(mc.VM.NPT)
+		mc.MMU.SetFlatNested(mc.Req.FlattenedNested)
 	}
-
-	proc, err := e.kernel.CreateProcess(w.Name())
-	if err != nil {
+	if mc.Proc, err = mc.Kernel.CreateProcess(name); err != nil {
 		return nil, err
 	}
-	e.proc = proc
-	e.m.SetGuestPageTable(proc.PT)
-
-	// VMM dimension.
-	if req.VMMSegment {
-		seg, err := e.vm.TryEnableVMMSegment()
+	mc.MMU.SetGuestPageTable(mc.Proc.PT)
+	if mc.Req.VMMSegment {
+		seg, err := mc.VM.TryEnableVMMSegment()
 		if err != nil {
 			return nil, err
 		}
-		e.m.SetVMMSegment(seg)
+		mc.MMU.SetVMMSegment(seg)
 	}
+	return mc, nil
+}
 
-	// Guest dimension: segment or paging over the primary region.
-	if req.GuestSegment {
-		if err := proc.CreatePrimaryRegionAt(prim); err != nil {
-			return nil, err
-		}
-		e.m.SetGuestSegment(proc.Seg)
-	} else {
-		if err := proc.MMapAt(prim); err != nil {
-			return nil, err
-		}
-		if err := proc.MapRegion(prim, spec.GuestPage); err != nil {
-			return nil, err
-		}
-	}
-
-	// Stack and churn arenas are ordinary paged regions.
-	for _, r := range w.StaticRegions() {
-		if r == prim {
-			continue
-		}
-		if err := proc.MMapAt(r); err != nil {
-			return nil, err
-		}
-	}
-	// Pre-touch the stack (hot from process start).
-	if err := proc.Prefault(addr.Range{Start: workload.StackBase, Size: 32 << 10}); err != nil {
+// build assembles and lays out the stack for a spec.
+func build(spec Spec, w workload.Workload) (*Machine, error) {
+	// Guest physical sizing: the primary region's backing (rounded up
+	// to whole guest pages, plus one spare so an aligned run exists
+	// above the kernel's low allocations) plus head room for page
+	// tables, stack, churn chunks, and bad-page replacement frames.
+	backing := addr.AlignUp(w.PrimaryRegion().Size, spec.GuestPage.Bytes()) + spec.GuestPage.Bytes()
+	guestSize := addr.AlignUp(backing+160<<20, spec.NestedPage.Bytes())
+	hostSize := addr.AlignUp(guestSize+guestSize/4+spec.NestedPage.Bytes()+256<<20, addr.PageSize4K)
+	mc, err := NewMachine(spec.Mode, spec.Workload, guestSize, hostSize, spec.NestedPage, spec.MMU)
+	if err != nil {
 		return nil, err
 	}
-
+	if err := mc.Proc.LayOut(w, mc.Req.GuestSegment, spec.GuestPage); err != nil {
+		return nil, err
+	}
+	if mc.Req.GuestSegment {
+		mc.MMU.SetGuestSegment(mc.Proc.Seg)
+	}
 	if spec.BadPages > 0 {
-		if err := injectBadPages(spec, e); err != nil {
+		if err := injectBadPages(spec, mc); err != nil {
 			return nil, err
 		}
 	}
-	return e, nil
+	return mc, nil
 }
 
 // injectBadPages models hard-faulted host pages inside the VMM segment
 // (Figure 13): each is added to the escape filter and its gPA remapped
 // through nested paging to a healthy frame.
-func injectBadPages(spec Spec, e *env) error {
-	seg := e.m.VMMSegment()
+func injectBadPages(spec Spec, mc *Machine) error {
+	seg := mc.MMU.VMMSegment()
 	if !seg.Enabled() {
 		return fmt.Errorf("experiments: bad-page study needs a VMM segment (mode %v)", spec.Mode)
 	}
 	// Bad pages land inside the primary region's backing — the memory
 	// the workload actually touches.
-	target := e.proc.Seg.TargetRange() // gPA range of the guest segment
+	target := mc.Proc.Seg.TargetRange() // gPA range of the guest segment
 	if target.Empty() {
-		target = addr.Range{Start: 0, Size: e.vm.GuestMem.Size()}
+		target = addr.Range{Start: 0, Size: mc.VM.GuestMem.Size()}
 	}
 	rng := trace.NewRand(spec.BadPageSeed ^ 0xBAD)
 	picked := make(map[uint64]bool, spec.BadPages)
@@ -230,12 +218,12 @@ func injectBadPages(spec Spec, e *env) error {
 			continue
 		}
 		picked[gpa] = true
-		e.m.VMMEscapeFilter().Insert(gpa >> addr.PageShift4K)
-		f, err := e.host.Mem.AllocFrame()
+		mc.MMU.VMMEscapeFilter().Insert(gpa >> addr.PageShift4K)
+		f, err := mc.Host.Mem.AllocFrame()
 		if err != nil {
 			return fmt.Errorf("experiments: healthy replacement frame: %w", err)
 		}
-		if err := e.vm.NPT.Remap(gpa, physmem.FrameToAddr(f)); err != nil {
+		if err := mc.VM.NPT.Remap(gpa, physmem.FrameToAddr(f)); err != nil {
 			return err
 		}
 	}
@@ -247,10 +235,10 @@ func injectBadPages(spec Spec, e *env) error {
 // warmup boundary. The warmup point comes from the workload's analytic
 // access count, so the trace is traversed exactly once. Alloc events
 // need no hook: pages fault in on first touch.
-func replayRun(spec Spec, e *env) (Result, error) {
-	total := e.w.AccessCount()
+func replayRun(spec Spec, w workload.Workload, mc *Machine) (Result, error) {
+	total := w.AccessCount()
 	warmupAt := uint64(float64(total) * spec.WarmupFrac)
-	e.w.Reset()
+	w.Reset()
 
 	// Telemetry (all inert when no run is active): a per-cell walk probe
 	// collects every measured walk's refs/cycles into goroutine-local
@@ -260,7 +248,7 @@ func replayRun(spec Spec, e *env) (Result, error) {
 	var probe *telemetry.WalkProbe
 	if telemetry.Active() {
 		probe = &telemetry.WalkProbe{}
-		e.m.SetWalkProbe(probe)
+		mc.MMU.SetWalkProbe(probe)
 	}
 	cellName := spec.Workload + "/" + spec.Label
 	// Walk sampling (walkprof) rides the same seam: a per-cell sampler
@@ -271,27 +259,23 @@ func replayRun(spec Spec, e *env) (Result, error) {
 	prof := walkprof.Enabled()
 	if prof != nil {
 		sampler = prof.Sampler(cellName, 0, spec.WL.Seed)
-		e.m.SetWalkSampler(sampler)
+		mc.MMU.SetWalkSampler(sampler)
 	}
 	warmSpan := telemetry.StartSpan("replay", cellName+" warmup")
 	var measSpan telemetry.Span
 
-	eng := replay.New(e.w, replay.Hooks{
+	eng := replay.New(w, replay.Hooks{
 		AccessBlock: func(evs []trace.Event) (int, error) {
-			return translateBlock(e, evs)
+			return translateBlock(mc, evs)
 		},
 		Free: func(ev trace.Event) error {
-			r := addr.Range{Start: uint64(ev.VA), Size: ev.Size}
-			if err := e.proc.Unmap(r); err != nil {
+			if err := mc.Proc.Free(mc.MMU, addr.Range{Start: uint64(ev.VA), Size: ev.Size}, nil); err != nil {
 				return fmt.Errorf("experiments: free at %#x: %w", ev.VA, err)
-			}
-			for va := r.Start; va < r.End(); va += addr.PageSize4K {
-				e.m.InvalidatePage(va, addr.Page4K)
 			}
 			return nil
 		},
 		Warmup: func() {
-			e.m.ResetStats()
+			mc.MMU.ResetStats()
 			if probe != nil {
 				probe.Reset()
 			}
@@ -308,8 +292,8 @@ func replayRun(spec Spec, e *env) (Result, error) {
 	measSpan.End()
 
 	measured := eng.Counts().Measured
-	st := e.m.Stats()
-	ideal := float64(measured) * e.w.BaseCPI()
+	st := mc.MMU.Stats()
+	ideal := float64(measured) * w.BaseCPI()
 	res := Result{
 		Spec:        spec,
 		Accesses:    measured,
@@ -327,7 +311,7 @@ func replayRun(spec Spec, e *env) (Result, error) {
 		reg.Histogram("walk.cycles." + mode).Merge(&probe.Cycles)
 		reg.Counter("cells").Inc()
 		reg.Counter("accesses.measured").Add(measured)
-		reg.Counter("tlb.l2.evictions").Add(e.m.L2Evictions())
+		reg.Counter("tlb.l2.evictions").Add(mc.MMU.L2Evictions())
 	}
 	if sampler != nil {
 		prof.Commit(sampler)
@@ -337,8 +321,8 @@ func replayRun(spec Spec, e *env) (Result, error) {
 
 // translateBlock is the cell's access hook: the block through the
 // cell's MMU under the guest's demand-paging protocol.
-func translateBlock(e *env, evs []trace.Event) (int, error) {
-	n, err := e.proc.TranslateBlock(e.m, evs, nil)
+func translateBlock(mc *Machine, evs []trace.Event) (int, error) {
+	n, err := mc.Proc.TranslateBlock(mc.MMU, evs, nil)
 	if err != nil {
 		err = fmt.Errorf("experiments: %w", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"vdirect/internal/addr"
-	"vdirect/internal/guestos"
 	"vdirect/internal/mmu"
 	"vdirect/internal/replay"
 	"vdirect/internal/sched"
@@ -32,14 +31,10 @@ type ShadowResult struct {
 	Exits uint64
 }
 
-// ShadowStudy runs the §IX.D comparison for the given workloads.
-func ShadowStudy(scale Scale, workloads []string) ([]ShadowResult, error) {
-	return ShadowStudyOpts(sched.Config{}, scale, workloads)
-}
-
-// ShadowStudyOpts is ShadowStudy under an explicit scheduler
-// configuration. The native, VMM Direct and shadow runs of each
-// workload are three independent cells.
+// ShadowStudyOpts runs the §IX.D comparison for the given workloads
+// under cfg's scheduler. The native, VMM Direct and shadow runs of each
+// workload are three independent cells over cursors of the workload's
+// one shared trace.
 func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]ShadowResult, error) {
 	// outcome carries whichever of the two run types a cell performed.
 	type outcome struct {
@@ -51,8 +46,10 @@ func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]Shado
 		label string // "4K", "4K+VD", or "" for the shadow run
 	}
 	var cells []cell
+	traces := sharedTraces{}
 	for _, wl := range workloads {
 		cells = append(cells, cell{wl, "4K"}, cell{wl, "4K+VD"}, cell{wl, ""})
+		traces.add(wl, scale.WLConfig(workload.ClassOf(wl), 1), 3)
 	}
 	if cfg.SpanName == nil {
 		cfg.SpanName = func(i int) string {
@@ -66,8 +63,10 @@ func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]Shado
 		c := cells[i]
 		wlCfg := scale.WLConfig(workload.ClassOf(c.wl), 1)
 		if c.label == "" {
-			sh, err := runShadow(c.wl, wlCfg)
-			return outcome{shadow: sh}, err
+			var o outcome
+			var err error
+			traces.replay(c.wl, wlCfg, func(w workload.Workload) { o.shadow, err = runShadow(w) })
+			return o, err
 		}
 		spec, err := ParseConfig(c.label)
 		if err != nil {
@@ -75,7 +74,7 @@ func ShadowStudyOpts(cfg sched.Config, scale Scale, workloads []string) ([]Shado
 		}
 		spec.Workload = c.wl
 		spec.WL = wlCfg
-		res, err := Run(spec)
+		res, err := traces.run(spec)
 		return outcome{res: res}, err
 	})
 	if err != nil {
@@ -103,48 +102,26 @@ type shadowOutcome struct {
 // runShadow replays a workload under shadow paging: a native-mode MMU
 // walks the shadow table; shadow misses and guest PT updates exit to
 // the VMM.
-func runShadow(wl string, wlCfg workload.Config) (shadowOutcome, error) {
-	w := workload.New(wl, wlCfg)
-	prim := w.PrimaryRegion()
-	guestSize := addr.AlignUp(prim.Size+160<<20, addr.PageSize4K)
+func runShadow(w workload.Workload) (shadowOutcome, error) {
+	guestSize := addr.AlignUp(w.PrimaryRegion().Size+160<<20, addr.PageSize4K)
 	hostSize := addr.AlignUp(guestSize+guestSize/4+256<<20, addr.PageSize4K)
-
-	host := vmm.NewHost(hostSize)
-	vm, err := host.CreateVM(vmm.VMConfig{Name: wl, MemorySize: guestSize, NestedPageSize: addr.Page4K})
+	mc, err := NewMachine(mmu.ModeBaseVirtualized, w.Name(), guestSize, hostSize, addr.Page4K, mmu.Config{})
 	if err != nil {
 		return shadowOutcome{}, err
 	}
-	kernel := guestos.NewKernel(vm.GuestMem, vm)
-	proc, err := kernel.CreateProcess(wl)
-	if err != nil {
-		return shadowOutcome{}, err
-	}
-	sh, err := vm.NewShadowContext()
+	proc, m := mc.Proc, mc.MMU
+	sh, err := mc.VM.NewShadowContext()
 	if err != nil {
 		return shadowOutcome{}, err
 	}
 
 	// Hardware sees only the shadow table: a 1D native walk.
-	m := mmu.New(mmu.Config{})
+	m.SetNestedPageTable(nil)
 	m.SetGuestPageTable(sh.Shadow)
 
 	// Guest mappings: the primary region is paged at 4K (shadow paging
 	// is the software baseline; no segments).
-	if err := proc.MMapAt(prim); err != nil {
-		return shadowOutcome{}, err
-	}
-	if err := proc.MapRegion(prim, addr.Page4K); err != nil {
-		return shadowOutcome{}, err
-	}
-	for _, r := range w.StaticRegions() {
-		if r == prim {
-			continue
-		}
-		if err := proc.MMapAt(r); err != nil {
-			return shadowOutcome{}, err
-		}
-	}
-	if err := proc.Prefault(addr.Range{Start: workload.StackBase, Size: 32 << 10}); err != nil {
+	if err := proc.LayOut(w, false, addr.Page4K); err != nil {
 		return shadowOutcome{}, err
 	}
 
@@ -204,18 +181,10 @@ func runShadow(wl string, wlCfg workload.Config) (shadowOutcome, error) {
 			}
 		},
 		Free: func(ev trace.Event) error {
-			r := addr.Range{Start: uint64(ev.VA), Size: ev.Size}
-			if err := proc.Unmap(r); err != nil {
-				return err
-			}
-			for va := r.Start; va < r.End(); va += addr.PageSize4K {
-				// Each guest PTE clear traps and invalidates shadow state.
-				if err := sh.InvalidatePage(va, addr.Page4K); err != nil {
-					return err
-				}
-				m.InvalidatePage(va, addr.Page4K)
-			}
-			return nil
+			// Each guest PTE clear traps and invalidates shadow state.
+			return proc.Free(m, addr.Range{Start: uint64(ev.VA), Size: ev.Size}, func(va uint64) error {
+				return sh.InvalidatePage(va, addr.Page4K)
+			})
 		},
 		Warmup: func() {
 			m.ResetStats()

@@ -111,12 +111,7 @@ func runModeGrid(cfg sched.Config, scale Scale, workloads []string) ([]map[strin
 	return out, nil
 }
 
-// Breakdown reproduces the §IX.A analysis for the given workloads.
-func Breakdown(scale Scale, workloads []string) ([]BreakdownRow, error) {
-	return BreakdownOpts(sched.Config{}, scale, workloads)
-}
-
-// BreakdownOpts is Breakdown under an explicit scheduler configuration.
+// BreakdownOpts reproduces the §IX.A analysis for the given workloads.
 func BreakdownOpts(cfg sched.Config, scale Scale, workloads []string) ([]BreakdownRow, error) {
 	grids, err := runModeGrid(cfg, scale, workloads)
 	if err != nil {
@@ -184,16 +179,10 @@ type ModelRow struct {
 	Simulated map[string]float64
 }
 
-// TableIVValidation measures model inputs (Mn, Cn, Cv, F_*) from
+// TableIVValidationOpts measures model inputs (Mn, Cn, Cv, F_*) from
 // simulation and compares the Table IV predictions against directly
 // simulated mode cycles. The residual quantifies what the paper's model
 // leaves out — chiefly TLB-miss inflation, which it acknowledges.
-func TableIVValidation(scale Scale, workloads []string) ([]ModelRow, error) {
-	return TableIVValidationOpts(sched.Config{}, scale, workloads)
-}
-
-// TableIVValidationOpts is TableIVValidation under an explicit
-// scheduler configuration.
 func TableIVValidationOpts(cfg sched.Config, scale Scale, workloads []string) ([]ModelRow, error) {
 	grids, err := runModeGrid(cfg, scale, workloads)
 	if err != nil {
@@ -265,18 +254,12 @@ type SharingResult struct {
 	Report       vmm.SharingReport
 }
 
-// SharingStudy reproduces §IX.E: co-schedule pairs of big-memory VMs
-// and measure how much memory content-based sharing reclaims. Guest
+// SharingStudyOpts reproduces §IX.E: co-schedule pairs of big-memory
+// VMs and measure how much memory content-based sharing reclaims. Guest
 // pages are assigned content hashes: a small fraction are OS code/zero
 // pages identical across VMs; workload data is unique per VM, as the
 // paper observed ("the bulk of memory is for data structures unique to
-// the workload").
-func SharingStudy(vmMB uint64, osFrac, zeroFrac float64) ([]SharingResult, error) {
-	return SharingStudyOpts(sched.Config{}, vmMB, osFrac, zeroFrac)
-}
-
-// SharingStudyOpts is SharingStudy under an explicit scheduler
-// configuration; each VM pair is one independent cell (its own host).
+// the workload"). Each VM pair is one independent cell (its own host).
 func SharingStudyOpts(cfg sched.Config, vmMB uint64, osFrac, zeroFrac float64) ([]SharingResult, error) {
 	wls := workload.BigMemoryNames()
 	type pair struct{ i, j int }

@@ -19,6 +19,7 @@ import (
 	"vdirect/internal/physmem"
 	"vdirect/internal/segment"
 	"vdirect/internal/trace"
+	"vdirect/internal/workload"
 )
 
 // Errors surfaced by kernel operations.
@@ -127,8 +128,8 @@ func (p *Process) MMap(size uint64) (uint64, error) {
 }
 
 // MMapAt registers a virtual region at a caller-chosen base (MAP_FIXED),
-// used by the experiment runner to lay out workload data structures at
-// the addresses their traces reference.
+// used by LayOut to place workload data structures at the addresses
+// their traces reference.
 func (p *Process) MMapAt(r addr.Range) error {
 	r.Size = addr.AlignUp(r.Size, addr.PageSize4K)
 	for _, old := range p.regions {
@@ -164,6 +165,56 @@ func (p *Process) Unmap(r addr.Range) error {
 		}
 	}
 	return nil
+}
+
+// Free services a Free event over r: Unmap, then each 4K page of r is
+// invalidated in m's TLBs, after trap (when non-nil) has run on it — a
+// shadow-paging VMM traps each guest PTE clear to drop its shadow entry.
+func (p *Process) Free(m *mmu.MMU, r addr.Range, trap func(va uint64) error) error {
+	if err := p.Unmap(r); err != nil {
+		return err
+	}
+	for va := r.Start; va < r.End(); va += addr.PageSize4K {
+		if trap != nil {
+			if err := trap(va); err != nil {
+				return err
+			}
+		}
+		m.InvalidatePage(va, addr.Page4K)
+	}
+	return nil
+}
+
+// LayOut lays w's static regions into the process at the addresses its
+// trace references (§VI.B): the primary region backed by a guest
+// segment when guestSeg is set, otherwise mapped eagerly with pages of
+// size ps; every other static region reserved for demand paging; and
+// the stack's first 32 KB pre-touched, hot from process start. It
+// programs no MMU register: a caller whose scheme uses the guest
+// segment loads p.Seg itself.
+func (p *Process) LayOut(w workload.Workload, guestSeg bool, ps addr.PageSize) error {
+	prim := w.PrimaryRegion()
+	if guestSeg {
+		if err := p.CreatePrimaryRegionAt(prim); err != nil {
+			return err
+		}
+	} else {
+		if err := p.MMapAt(prim); err != nil {
+			return err
+		}
+		if err := p.MapRegion(prim, ps); err != nil {
+			return err
+		}
+	}
+	for _, r := range w.StaticRegions() {
+		if r == prim {
+			continue
+		}
+		if err := p.MMapAt(r); err != nil {
+			return err
+		}
+	}
+	return p.Prefault(addr.Range{Start: workload.StackBase, Size: 32 << 10})
 }
 
 // MapRegion eagerly maps the whole region with pages of size s, backing
@@ -235,7 +286,7 @@ func (p *Process) CreatePrimaryRegion(size uint64) (addr.Range, error) {
 }
 
 // CreatePrimaryRegionAt registers a primary region at a fixed virtual
-// base (the experiment runner pins workload layouts) and attempts to
+// base (LayOut pins workload layouts) and attempts to
 // back it, with the same ErrFragmented contract as CreatePrimaryRegion.
 func (p *Process) CreatePrimaryRegionAt(r addr.Range) error {
 	if err := p.MMapAt(r); err != nil {

@@ -397,8 +397,7 @@ func (s *Sim) balloonForFrames(frames uint64) error {
 
 // buildTenants creates the guest's processes, workloads, and replay
 // engines. Dual Direct tenants get segment-backed primary regions;
-// Base tenants get eagerly mapped 4K paging, both exactly as the
-// single-cell experiment runner lays them out.
+// Base tenants get eagerly mapped 4K paging.
 func (s *Sim) buildTenants(g *Guest) error {
 	n := s.Cfg.TenantsPerGuest
 	g.Procs = make([]*guestos.Process, n)
@@ -414,28 +413,7 @@ func (s *Sim) buildTenants(g *Guest) error {
 		if err != nil {
 			return err
 		}
-		prim := w.PrimaryRegion()
-		if g.Direct {
-			if err := proc.CreatePrimaryRegionAt(prim); err != nil {
-				return err
-			}
-		} else {
-			if err := proc.MMapAt(prim); err != nil {
-				return err
-			}
-			if err := proc.MapRegion(prim, addr.Page4K); err != nil {
-				return err
-			}
-		}
-		for _, r := range w.StaticRegions() {
-			if r == prim {
-				continue
-			}
-			if err := proc.MMapAt(r); err != nil {
-				return err
-			}
-		}
-		if err := proc.Prefault(addr.Range{Start: workload.StackBase, Size: 32 << 10}); err != nil {
+		if err := proc.LayOut(w, g.Direct, addr.Page4K); err != nil {
 			return err
 		}
 		g.Procs[t] = proc

@@ -52,7 +52,8 @@ type Result struct {
 
 	// Frag is the host free-space shape at end of run; Creatable is how
 	// many more guest-sized direct reservations the allocator could
-	// still satisfy (0 = past the knee).
+	// still satisfy (0 = past the knee). Run leaves both zero; the
+	// density readers fill them through Sim.Fragmentation.
 	Frag      physmem.FragReport
 	Creatable uint64
 
@@ -112,13 +113,19 @@ func (s *Sim) collect() Result {
 	}
 	res.Overhead = perfmodel.Overhead(float64(totalCycles), float64(totalAccesses)*cpi)
 	res.WorstGuest = worst
+	return res
+}
+
+// Fragmentation fills res's end-of-run fragmentation readings, Frag
+// and Creatable, which only the density sweep reports. Run changes no
+// host frame after replay, so the readings are those the run ended on.
+func (s *Sim) Fragmentation(res *Result) {
 	res.Frag = s.Host.Mem.FragStats()
 	// Cap the trial allocation by host capacity (not density — the cap
 	// must be identical across a density sweep for the curve to be
 	// comparable).
 	res.Creatable = s.Host.Mem.ProbeContiguous(
 		s.guestSize>>addr.PageShift4K, 1, s.Cfg.HostMemory/s.guestSize+1)
-	return res
 }
 
 // CheckAccounting verifies the shared allocator's owner books and the

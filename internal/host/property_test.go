@@ -33,6 +33,7 @@ func TestCreatableMonotoneInDensity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("density %d: %v", density, err)
 		}
+		s.Fragmentation(&res)
 		if res.Creatable > prev {
 			t.Fatalf("density %d: creatable segments rose %d -> %d", density, prev, res.Creatable)
 		}

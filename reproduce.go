@@ -25,6 +25,10 @@ const (
 	ScaleFull   = experiments.Full
 )
 
+// ParseScale returns the Scale a name ("small", "medium", "full")
+// names: the inverse of Scale.String.
+func ParseScale(name string) (Scale, error) { return experiments.ParseScale(name) }
+
 // CellResult is one simulated workload × configuration cell.
 type CellResult = experiments.Result
 
@@ -70,18 +74,22 @@ func RunCells(workloads, configs []string, scale Scale, parallelism int) ([]Figu
 }
 
 // Figure1 regenerates the paper's motivation figure.
-func Figure1(scale Scale) (FigureData, error) { return experiments.Figure1(scale) }
+func Figure1(scale Scale) (FigureData, error) { return experiments.Figure1Opts(sched.Config{}, scale) }
 
 // Figure11 regenerates the big-memory evaluation figure.
-func Figure11(scale Scale) (FigureData, error) { return experiments.Figure11(scale) }
+func Figure11(scale Scale) (FigureData, error) {
+	return experiments.Figure11Opts(sched.Config{}, scale)
+}
 
 // Figure12 regenerates the compute-workload evaluation figure.
-func Figure12(scale Scale) (FigureData, error) { return experiments.Figure12(scale) }
+func Figure12(scale Scale) (FigureData, error) {
+	return experiments.Figure12Opts(sched.Config{}, scale)
+}
 
 // Figure13 regenerates the escape-filter study (trials per point; the
 // paper uses 30).
 func Figure13(scale Scale, trials int) (string, error) {
-	points, err := experiments.Figure13(scale, trials, nil)
+	points, err := experiments.Figure13Opts(sched.Config{}, scale, trials, nil)
 	if err != nil {
 		return "", err
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"vdirect/internal/addr"
+	"vdirect/internal/experiments"
 	"vdirect/internal/guestos"
 	"vdirect/internal/mmu"
 	"vdirect/internal/segment"
@@ -102,12 +103,7 @@ type Config struct {
 // System is one simulated machine: hardware MMU plus the guest OS (and,
 // when virtualized, the VMM and host) needed to run it.
 type System struct {
-	cfg    Config
-	mmu    *mmu.MMU
-	kernel *guestos.Kernel
-	proc   *guestos.Process
-	host   *vmm.Host
-	vm     *vmm.VM
+	m *experiments.Machine
 }
 
 // ErrNoSegment is returned when a segment operation is invoked in a
@@ -118,69 +114,33 @@ var ErrNoSegment = errors.New("vdirect: mode does not use this segment")
 // above addr.VirtualSpan (2^48), which no page table can map.
 var ErrAddressRange = errors.New("vdirect: address outside the 48-bit virtual address space")
 
-// NewSystem builds a machine in the configured mode with one process.
-// The stack is assembled from the scheme's own Requirements — which
-// register sets to program, whether backing must be contiguous, whether
-// the VMM maintains flattened nested tables — so any registered scheme
-// builds here by name.
+// NewSystem builds a machine in the configured mode with one process,
+// through the same assembly as the experiment runner: the stack comes
+// from the scheme's own Requirements — which register sets to program,
+// whether backing must be contiguous, whether the VMM maintains
+// flattened nested tables — so any registered scheme builds here by
+// name.
 func NewSystem(cfg Config) (*System, error) {
-	scheme, err := mmu.SchemeByName(string(cfg.Mode))
-	if err != nil {
-		return nil, err
-	}
-	req := scheme.Requirements()
 	if cfg.GuestMemory == 0 {
 		cfg.GuestMemory = 256 << 20
 	}
 	if cfg.GuestMemory%addr.PageSize4K != 0 {
 		return nil, fmt.Errorf("vdirect: guest memory %#x not 4K aligned", cfg.GuestMemory)
 	}
-	s := &System{cfg: cfg, mmu: mmu.New(cfg.Hardware)}
-
-	if req.Virtualized {
-		hostSize := cfg.HostMemory
-		if hostSize == 0 {
-			hostSize = cfg.GuestMemory + cfg.GuestMemory/2 + 256<<20
-		}
-		s.host = vmm.NewHost(hostSize)
-		vm, err := s.host.CreateVM(vmm.VMConfig{
-			Name:              "vm0",
-			MemorySize:        cfg.GuestMemory,
-			NestedPageSize:    cfg.NestedPage,
-			ContiguousBacking: req.ContiguousBacking,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.vm = vm
-		s.kernel = guestos.NewKernel(vm.GuestMem, vm)
-		s.mmu.SetNestedPageTable(vm.NPT)
-		s.mmu.SetFlatNested(req.FlattenedNested)
-		if req.VMMSegment {
-			seg, err := vm.TryEnableVMMSegment()
-			if err != nil {
-				return nil, err
-			}
-			s.mmu.SetVMMSegment(seg)
-		}
-	} else {
-		mem := guestosMemory(cfg.GuestMemory)
-		s.kernel = guestos.NewKernel(mem, nil)
+	hostSize := cfg.HostMemory
+	if hostSize == 0 {
+		hostSize = cfg.GuestMemory + cfg.GuestMemory/2 + 256<<20
 	}
-
-	proc, err := s.kernel.CreateProcess("main")
+	m, err := experiments.NewMachine(cfg.Mode, "main", cfg.GuestMemory, hostSize, cfg.NestedPage, cfg.Hardware)
 	if err != nil {
 		return nil, err
 	}
-	s.proc = proc
-	s.mmu.SetGuestPageTable(proc.PT)
-
 	// Guest-segment modes get a segment when a primary region is
 	// created (CreatePrimaryRegion); nothing to do yet.
-	if got := s.mmu.Mode(); !modeCompatible(got, cfg.Mode) {
+	if got := m.MMU.Mode(); !modeCompatible(got, cfg.Mode) {
 		return nil, fmt.Errorf("vdirect: built mode %v for requested %v", got, cfg.Mode)
 	}
-	return s, nil
+	return &System{m: m}, nil
 }
 
 // modeCompatible allows guest-segment modes to report their segment-less
@@ -202,45 +162,45 @@ func modeCompatible(got, want Mode) bool {
 
 // Mode returns the mode the hardware currently operates in (derived
 // from register state, as in the proposal).
-func (s *System) Mode() Mode { return s.mmu.Mode() }
+func (s *System) Mode() Mode { return s.m.MMU.Mode() }
 
 // Stats returns the accumulated MMU counters.
-func (s *System) Stats() Stats { return s.mmu.Stats() }
+func (s *System) Stats() Stats { return s.m.MMU.Stats() }
 
 // ResetStats zeroes the counters (typically after warmup).
-func (s *System) ResetStats() { s.mmu.ResetStats() }
+func (s *System) ResetStats() { s.m.MMU.ResetStats() }
 
 // Map reserves size bytes of virtual address space, demand-paged at 4K.
 func (s *System) Map(size uint64) (uint64, error) {
-	return s.proc.MMap(size)
+	return s.m.Proc.MMap(size)
 }
 
 // MapAt reserves [base, base+size) of virtual address space.
 func (s *System) MapAt(base, size uint64) error {
-	return s.proc.MMapAt(addr.Range{Start: base, Size: size})
+	return s.m.Proc.MMapAt(addr.Range{Start: base, Size: size})
 }
 
 // MapEager maps the region with pages of the given size immediately,
 // as big-memory applications requesting explicit page sizes do.
 func (s *System) MapEager(base, size uint64, ps PageSize) error {
-	if err := s.proc.MMapAt(addr.Range{Start: base, Size: size}); err != nil {
+	if err := s.m.Proc.MMapAt(addr.Range{Start: base, Size: size}); err != nil {
 		return err
 	}
-	return s.proc.MapRegion(addr.Range{Start: base, Size: size}, ps)
+	return s.m.Proc.MapRegion(addr.Range{Start: base, Size: size}, ps)
 }
 
 // CreatePrimaryRegion reserves a primary region of the given size and
 // backs it with a guest direct segment (DirectSegment, GuestDirect and
 // DualDirect modes). It returns the region's base address.
 func (s *System) CreatePrimaryRegion(size uint64) (uint64, error) {
-	if !s.requirements().GuestSegment {
+	if !s.m.Req.GuestSegment {
 		return 0, ErrNoSegment
 	}
-	r, err := s.proc.CreatePrimaryRegion(size)
+	r, err := s.m.Proc.CreatePrimaryRegion(size)
 	if err != nil {
 		return 0, err
 	}
-	s.mmu.SetGuestSegment(s.proc.Seg)
+	s.m.MMU.SetGuestSegment(s.m.Proc.Seg)
 	return r.Start, nil
 }
 
@@ -256,7 +216,7 @@ func (s *System) Access(va uint64) (hpa uint64, cycles uint64, err error) {
 	}
 	evs := [1]trace.Event{{Kind: trace.Access, VA: addr.GVA(va)}}
 	var out [1]mmu.Result
-	if _, err := s.proc.TranslateBlock(s.mmu, evs[:], out[:]); err != nil {
+	if _, err := s.m.Proc.TranslateBlock(s.m.MMU, evs[:], out[:]); err != nil {
 		return 0, 0, fmt.Errorf("vdirect: %w", err)
 	}
 	return out[0].HPA, out[0].Cycles, nil
@@ -264,48 +224,31 @@ func (s *System) Access(va uint64) (hpa uint64, cycles uint64, err error) {
 
 // Free unmaps the 4K pages of the range and invalidates the TLBs.
 func (s *System) Free(base, size uint64) error {
-	r := addr.Range{Start: base, Size: size}
-	if err := s.proc.Unmap(r); err != nil {
-		return err
-	}
-	for va := r.Start; va < r.End(); va += addr.PageSize4K {
-		s.mmu.InvalidatePage(va, addr.Page4K)
-	}
-	return nil
+	return s.m.Proc.Free(s.m.MMU, addr.Range{Start: base, Size: size}, nil)
 }
 
 // EscapeBadPages marks guest-segment-covered physical pages as faulty,
 // inserts them into the escape filter, and remaps them through paging
 // (§V). Only meaningful once a primary region exists.
 func (s *System) EscapeBadPages(gpas []uint64) error {
-	filter := s.mmu.GuestEscapeFilter()
-	if s.requirements().VMMSegment {
-		filter = s.mmu.VMMEscapeFilter()
+	filter := s.m.MMU.GuestEscapeFilter()
+	if s.m.Req.VMMSegment {
+		filter = s.m.MMU.VMMEscapeFilter()
 	}
-	_, err := s.proc.EscapeBadPages(gpas, func(pfn uint64) { filter.Insert(pfn) })
+	_, err := s.m.Proc.EscapeBadPages(gpas, func(pfn uint64) { filter.Insert(pfn) })
 	return err
-}
-
-// requirements returns the configured scheme's Requirements. The mode
-// was validated against the registry in NewSystem.
-func (s *System) requirements() mmu.Requirements {
-	scheme, err := mmu.SchemeByName(string(s.cfg.Mode))
-	if err != nil {
-		return mmu.Requirements{}
-	}
-	return scheme.Requirements()
 }
 
 // GuestSegment returns the current guest segment registers' coverage
 // (zero range when disabled).
 func (s *System) GuestSegment() (base, limit, offset uint64, enabled bool) {
-	r := s.mmu.GuestSegment()
+	r := s.m.MMU.GuestSegment()
 	return r.Base, r.Limit, r.Offset, r.Enabled()
 }
 
 // VMMSegment returns the current VMM segment registers' coverage.
 func (s *System) VMMSegment() (base, limit, offset uint64, enabled bool) {
-	r := s.mmu.VMMSegment()
+	r := s.m.MMU.VMMSegment()
 	return r.Base, r.Limit, r.Offset, r.Enabled()
 }
 
@@ -313,7 +256,7 @@ func (s *System) VMMSegment() (base, limit, offset uint64, enabled bool) {
 // out scattered free guest frames and hotplug the same amount back as
 // one contiguous guest physical range. Virtualized modes only.
 func (s *System) SelfBalloon(size uint64) (base uint64, err error) {
-	r, err := s.kernel.SelfBalloon(size, nil)
+	r, err := s.m.Kernel.SelfBalloon(size, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -323,10 +266,10 @@ func (s *System) SelfBalloon(size uint64) (base uint64, err error) {
 // RetryPrimaryRegion re-attempts backing the primary region with a
 // contiguous range (after SelfBalloon or compaction).
 func (s *System) RetryPrimaryRegion() error {
-	if err := s.proc.BackPrimaryRegion(); err != nil {
+	if err := s.m.Proc.BackPrimaryRegion(); err != nil {
 		return err
 	}
-	s.mmu.SetGuestSegment(s.proc.Seg)
+	s.m.MMU.SetGuestSegment(s.m.Proc.Seg)
 	return nil
 }
 
@@ -334,26 +277,25 @@ func (s *System) RetryPrimaryRegion() error {
 // frames (fragmentation injection for demos and tests). Returns the
 // number of frames taken.
 func (s *System) FragmentGuestMemory(frac float64, seed uint64) int {
-	rng := newSeededPicker(seed)
-	return len(s.kernel.Mem.FragmentRandomly(frac, rng))
+	return len(s.m.Kernel.Mem.FragmentRandomly(frac, trace.NewRand(seed).Uint64n))
 }
 
 // Kernel, VM and Host expose the underlying models for advanced use —
 // the examples use them to demonstrate ballooning, compaction, sharing
 // and shadow paging directly.
-func (s *System) Kernel() *guestos.Kernel { return s.kernel }
+func (s *System) Kernel() *guestos.Kernel { return s.m.Kernel }
 
 // Process returns the system's (single) process.
-func (s *System) Process() *guestos.Process { return s.proc }
+func (s *System) Process() *guestos.Process { return s.m.Proc }
 
 // VM returns the virtual machine (nil for native modes).
-func (s *System) VM() *vmm.VM { return s.vm }
+func (s *System) VM() *vmm.VM { return s.m.VM }
 
 // Host returns the host machine (nil for native modes).
-func (s *System) Host() *vmm.Host { return s.host }
+func (s *System) Host() *vmm.Host { return s.m.Host }
 
 // MMU returns the simulated translation hardware.
-func (s *System) MMU() *mmu.MMU { return s.mmu }
+func (s *System) MMU() *mmu.MMU { return s.m.MMU }
 
 // Disabled segment helper re-exported for callers programming registers
 // directly through MMU().

@@ -382,7 +382,7 @@ func TestSystemAccessMatchesPerEventLoop(t *testing.T) {
 			if attempt == 3 {
 				t.Fatalf("access %d: reference still faulting", i)
 			}
-			res, fault := ref.mmu.Translate(va)
+			res, fault := ref.m.MMU.Translate(va)
 			if fault == nil {
 				want = res
 				break
@@ -390,7 +390,7 @@ func TestSystemAccessMatchesPerEventLoop(t *testing.T) {
 			if fault.Kind != mmu.FaultGuest {
 				t.Fatalf("access %d: %v", i, fault)
 			}
-			if err := ref.proc.HandleFault(fault.Addr); err != nil {
+			if err := ref.m.Proc.HandleFault(fault.Addr); err != nil {
 				t.Fatalf("access %d: %v", i, err)
 			}
 		}
