@@ -31,8 +31,9 @@ func (r *fuzzReader) next() byte {
 // cache-free reference composition, and at the end that the counter
 // identities hold: every access is exactly one of L1 hit/miss, every
 // L1 miss resolves as exactly one of 0D/L2 hit/walk, references stay
-// within the 24-per-walk mode-table bound, and the escape filter is
-// probed at least as often as it fires.
+// within the 24-per-walk mode-table bound, the escape filter is probed
+// at least as often as it fires, and WalkCycles is the cost identity
+// over the counts and the PTE cache's misses.
 //
 // Each script runs twice, plain and with a WalkProbe plus a period-1
 // sampler installed. Observation must not perturb the run (equal
@@ -47,11 +48,17 @@ func FuzzTranslateStats(f *testing.F) {
 	// Guest faults around a mapped access: 0x480000 and 0x480010 lie
 	// past the 64 mapped pages.
 	f.Add([]byte{0x00, 0, 0x80, 0, 0, 1, 0, 0, 0x80, 0x10})
+	// A nonzero L2 probe cost, with an L2 hit after a flush and a VMM
+	// segment's checks.
+	f.Add([]byte{0x04, 0, 1, 0, 2, 0, 1, 0, 2, 7, 0, 0, 1, 5, 0, 0, 1, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			return
 		}
-		st, _ := runStatsScript(t, data, nil, nil)
+		st, m, _ := runStatsScript(t, data, nil, nil)
+		if want := costIdentity(m.cfg, st, m.PTECacheMisses()); st.WalkCycles != want {
+			t.Fatalf("WalkCycles %d != cost identity %d", st.WalkCycles, want)
+		}
 		if st.Accesses != st.L1Hits+st.L1Misses {
 			t.Fatalf("%d accesses != %d L1 hits + %d misses", st.Accesses, st.L1Hits, st.L1Misses)
 		}
@@ -72,7 +79,7 @@ func FuzzTranslateStats(f *testing.F) {
 		prof := walkprof.Enable(1)
 		prof.Stop() // only the sampler is needed, not the global profile
 		smp := prof.Sampler("fuzz", 0, 0)
-		obs, faulted := runStatsScript(t, data, probe, smp)
+		obs, _, faulted := runStatsScript(t, data, probe, smp)
 		if obs != st {
 			t.Fatalf("observed run's stats differ:\n plain    %+v\n observed %+v", st, obs)
 		}
@@ -110,9 +117,9 @@ func FuzzTranslateStats(f *testing.F) {
 }
 
 // runStatsScript executes one FuzzTranslateStats script, with the given
-// observers installed when non-nil, and returns the final Stats and the
-// number of accesses that faulted.
-func runStatsScript(t *testing.T, data []byte, probe *telemetry.WalkProbe, smp *walkprof.Sampler) (Stats, uint64) {
+// observers installed when non-nil, and returns the final Stats, the MMU
+// and the number of accesses that faulted.
+func runStatsScript(t *testing.T, data []byte, probe *telemetry.WalkProbe, smp *walkprof.Sampler) (Stats, *MMU, uint64) {
 	r := &fuzzReader{data: data}
 	cfg := Config{}
 	flags := r.next()
@@ -121,6 +128,9 @@ func runStatsScript(t *testing.T, data []byte, probe *telemetry.WalkProbe, smp *
 	}
 	if flags&2 != 0 {
 		cfg.DisableNestedTLB = true
+	}
+	if flags&4 != 0 {
+		cfg.L2HitCycles = 3
 	}
 	e, err := buildEnv(8, cfg)
 	if err != nil {
@@ -182,5 +192,5 @@ func runStatsScript(t *testing.T, data []byte, probe *telemetry.WalkProbe, smp *
 			e.m.InvalidatePage(gva, addr.Page4K)
 		}
 	}
-	return e.m.Stats(), faulted
+	return e.m.Stats(), e.m, faulted
 }

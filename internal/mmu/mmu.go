@@ -186,6 +186,10 @@ type MMU struct {
 	nPT *pagetable.Table
 
 	stats Stats
+	// missBase is the PTE-cost cache's lifetime miss count at the last
+	// ResetStats, so X, the misses of the measured phase, is the cache's
+	// count less missBase.
+	missBase uint64
 
 	// probe, when non-nil, receives every page walk's memory-reference
 	// and cycle deltas for telemetry histograms; sampler, when non-nil,
@@ -324,7 +328,18 @@ func (m *MMU) SetWalkSampler(s *walkprof.Sampler) {
 func (m *MMU) Stats() Stats { return m.stats }
 
 // ResetStats zeroes the counters (after warmup).
-func (m *MMU) ResetStats() { m.stats = Stats{} }
+func (m *MMU) ResetStats() {
+	m.stats = Stats{}
+	_, m.missBase = m.ptc.Stats()
+}
+
+// PTECacheMisses returns X, the PTE-cost cache's misses since
+// ResetStats: of the WalkMemRefs references, X cost MissCycles and the
+// rest HitCycles.
+func (m *MMU) PTECacheMisses() uint64 {
+	_, x := m.ptc.Stats()
+	return x - m.missBase
+}
 
 // FlushTLBs empties all translation caches, as a full CR3 write +
 // nested invalidation would.

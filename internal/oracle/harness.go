@@ -65,6 +65,9 @@ func strictConfig() mmu.Config {
 
 // pressureConfig shrinks every cache to a handful of entries so the
 // fuzzer constantly exercises eviction, refill and invalidation paths.
+// Its costs are spelled out (Δ and the nested-probe cost are the MMU's
+// defaults) for CheckStats's walk-cycle identity; its PTE cache, unlike
+// the strict one, prices a hit and a miss apart.
 func pressureConfig() mmu.Config {
 	return mmu.Config{
 		L1: tlb.Geometry{
@@ -73,7 +76,9 @@ func pressureConfig() mmu.Config {
 			Entries1G: 4, Ways1G: 4,
 		},
 		L2Entries: 16, L2Ways: 4,
-		PTECache: ptecache.Config{Lines: 64, Ways: 4, HitCycles: 18, MissCycles: 170},
+		PTECache:           ptecache.Config{Lines: 64, Ways: 4, HitCycles: 18, MissCycles: 170},
+		SegmentCheckCycles: 1,
+		NestedProbeCycles:  7,
 	}
 }
 
@@ -899,8 +904,19 @@ func (h *Harness) opBalloon() error {
 
 // CheckStats verifies the end-of-run counter identities every MMU must
 // satisfy: each access is exactly one of L1 hit / L1 miss, and each L1
-// miss resolves as exactly one of 0D, L2 hit, or page walk.
+// miss resolves as exactly one of 0D, L2 hit, or page walk. The
+// pressure MMU's WalkCycles must also be the cost identity over its
+// counts and its PTE-cache misses X (the strict MMU's PTE cache charges
+// a hit and a miss alike, so it cannot tell X apart).
 func (h *Harness) CheckStats() error {
+	c, st := pressureConfig(), h.mmus[1].Stats()
+	x := h.mmus[1].PTECacheMisses()
+	want := c.SegmentCheckCycles*st.SegmentChecks + c.L2HitCycles*(st.L2Hits+st.L2Misses) +
+		c.NestedProbeCycles*st.NestedTLBHits +
+		c.PTECache.HitCycles*(st.WalkMemRefs-x) + c.PTECache.MissCycles*x
+	if st.WalkCycles != want {
+		return fmt.Errorf("mmu[1]: WalkCycles %d != cost identity %d", st.WalkCycles, want)
+	}
 	for i, m := range h.mmus {
 		st := m.Stats()
 		if st.Accesses != st.L1Hits+st.L1Misses {
