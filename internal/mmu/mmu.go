@@ -136,7 +136,8 @@ type Stats struct {
 	// WalkMemRefs counts page-table memory references performed.
 	WalkMemRefs uint64
 	// WalkCycles is the total cycles charged to TLB-miss handling
-	// (segment checks + walk references + L2/NTLB probe costs).
+	// (segment checks + walk references + L2/NTLB probe costs). No path
+	// accumulates it: MMU.Stats prices it from the counts (walkCycles).
 	WalkCycles uint64
 
 	SegmentChecks   uint64
@@ -324,8 +325,28 @@ func (m *MMU) SetWalkSampler(s *walkprof.Sampler) {
 	m.observed = m.probe != nil || m.sampler != nil
 }
 
-// Stats returns a copy of the accumulated counters.
-func (m *MMU) Stats() Stats { return m.stats }
+// Stats returns a copy of the accumulated counters, with WalkCycles
+// priced from them. It is the one place WalkCycles is assigned.
+func (m *MMU) Stats() Stats {
+	st := m.stats
+	st.WalkCycles = m.walkCycles()
+	return st
+}
+
+// walkCycles prices the counts since ResetStats with the linear cost
+// model of §VII (Table IV): Δ per segment check, L2HitCycles per L2
+// probe, NestedProbeCycles per nested-TLB hit, and per page-table
+// reference its PTE-cache cost, where X = PTECacheMisses of the
+// WalkMemRefs references missed:
+//
+//	Δ·SegmentChecks + L2HitCycles·(L2Hits+L2Misses) + NestedProbeCycles·NestedTLBHits
+//	  + HitCycles·(WalkMemRefs−X) + MissCycles·X
+func (m *MMU) walkCycles() uint64 {
+	c, st, x := &m.cfg, &m.stats, m.PTECacheMisses()
+	return c.SegmentCheckCycles*st.SegmentChecks +
+		c.L2HitCycles*(st.L2Hits+st.L2Misses) + c.NestedProbeCycles*st.NestedTLBHits +
+		c.PTECache.HitCycles*(st.WalkMemRefs-x) + c.PTECache.MissCycles*x
+}
 
 // ResetStats zeroes the counters (after warmup).
 func (m *MMU) ResetStats() {
@@ -430,7 +451,11 @@ type Result struct {
 }
 
 // Translate runs one data access through the pipeline of Figure 5(a).
-func (m *MMU) Translate(gva uint64) (Result, *Fault) {
+func (m *MMU) Translate(gva uint64) (Result, *Fault) { return m.translate(gva, true) }
+
+// translate is Translate, pricing a miss's Result.Cycles only when
+// priced is set.
+func (m *MMU) translate(gva uint64, priced bool) (Result, *Fault) {
 	m.stats.Accesses++
 
 	// Last-page cache: a repeat access to the previous 4K page is by
@@ -449,7 +474,7 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 		return Result{HPA: hpa, L1Hit: true}, nil
 	}
 
-	hpa, cycles, fault := m.miss(gva)
+	hpa, cycles, fault := m.miss(gva, priced)
 	if fault != nil {
 		return Result{}, fault
 	}
@@ -458,23 +483,23 @@ func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 }
 
 // miss resolves one L1 miss through the active scheme, returning its
-// hPA and the cycles charged to it. Every miss, from Translate or
+// hPA and, when priced is set or an observer is installed, the cycles
+// charged to it (0 otherwise). Every miss, from Translate or
 // TranslateBlock, enters here, and this is the only place the observers
 // see it: a miss's references and cycles are the WalkMemRefs and
-// WalkCycles deltas across the scheme call, it walked when Walks moved,
+// walkCycles deltas across the scheme call, it walked when Walks moved,
 // and its class and size are what the resolving path left in walkClass
 // and walkSize. The probe observes every walk; the sampler is offered
 // every miss, faulted or not.
-func (m *MMU) miss(gva uint64) (hpa, cycles uint64, fault *Fault) {
+func (m *MMU) miss(gva uint64, priced bool) (hpa, cycles uint64, fault *Fault) {
 	m.stats.L1Misses++
-	cyc0 := m.stats.WalkCycles
-	if !m.observed {
+	if !m.observed && !priced {
 		hpa, fault = m.scheme.TranslateMiss(m, gva)
-		return hpa, m.stats.WalkCycles - cyc0, fault
+		return hpa, 0, fault
 	}
-	walks0, refs0 := m.stats.Walks, m.stats.WalkMemRefs
+	walks0, refs0, cyc0 := m.stats.Walks, m.stats.WalkMemRefs, m.walkCycles()
 	hpa, fault = m.scheme.TranslateMiss(m, gva)
-	refs, cycles := m.stats.WalkMemRefs-refs0, m.stats.WalkCycles-cyc0
+	refs, cycles := m.stats.WalkMemRefs-refs0, m.walkCycles()-cyc0
 	if m.probe != nil && m.stats.Walks != walks0 {
 		m.probe.Refs.Observe(refs)
 		m.probe.Cycles.Observe(cycles)
@@ -588,7 +613,7 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		m.stats.Accesses += hits + 1
 		m.stats.L1Hits += hits
 		hits = 0
-		hpa, cycles, fault := m.miss(gva)
+		hpa, cycles, fault := m.miss(gva, out != nil)
 		if fault != nil {
 			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
 			return missAt, fault
@@ -612,11 +637,12 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 
 // translateBlockFrom is the per-event block loop, used for the whole
 // block when large-page L1 entries exist (from > 0 resumes after the
-// batched loop handed over mid-block): per-event Translate, stopping at
-// the first fault with that event's index.
+// batched loop handed over mid-block): per-event translate, pricing
+// misses only for out, stopping at the first fault with that event's
+// index.
 func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int, *Fault) {
 	for i := from; i < len(evs); i++ {
-		res, fault := m.Translate(uint64(evs[i].VA))
+		res, fault := m.translate(uint64(evs[i].VA), out != nil)
 		if fault != nil {
 			return i, fault
 		}
@@ -634,7 +660,7 @@ func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int
 // II counts this as one check). Declined (uncovered or escaped)
 // accesses charge nothing here beyond the filter probes. Like every
 // miss path it returns the hPA; missResult builds the Result.
-func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
+func (m *MMU) dualFastPath(gva uint64) (uint64, bool) {
 	if !(m.segs.Guest.Enabled() && m.segs.VMM.Enabled() &&
 		m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)) {
 		return 0, false
@@ -643,13 +669,11 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 	if !m.segs.VMM.Contains(gpa) || m.escapeVMM(gpa) {
 		return 0, false
 	}
-	*cycles += m.cfg.SegmentCheckCycles
 	m.stats.SegmentChecks++
 	m.stats.ZeroDWalks++
 	m.stats.GuestSegHits++
 	m.stats.VMMSegHits++
 	m.stats.MissBoth++
-	m.stats.WalkCycles += *cycles
 	hpa := m.segs.VMM.Translate(gpa)
 	m.l1.Insert(gva, hpa, addr.Page4K)
 	m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
@@ -658,19 +682,16 @@ func (m *MMU) dualFastPath(gva uint64, cycles *uint64) (uint64, bool) {
 
 // probeL2 is the shared L2 TLB lookup of the miss path (guest 4K
 // entries; any segment calculation proceeds in parallel, §III.D). The
-// probe cost is charged hit or miss. A hit returns its hPA; missResult
-// builds the Result.
-func (m *MMU) probeL2(gva uint64, cycles *uint64) (uint64, bool) {
+// probe cost is charged hit or miss, as one L2Hits or L2Misses count. A
+// hit returns its hPA; missResult builds the Result.
+func (m *MMU) probeL2(gva uint64) (uint64, bool) {
 	if hpa, hit := m.l2.LookupGuest(gva); hit {
 		m.stats.L2Hits++
-		*cycles += m.cfg.L2HitCycles
-		m.stats.WalkCycles += *cycles
 		m.l1.Insert(gva, hpa, addr.Page4K)
 		m.walkClass, m.walkSize = walkprof.ClassL2Hit, addr.Page4K
 		return hpa, true
 	}
 	m.stats.L2Misses++
-	*cycles += m.cfg.L2HitCycles // the probe that missed
 	return 0, false
 }
 
@@ -709,8 +730,7 @@ func (m *MMU) escapeGuest(va uint64) bool {
 // walk's totals off the counters, so an observed run executes exactly
 // the code an unobserved one does.
 func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
-	var cycles uint64
-	if hpa, hit := m.probeL2(gva, &cycles); hit {
+	if hpa, hit := m.probeL2(gva); hit {
 		return hpa, nil
 	}
 	m.stats.Walks++
@@ -721,7 +741,6 @@ func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 	guestCovered := false
 	if m.segs.Guest.Enabled() {
 		guestCovered = m.segs.Guest.Contains(gva) && !m.escapeGuest(gva)
-		cycles += m.cfg.SegmentCheckCycles
 		m.stats.SegmentChecks++
 	}
 	var gpa uint64
@@ -730,13 +749,12 @@ func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 		m.stats.GuestSegHits++
 		gpa = m.segs.Guest.Translate(gva)
 	} else {
-		pa, size, ok, fault := m.walkGuestTable(gva, &cycles, true)
+		pa, size, ok, fault := m.walkGuestTable(gva, true)
 		if fault == nil && !ok {
 			m.stats.GuestFaults++
 			fault = &Fault{Kind: FaultGuest, Addr: gva}
 		}
 		if fault != nil {
-			m.stats.WalkCycles += cycles
 			return 0, fault
 		}
 		gpa, gsize = pa, size
@@ -744,30 +762,25 @@ func (m *MMU) walk2D(gva uint64) (uint64, *Fault) {
 
 	// Second dimension for the final gPA.
 	vmmCovered := m.segs.VMM.Enabled() && m.segs.VMM.Contains(gpa)
-	hpa, nsize, fault := m.nestedTranslate(gpa, &cycles)
+	hpa, nsize, fault := m.nestedTranslate(gpa)
 	if fault != nil {
-		m.stats.WalkCycles += cycles
 		return 0, fault
 	}
 	m.classifyMiss(guestCovered, vmmCovered)
-	m.stats.WalkCycles += cycles
 	m.insertComposite(gva, hpa, gsize, nsize)
 	return hpa, nil
 }
 
 // nativeWalk is the 1D walk: up to 4 references through the PTE cache,
-// reduced by the paging-structure caches, charged on top of the cost
-// already accumulated.
-func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, *Fault) {
+// reduced by the paging-structure caches.
+func (m *MMU) nativeWalk(va uint64) (uint64, *Fault) {
 	m.stats.Walks++
 	m.walkClass = walkprof.ClassWalk1D
-	pa, size, ok, _ := m.walkGuestTable(va, &cycles, false)
+	pa, size, ok, _ := m.walkGuestTable(va, false)
 	if !ok {
 		m.stats.GuestFaults++
-		m.stats.WalkCycles += cycles
 		return 0, &Fault{Kind: FaultGuest, Addr: va}
 	}
-	m.stats.WalkCycles += cycles
 	m.insertComposite(va, pa, size, size)
 	return pa, nil
 }
@@ -780,16 +793,17 @@ func (m *MMU) nativeWalk(va uint64, cycles uint64) (uint64, *Fault) {
 // through nestedTranslate when nested; and, under FlatNested, to its
 // flat-table entry for an interior level (the gL1 entry still nested-
 // translates). It returns the leaf translation and its page size; the
-// references are accounted into the stats and PWC here. A non-nil fault
-// (the nested dimension failed mid-walk) takes precedence over !ok at
-// the caller.
-func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
+// references are accounted into the stats, PTE cache and PWC here. A
+// non-nil fault (the nested dimension failed mid-walk) takes precedence
+// over !ok at the caller.
+func (m *MMU) walkGuestTable(va uint64, nested bool) (pa uint64, size addr.PageSize, ok bool, fault *Fault) {
 	// The guest PWC is probed on every walk, success or fault.
 	skip := 0
 	if !m.cfg.DisablePWC {
 		skip = m.pwc.SkipLevel(va)
 	}
-	pa, size, path, n, ok := m.gPT.WalkPath(va)
+	var path [addr.Levels]uint64
+	pa, size, n, ok := m.gPT.WalkPath(va, &path)
 	flat := nested && m.flatNested
 	start := min(skip, n-1)
 	for lvl := start; lvl < n; lvl++ {
@@ -807,14 +821,14 @@ func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64,
 			}
 			a = flatEntryAddr(va, lvl)
 		case nested:
-			hpa, _, f := m.nestedTranslate(a, cycles)
+			hpa, _, f := m.nestedTranslate(a)
 			if f != nil {
 				m.stats.WalkMemRefs += uint64(lvl - start)
 				return 0, 0, false, f
 			}
 			a = hpa
 		}
-		*cycles += m.ptc.Access(a)
+		m.ptc.Probe(a)
 	}
 	m.stats.WalkMemRefs += uint64(n - start)
 	if ok && !m.cfg.DisablePWC {
@@ -826,11 +840,10 @@ func (m *MMU) walkGuestTable(va uint64, cycles *uint64, nested bool) (pa uint64,
 
 // nestedTranslate resolves one gPA to hPA: VMM segment (with escape
 // filter), then nested TLB, then one nested page-table walk.
-func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize, *Fault) {
+func (m *MMU) nestedTranslate(gpa uint64) (uint64, addr.PageSize, *Fault) {
 	// VMM segment check costs Δ whenever the registers are enabled —
 	// the hardware performs it unconditionally (Figure 5(b)).
 	if m.segs.VMM.Enabled() {
-		*cycles += m.cfg.SegmentCheckCycles
 		m.stats.SegmentChecks++
 		if m.segs.VMM.Contains(gpa) && !m.escapeVMM(gpa) {
 			m.stats.VMMSegHits++
@@ -841,7 +854,6 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 	if !m.cfg.DisableNestedTLB {
 		if hpa, hit := m.l2.LookupNested(gpa); hit {
 			m.stats.NestedTLBHits++
-			*cycles += m.cfg.NestedProbeCycles
 			return hpa, addr.Page4K, nil
 		}
 		m.stats.NestedTLBMisses++
@@ -851,7 +863,8 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 	// must leave the nested PWC's LRU state untouched, so the PWC is
 	// probed only after the walk succeeds.
 	m.stats.NestedWalks++
-	hpa, nsize, path, n, ok := m.nPT.WalkPath(gpa)
+	var path [addr.Levels]uint64
+	hpa, nsize, n, ok := m.nPT.WalkPath(gpa, &path)
 	if !ok {
 		m.stats.NestedFaults++
 		return 0, 0, &Fault{Kind: FaultNested, Addr: gpa}
@@ -861,11 +874,9 @@ func (m *MMU) nestedTranslate(gpa uint64, cycles *uint64) (uint64, addr.PageSize
 		skip = min(m.npwc.SkipLevel(gpa), n-1)
 	}
 	m.stats.WalkMemRefs += uint64(n - skip)
-	cyc := *cycles
 	for _, a := range path[skip:n] {
-		cyc += m.ptc.Access(a)
+		m.ptc.Probe(a)
 	}
-	*cycles = cyc
 	if !m.cfg.DisablePWC {
 		m.npwc.FillFrom(gpa, skip, n-1)
 	}

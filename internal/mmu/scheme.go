@@ -107,12 +107,12 @@ type Scheme interface {
 	Virtualized() bool
 	// TranslateMiss resolves one access past an L1 miss — segment fast
 	// paths, the L2 probe, and the scheme's walk machine — and returns
-	// the hPA. It must accumulate cycle cost locally and add it to
-	// Stats.WalkCycles exactly once per resolution (the TranslateBlock
-	// contract; that delta is the access's Result.Cycles), count Walks
-	// once per walk, and leave a resolved miss's class and page size in
-	// the MMU's walkClass and walkSize, from which the caller builds the
-	// Result and the observers read the miss.
+	// the hPA. It charges cost only as counts (segment checks, L2 and
+	// nested-TLB probes, PTE references through the PTE cache), which
+	// MMU.Stats prices into WalkCycles; it counts Walks once per walk,
+	// and leaves a resolved miss's class and page size in the MMU's
+	// walkClass and walkSize, from which the caller builds the Result and
+	// the observers read the miss.
 	TranslateMiss(m *MMU, gva uint64) (hpa uint64, fault *Fault)
 	// WalkCost is the scheme's closed-form cost-table entry.
 	WalkCost(in CostInput) WalkCost

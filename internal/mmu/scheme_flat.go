@@ -70,8 +70,7 @@ func (flatNestedScheme) WalkCost(in CostInput) WalkCost {
 }
 
 func (flatNestedScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
-	var cycles uint64
-	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
+	if hpa, ok := m.dualFastPath(gva); ok {
 		return hpa, nil
 	}
 	return m.walk2D(gva)

@@ -21,11 +21,10 @@ func (nativeScheme) WalkCost(in CostInput) WalkCost {
 }
 
 func (nativeScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
-	var cycles uint64
-	if hpa, hit := m.probeL2(gva, &cycles); hit {
+	if hpa, hit := m.probeL2(gva); hit {
 		return hpa, nil
 	}
-	return m.nativeWalk(gva, cycles)
+	return m.nativeWalk(gva)
 }
 
 // directSegmentScheme is the unvirtualized direct segment (§III): a
@@ -52,23 +51,20 @@ func (directSegmentScheme) WalkCost(in CostInput) WalkCost {
 }
 
 func (directSegmentScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
-	var cycles uint64
-	if hpa, hit := m.probeL2(gva, &cycles); hit {
+	if hpa, hit := m.probeL2(gva); hit {
 		return hpa, nil
 	}
 	// Segment calculation in parallel with the L2 lookup; covered
 	// addresses skip the walk (§III.D).
 	if m.segs.Guest.Enabled() && m.segs.Guest.Contains(gva) && !m.escapeGuest(gva) {
-		cycles += m.cfg.SegmentCheckCycles
 		m.stats.SegmentChecks++
 		m.stats.ZeroDWalks++
 		m.stats.GuestSegHits++
-		m.stats.WalkCycles += cycles
 		pa := m.segs.Guest.Translate(gva)
 		m.l1.Insert(gva, pa, addr.Page4K)
 		m.l2.InsertGuest(gva, pa)
 		m.walkClass, m.walkSize = walkprof.ClassZeroD, addr.Page4K
 		return pa, nil
 	}
-	return m.nativeWalk(gva, cycles)
+	return m.nativeWalk(gva)
 }

@@ -99,8 +99,7 @@ func (dualDirectScheme) WalkCost(in CostInput) WalkCost {
 }
 
 func (dualDirectScheme) TranslateMiss(m *MMU, gva uint64) (uint64, *Fault) {
-	var cycles uint64
-	if hpa, ok := m.dualFastPath(gva, &cycles); ok {
+	if hpa, ok := m.dualFastPath(gva); ok {
 		return hpa, nil
 	}
 	return m.walk2D(gva)

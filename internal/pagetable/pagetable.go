@@ -349,7 +349,8 @@ type Ref struct {
 // performed before the walk aborted — real walkers touch memory before
 // faulting.
 func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []Ref, ok bool) {
-	pa, s, path, n, ok := t.WalkPath(va)
+	var path [addr.Levels]uint64
+	pa, s, n, ok := t.WalkPath(va, &path)
 	for lvl, a := range path[:n] {
 		refs = append(refs, Ref{Addr: a, Level: lvl})
 	}
@@ -357,10 +358,12 @@ func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []R
 }
 
 // WalkPath is the page walk. It translates va, setting the accessed bit
-// on every entry it reads, and returns the walk's fixed path:
-// path[lvl] is the address of the PTE read at level lvl, and n counts
-// the levels read, through the leaf or the faulting (not-present)
-// level. A paging-structure-cache skip is the caller's to apply, as
+// on every entry it reads, and writes the walk's fixed path into the
+// caller's array: path[lvl] is the address of the PTE read at level
+// lvl, and n counts the levels read, through the leaf or the faulting
+// (not-present) level; entries past n are left as they were. Callers
+// keep path on their stack (WalkPath does not retain it). A
+// paging-structure-cache skip is the caller's to apply, as
 // path[min(skip, n-1):n]: the levels a cache holds are not charged, but
 // the walk's final reference always is.
 //
@@ -368,7 +371,7 @@ func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []R
 // leaves only at the PDPT, PD and PT levels (leafLevel), so no PML4
 // entry is a leaf, and a PT entry is always a leaf, so the descent ends
 // by level LvlPT.
-func (t *Table) WalkPath(va uint64) (pa uint64, s addr.PageSize, path [addr.Levels]uint64, n int, ok bool) {
+func (t *Table) WalkPath(va uint64, path *[addr.Levels]uint64) (pa uint64, s addr.PageSize, n int, ok bool) {
 	// Walk-cache fast path: a previous walk of this 2M prefix reached a
 	// PT node. Its interior PTE addresses are a pure function of the
 	// prefix, so only the PT entry itself is read live. The entry word
@@ -382,13 +385,13 @@ func (t *Table) WalkPath(va uint64) (pa uint64, s addr.PageSize, path [addr.Leve
 		path[addr.LvlPT] = nd.frame<<addr.PageShift4K + idx*8
 		w := nd.words[idx]
 		if w&peP == 0 {
-			return 0, 0, path, addr.Levels, false
+			return 0, 0, addr.Levels, false
 		}
 		if w&peA == 0 {
 			nd.words[idx] = w | peA
 		}
 		return w>>peShift<<addr.PageShift4K + va&(addr.PageSize4K-1),
-			addr.Page4K, path, addr.Levels, true
+			addr.Page4K, addr.Levels, true
 	}
 
 	nd := t.root
@@ -403,7 +406,7 @@ func (t *Table) WalkPath(va uint64) (pa uint64, s addr.PageSize, path [addr.Leve
 		path[lvl] = frame<<addr.PageShift4K + idx*8
 		w := nd.words[idx]
 		if w&peP == 0 {
-			return 0, 0, path, lvl + 1, false
+			return 0, 0, lvl + 1, false
 		}
 		if w&peA == 0 {
 			// Store only when the bit actually flips: re-walked entries
@@ -427,7 +430,7 @@ func (t *Table) WalkPath(va uint64) (pa uint64, s addr.PageSize, path [addr.Leve
 			default:
 				panic("pagetable: leaf at PML4 level")
 			}
-			return w>>peShift<<addr.PageShift4K + addr.Offset(va, s), s, path, lvl + 1, true
+			return w>>peShift<<addr.PageShift4K + addr.Offset(va, s), s, lvl + 1, true
 		}
 		frame = w >> peShift
 		nd = nd.kids[idx]

@@ -6,7 +6,7 @@ import (
 	"vdirect/internal/addr"
 )
 
-// walkResult is everything WalkPath returns.
+// walkResult is everything WalkPath returns, and the path it writes.
 type walkResult struct {
 	pa   uint64
 	size addr.PageSize
@@ -17,7 +17,7 @@ type walkResult struct {
 
 func walkPath(tbl *Table, va uint64) walkResult {
 	var r walkResult
-	r.pa, r.size, r.path, r.n, r.ok = tbl.WalkPath(va)
+	r.pa, r.size, r.n, r.ok = tbl.WalkPath(va, &r.path)
 	return r
 }
 

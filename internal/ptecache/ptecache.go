@@ -81,6 +81,16 @@ func New(cfg Config) *Cache {
 // Access charges one PTE read at the physical address and returns its
 // cost in cycles.
 func (c *Cache) Access(phys uint64) uint64 {
+	if c.Probe(phys) {
+		return c.cfg.HitCycles
+	}
+	return c.cfg.MissCycles
+}
+
+// Probe reads the PTE line at the physical address, filling it on a
+// miss, and reports whether it hit. The MMU prices its references from
+// the hit and miss counts (Stats), not per probe.
+func (c *Cache) Probe(phys uint64) (hit bool) {
 	c.refs++
 	c.clock++
 	lineAddr := phys >> lineShift
@@ -102,7 +112,7 @@ func (c *Cache) Access(phys uint64) uint64 {
 	for j := 0; j < ways; j++ {
 		if ws[2*j] == key {
 			ws[2*j+1] = c.clock
-			return c.cfg.HitCycles
+			return true
 		}
 	}
 	c.misses++
@@ -120,7 +130,7 @@ func (c *Cache) Access(phys uint64) uint64 {
 	}
 	ws[2*victim] = key
 	ws[2*victim+1] = c.clock
-	return c.cfg.MissCycles
+	return false
 }
 
 // Stats returns lifetime references and misses.
