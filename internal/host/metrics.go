@@ -132,26 +132,34 @@ func (s *Sim) Fragmentation(res *Result) {
 // cross-layer frame-attribution invariant: every frame the VMM's owner
 // registry assigns to a VM is stamped, in physmem, with that VM's
 // guest owner (canonical copy-on-write frames count toward the guest
-// that owns the canonical mapping).
+// that owns the canonical mapping). It checks a run at a time: each run
+// of frames registered to one VM, in the allocator's runs of equal
+// stamps, so a guest's contiguous backing is a few comparisons, and it
+// reports the first frame a per-frame check would.
 func (s *Sim) CheckAccounting() error {
-	if err := s.Host.Mem.CheckOwnerAccounting(); err != nil {
+	mem := s.Host.Mem
+	if err := mem.CheckOwnerAccounting(); err != nil {
 		return err
 	}
-	for f := uint64(0); f < s.Host.Mem.Frames(); f++ {
-		vm, _, ok := s.Host.OwnerVM(f)
-		if !ok {
+	for f := uint64(0); f < mem.Frames(); {
+		vm, n := s.Host.OwnerRun(f)
+		if vm == nil {
+			f += n
 			continue
 		}
 		g := s.byVM[vm]
 		if g == nil {
 			return fmt.Errorf("host: frame %d registered to unknown VM %s", f, vm.Name)
 		}
-		owner, tracked := s.Host.Mem.FrameOwner(f)
-		if !tracked {
-			return fmt.Errorf("host: frame %d registered to %s but not allocated", f, g.Name)
-		}
-		if owner != g.Owner() {
-			return fmt.Errorf("host: frame %d backs %s but is stamped owner %d", f, g.Name, owner)
+		for end := f + n; f < end; {
+			owner, k, tracked := mem.OwnerRun(f, end-f)
+			if !tracked {
+				return fmt.Errorf("host: frame %d registered to %s but not allocated", f, g.Name)
+			}
+			if owner != g.Owner() {
+				return fmt.Errorf("host: frame %d backs %s but is stamped owner %d", f, g.Name, owner)
+			}
+			f += k
 		}
 	}
 	return nil

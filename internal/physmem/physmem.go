@@ -183,6 +183,21 @@ func (m *Memory) FrameOwner(f uint64) (OwnerID, bool) {
 	return m.owners[f], true
 }
 
+// OwnerRun returns the owner stamp of allocated frame f and the length
+// n, from 1 up to limit, of the run of allocated frames from f that
+// carry that stamp. tracked is false when tracking is off or f is not
+// allocated.
+func (m *Memory) OwnerRun(f, limit uint64) (o OwnerID, n uint64, tracked bool) {
+	if m.owners == nil || !m.IsAllocated(f) {
+		return OwnerNone, 0, false
+	}
+	o, end, last := m.owners[f], f+1, f+min(limit, m.frames-f)
+	for end < last && m.owners[end] == o && m.bit(m.alloc, end) {
+		end++
+	}
+	return o, end - f, true
+}
+
 // OwnerFrames returns the number of allocated frames stamped with the
 // owner (0 when tracking is off).
 func (m *Memory) OwnerFrames(o OwnerID) uint64 {
@@ -248,14 +263,13 @@ func (m *Memory) CheckOwnerAccounting() error {
 	}
 	rescan := map[OwnerID]uint64{}
 	for f := uint64(0); f < m.frames; {
-		if !m.bit(m.alloc, f) {
+		o, n, ok := m.OwnerRun(f, m.frames-f)
+		if !ok {
 			f++
 			continue
 		}
-		o, run := m.owners[f], f
-		for f++; f < m.frames && m.owners[f] == o && m.bit(m.alloc, f); f++ {
-		}
-		rescan[o] += f - run
+		rescan[o] += n
+		f += n
 	}
 	if len(rescan) != len(m.ownerCount) {
 		return fmt.Errorf("physmem %s: rescan found %d owners, books say %d",

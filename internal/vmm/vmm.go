@@ -139,6 +139,21 @@ func (h *Host) OwnerVM(frame uint64) (*VM, uint64, bool) {
 	return vm, gpa, vm != nil
 }
 
+// OwnerRun returns the VM whose guest pages host frame f backs (nil for
+// an unowned frame, as OwnerVM) and the length n ≥ 1 of the run of
+// frames from f registered to that same VM, or all unowned.
+func (h *Host) OwnerRun(f uint64) (vm *VM, n uint64) {
+	if f >= uint64(len(h.owners)) {
+		return nil, 1
+	}
+	id, end := h.owners[f]&^ownerGPBits, f+1
+	for end < uint64(len(h.owners)) && h.owners[end]&^ownerGPBits == id {
+		end++
+	}
+	vm, _ = h.ownerRef(h.owners[f])
+	return vm, end - f
+}
+
 // MemorySlot maps a contiguous guest physical range to host virtual
 // addresses of the VMM process (Figure 10). KVM keeps two large slots:
 // [0, 4GB) and [4GB, ∞).

@@ -131,7 +131,13 @@ func register(name string, class Class, f factory) {
 }
 
 // lookup returns the named registry entry; it panics on unknown names,
-// which are harness bugs.
+// which are harness bugs. The panic is an invariant, not an input
+// check: every name a user supplies is checked with Exists before it
+// reaches New or ClassOf (vdirect.RunCell, RunCells and WorkloadExists,
+// hostsim's -workload, tracestat's -workload, host.Config's defaults,
+// experiments.HostStudy and ConsolidationStudy), and every other name
+// comes from Names, BigMemoryNames or ComputeNames, which list only
+// registered workloads.
 func lookup(name string) entry {
 	e, ok := registry[name]
 	if !ok {
