@@ -50,8 +50,8 @@ func TestHostDifferentialFourGuests(t *testing.T) {
 	// Per-guest identities, asserted here explicitly (Run also enforces
 	// them, but the test should fail loudly on its own).
 	for _, g := range s.Guests {
-		if err := checkStatsIdentities(g.Name, g.MMU.Stats()); err != nil {
-			t.Error(err)
+		if err := oracle.CheckIdentities(g.MMU.Stats()); err != nil {
+			t.Errorf("%s: %v", g.Name, err)
 		}
 		st := g.MMU.Stats()
 		if st.Accesses == 0 {

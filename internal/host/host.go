@@ -186,8 +186,7 @@ type Guest struct {
 
 	// Replay accounting, written only by the owning shard during the
 	// replay phase (sched.RunSharded's determinism contract).
-	accesses   []uint64 // by tenant
-	walkCycles uint64
+	accesses []uint64 // by tenant
 
 	// escaped is the exact set of gPA pages this guest's host layer
 	// inserted into the VMM escape filter (the oracle mirror of the
@@ -443,9 +442,7 @@ func (g *Guest) step() (bool, error) {
 		if err := g.Sched.SwitchTo(t, g.MMU); err != nil {
 			return true, err
 		}
-		before := g.MMU.Stats().WalkCycles
 		n, more, err := eng.Step(Quantum)
-		g.walkCycles += g.MMU.Stats().WalkCycles - before
 		g.accesses[t] += uint64(n)
 		if err != nil {
 			return true, fmt.Errorf("host: %s tenant %d: %w", g.Name, t, err)

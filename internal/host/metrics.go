@@ -87,8 +87,8 @@ func (s *Sim) collect() Result {
 			Mode:         g.Mode,
 			Direct:       g.Direct,
 			Accesses:     accesses,
-			WalkCycles:   g.walkCycles,
-			Overhead:     perfmodel.Overhead(float64(g.walkCycles), ideal),
+			WalkCycles:   st.WalkCycles,
+			Overhead:     perfmodel.Overhead(float64(st.WalkCycles), ideal),
 			Stats:        st,
 			EscapedPages: len(g.escaped),
 			OwnerFrames:  s.Host.Mem.OwnerFrames(g.Owner()),
@@ -106,7 +106,7 @@ func (s *Sim) collect() Result {
 			worst = gr.Overhead
 		}
 		totalAccesses += accesses
-		totalCycles += g.walkCycles
+		totalCycles += st.WalkCycles
 		res.EscapeProbes += st.EscapeProbes
 		res.EscapeTaken += st.EscapeTaken
 		res.Guests = append(res.Guests, gr)

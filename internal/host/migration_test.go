@@ -10,6 +10,7 @@ import (
 
 	"vdirect/internal/addr"
 	"vdirect/internal/mmu"
+	"vdirect/internal/oracle"
 	"vdirect/internal/trace"
 	"vdirect/internal/vmm"
 	"vdirect/internal/workload"
@@ -254,8 +255,9 @@ func TestTranslateBlockReportsNestedFault(t *testing.T) {
 	}
 }
 
-// TestStatsIdentityViolationsDetected feeds checkStatsIdentities each
-// of the four counter corruptions it guards against.
+// TestStatsIdentityViolationsDetected feeds the per-guest identity check
+// Run applies (oracle.CheckIdentities) each of the four counter
+// corruptions it guards against.
 func TestStatsIdentityViolationsDetected(t *testing.T) {
 	good := mmu.Stats{
 		Accesses: 10, L1Hits: 6, L1Misses: 4,
@@ -263,7 +265,7 @@ func TestStatsIdentityViolationsDetected(t *testing.T) {
 		EscapeProbes: 2, EscapeTaken: 1,
 		GuestFaults: 1, NestedFaults: 1,
 	}
-	if err := checkStatsIdentities("g", good); err != nil {
+	if err := oracle.CheckIdentities(good); err != nil {
 		t.Fatalf("consistent stats rejected: %v", err)
 	}
 	cases := []struct {
@@ -278,7 +280,7 @@ func TestStatsIdentityViolationsDetected(t *testing.T) {
 	for _, c := range cases {
 		st := good
 		c.mutate(&st)
-		if err := checkStatsIdentities("g", st); err == nil {
+		if err := oracle.CheckIdentities(st); err == nil {
 			t.Errorf("%s violation not detected", c.name)
 		}
 	}

@@ -50,8 +50,8 @@ func (s *Sim) Run() (Result, error) {
 		return Result{}, err
 	}
 	for _, g := range s.Guests {
-		if err := checkStatsIdentities(g.Name, g.MMU.Stats()); err != nil {
-			return Result{}, err
+		if err := oracle.CheckIdentities(g.MMU.Stats()); err != nil {
+			return Result{}, fmt.Errorf("host: %s: %w", g.Name, err)
 		}
 	}
 	if !s.Cfg.SkipCrossCheck {
@@ -60,28 +60,6 @@ func (s *Sim) Run() (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// checkStatsIdentities asserts the counter identities every MMU must
-// satisfy (the oracle harness's CheckStats invariants), per guest.
-func checkStatsIdentities(name string, st mmu.Stats) error {
-	if st.Accesses != st.L1Hits+st.L1Misses {
-		return fmt.Errorf("host: %s: accesses %d != L1 hits %d + misses %d",
-			name, st.Accesses, st.L1Hits, st.L1Misses)
-	}
-	if st.L1Misses != st.ZeroDWalks+st.L2Hits+st.Walks {
-		return fmt.Errorf("host: %s: L1 misses %d != 0D %d + L2 hits %d + walks %d",
-			name, st.L1Misses, st.ZeroDWalks, st.L2Hits, st.Walks)
-	}
-	if st.EscapeTaken > st.EscapeProbes {
-		return fmt.Errorf("host: %s: escapes taken %d > probes %d",
-			name, st.EscapeTaken, st.EscapeProbes)
-	}
-	if st.GuestFaults+st.NestedFaults > st.Walks {
-		return fmt.Errorf("host: %s: faults %d+%d > walks %d",
-			name, st.GuestFaults, st.NestedFaults, st.Walks)
-	}
-	return nil
 }
 
 // crossCheckProbes is how many virtual addresses the differential

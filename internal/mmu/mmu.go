@@ -135,9 +135,8 @@ type Stats struct {
 	Walks uint64
 	// WalkMemRefs counts page-table memory references performed.
 	WalkMemRefs uint64
-	// WalkCycles is the total cycles charged to TLB-miss handling
-	// (segment checks + walk references + L2/NTLB probe costs). No path
-	// accumulates it: MMU.Stats prices it from the counts (walkCycles).
+	// WalkCycles is the cycles charged to TLB-miss handling, which
+	// MMU.Stats prices from the other counts (walkCycles).
 	WalkCycles uint64
 
 	SegmentChecks   uint64
@@ -186,11 +185,8 @@ type MMU struct {
 	// nPT translates the second dimension: gPA→hPA. nil when native.
 	nPT *pagetable.Table
 
-	stats Stats
-	// missBase is the PTE-cost cache's lifetime miss count at the last
-	// ResetStats, so X, the misses of the measured phase, is the cache's
-	// count less missBase.
-	missBase uint64
+	stats    Stats
+	missBase uint64 // the PTE cache's miss count at the last ResetStats
 
 	// probe, when non-nil, receives every page walk's memory-reference
 	// and cycle deltas for telemetry histograms; sampler, when non-nil,
@@ -325,22 +321,16 @@ func (m *MMU) SetWalkSampler(s *walkprof.Sampler) {
 	m.observed = m.probe != nil || m.sampler != nil
 }
 
-// Stats returns a copy of the accumulated counters, with WalkCycles
-// priced from them. It is the one place WalkCycles is assigned.
+// Stats returns a copy of the counters, with WalkCycles priced from
+// them: the one place WalkCycles is assigned.
 func (m *MMU) Stats() Stats {
 	st := m.stats
 	st.WalkCycles = m.walkCycles()
 	return st
 }
 
-// walkCycles prices the counts since ResetStats with the linear cost
-// model of §VII (Table IV): Δ per segment check, L2HitCycles per L2
-// probe, NestedProbeCycles per nested-TLB hit, and per page-table
-// reference its PTE-cache cost, where X = PTECacheMisses of the
-// WalkMemRefs references missed:
-//
-//	Δ·SegmentChecks + L2HitCycles·(L2Hits+L2Misses) + NestedProbeCycles·NestedTLBHits
-//	  + HitCycles·(WalkMemRefs−X) + MissCycles·X
+// walkCycles prices the counts since ResetStats with §VII's linear
+// cost model; X of the WalkMemRefs references missed the PTE cache.
 func (m *MMU) walkCycles() uint64 {
 	c, st, x := &m.cfg, &m.stats, m.PTECacheMisses()
 	return c.SegmentCheckCycles*st.SegmentChecks +
@@ -354,9 +344,8 @@ func (m *MMU) ResetStats() {
 	_, m.missBase = m.ptc.Stats()
 }
 
-// PTECacheMisses returns X, the PTE-cost cache's misses since
-// ResetStats: of the WalkMemRefs references, X cost MissCycles and the
-// rest HitCycles.
+// PTECacheMisses returns X, the references since ResetStats that missed
+// the PTE cache (and cost MissCycles, the rest HitCycles).
 func (m *MMU) PTECacheMisses() uint64 {
 	_, x := m.ptc.Stats()
 	return x - m.missBase
@@ -453,8 +442,7 @@ type Result struct {
 // Translate runs one data access through the pipeline of Figure 5(a).
 func (m *MMU) Translate(gva uint64) (Result, *Fault) { return m.translate(gva, true) }
 
-// translate is Translate, pricing a miss's Result.Cycles only when
-// priced is set.
+// translate is Translate, pricing a miss's cycles only if priced.
 func (m *MMU) translate(gva uint64, priced bool) (Result, *Fault) {
 	m.stats.Accesses++
 
@@ -483,14 +471,13 @@ func (m *MMU) translate(gva uint64, priced bool) (Result, *Fault) {
 }
 
 // miss resolves one L1 miss through the active scheme, returning its
-// hPA and, when priced is set or an observer is installed, the cycles
-// charged to it (0 otherwise). Every miss, from Translate or
-// TranslateBlock, enters here, and this is the only place the observers
-// see it: a miss's references and cycles are the WalkMemRefs and
-// walkCycles deltas across the scheme call, it walked when Walks moved,
-// and its class and size are what the resolving path left in walkClass
-// and walkSize. The probe observes every walk; the sampler is offered
-// every miss, faulted or not.
+// hPA and, if priced or observed, the cycles charged to it (else 0).
+// Every miss, from Translate or TranslateBlock, enters here, and this
+// is the only place the observers see it: a miss's references and
+// cycles are the WalkMemRefs and walkCycles deltas across the scheme
+// call, it walked when Walks moved, and its class and size are what the
+// resolving path left in walkClass and walkSize. The probe observes
+// every walk; the sampler is offered every miss, faulted or not.
 func (m *MMU) miss(gva uint64, priced bool) (hpa, cycles uint64, fault *Fault) {
 	m.stats.L1Misses++
 	if !m.observed && !priced {
@@ -637,9 +624,8 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 
 // translateBlockFrom is the per-event block loop, used for the whole
 // block when large-page L1 entries exist (from > 0 resumes after the
-// batched loop handed over mid-block): per-event translate, pricing
-// misses only for out, stopping at the first fault with that event's
-// index.
+// batched loop handed over mid-block): per-event translate, priced
+// only for out, stopping at the first fault with that event's index.
 func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int, *Fault) {
 	for i := from; i < len(evs); i++ {
 		res, fault := m.translate(uint64(evs[i].VA), out != nil)

@@ -65,9 +65,6 @@ func strictConfig() mmu.Config {
 
 // pressureConfig shrinks every cache to a handful of entries so the
 // fuzzer constantly exercises eviction, refill and invalidation paths.
-// Its costs are spelled out (Δ and the nested-probe cost are the MMU's
-// defaults) for CheckStats's walk-cycle identity; its PTE cache, unlike
-// the strict one, prices a hit and a miss apart.
 func pressureConfig() mmu.Config {
 	return mmu.Config{
 		L1: tlb.Geometry{
@@ -76,9 +73,7 @@ func pressureConfig() mmu.Config {
 			Entries1G: 4, Ways1G: 4,
 		},
 		L2Entries: 16, L2Ways: 4,
-		PTECache:           ptecache.Config{Lines: 64, Ways: 4, HitCycles: 18, MissCycles: 170},
-		SegmentCheckCycles: 1,
-		NestedProbeCycles:  7,
+		PTECache: ptecache.Config{Lines: 64, Ways: 4, HitCycles: 18, MissCycles: 170},
 	}
 }
 
@@ -902,37 +897,39 @@ func (h *Harness) opBalloon() error {
 	return nil
 }
 
-// CheckStats verifies the end-of-run counter identities every MMU must
-// satisfy: each access is exactly one of L1 hit / L1 miss, and each L1
-// miss resolves as exactly one of 0D, L2 hit, or page walk. The
-// pressure MMU's WalkCycles must also be the cost identity over its
-// counts and its PTE-cache misses X (the strict MMU's PTE cache charges
-// a hit and a miss alike, so it cannot tell X apart).
+// CheckStats verifies the end-of-run counter identities (CheckIdentities)
+// on both MMUs. The pressure MMU's WalkCycles must also be the cost
+// identity at its costs (Δ 1 and 7 per nested-TLB hit by default, 18
+// per PTE-cache hit, 170 per miss), with X read from its PTE cache; the
+// strict MMU's, pricing a hit and a miss alike, cannot tell.
 func (h *Harness) CheckStats() error {
-	c, st := pressureConfig(), h.mmus[1].Stats()
-	x := h.mmus[1].PTECacheMisses()
-	want := c.SegmentCheckCycles*st.SegmentChecks + c.L2HitCycles*(st.L2Hits+st.L2Misses) +
-		c.NestedProbeCycles*st.NestedTLBHits +
-		c.PTECache.HitCycles*(st.WalkMemRefs-x) + c.PTECache.MissCycles*x
-	if st.WalkCycles != want {
+	st, x := h.mmus[1].Stats(), h.mmus[1].PTECacheMisses()
+	if want := st.SegmentChecks + 7*st.NestedTLBHits + 18*(st.WalkMemRefs-x) + 170*x; st.WalkCycles != want {
 		return fmt.Errorf("mmu[1]: WalkCycles %d != cost identity %d", st.WalkCycles, want)
 	}
 	for i, m := range h.mmus {
-		st := m.Stats()
-		if st.Accesses != st.L1Hits+st.L1Misses {
-			return fmt.Errorf("mmu[%d]: %d accesses != %d L1 hits + %d L1 misses",
-				i, st.Accesses, st.L1Hits, st.L1Misses)
+		if err := CheckIdentities(m.Stats()); err != nil {
+			return fmt.Errorf("mmu[%d]: %w", i, err)
 		}
-		if st.L1Misses != st.ZeroDWalks+st.L2Hits+st.Walks {
-			return fmt.Errorf("mmu[%d]: %d L1 misses != %d 0D + %d L2 hits + %d walks",
-				i, st.L1Misses, st.ZeroDWalks, st.L2Hits, st.Walks)
-		}
-		if st.EscapeTaken > st.EscapeProbes {
-			return fmt.Errorf("mmu[%d]: escape taken %d > probes %d", i, st.EscapeTaken, st.EscapeProbes)
-		}
-		if st.GuestFaults+st.NestedFaults > st.Walks {
-			return fmt.Errorf("mmu[%d]: more faults than walks", i)
-		}
+	}
+	return nil
+}
+
+// CheckIdentities verifies the counter identities every MMU's Stats
+// satisfy, here and in the whole-host layer: each access is exactly one
+// of L1 hit / L1 miss, each L1 miss resolves as exactly one of 0D, L2
+// hit, or page walk, escapes taken ≤ probed, and faults ≤ walks.
+func CheckIdentities(st mmu.Stats) error {
+	switch {
+	case st.Accesses != st.L1Hits+st.L1Misses:
+		return fmt.Errorf("%d accesses != %d L1 hits + %d L1 misses", st.Accesses, st.L1Hits, st.L1Misses)
+	case st.L1Misses != st.ZeroDWalks+st.L2Hits+st.Walks:
+		return fmt.Errorf("%d L1 misses != %d 0D + %d L2 hits + %d walks",
+			st.L1Misses, st.ZeroDWalks, st.L2Hits, st.Walks)
+	case st.EscapeTaken > st.EscapeProbes:
+		return fmt.Errorf("escapes taken %d > probes %d", st.EscapeTaken, st.EscapeProbes)
+	case st.GuestFaults+st.NestedFaults > st.Walks:
+		return fmt.Errorf("faults %d+%d > walks %d", st.GuestFaults, st.NestedFaults, st.Walks)
 	}
 	return nil
 }

@@ -359,11 +359,10 @@ func (t *Table) Walk(va uint64, refs []Ref) (pa uint64, s addr.PageSize, out []R
 
 // WalkPath is the page walk. It translates va, setting the accessed bit
 // on every entry it reads, and writes the walk's fixed path into the
-// caller's array: path[lvl] is the address of the PTE read at level
-// lvl, and n counts the levels read, through the leaf or the faulting
-// (not-present) level; entries past n are left as they were. Callers
-// keep path on their stack (WalkPath does not retain it). A
-// paging-structure-cache skip is the caller's to apply, as
+// caller's array, which it does not retain: path[lvl] is the address of
+// the PTE read at level lvl, and n counts the levels read, through the
+// leaf or the faulting (not-present) level. A paging-structure-cache
+// skip is the caller's to apply, as
 // path[min(skip, n-1):n]: the levels a cache holds are not charged, but
 // the walk's final reference always is.
 //
@@ -381,7 +380,7 @@ func (t *Table) WalkPath(va uint64, path *[addr.Levels]uint64) (pa uint64, s add
 	if e.tag == va>>21 && e.gen == t.gen {
 		nd := e.pt
 		idx := va >> addr.PageShift4K & (addr.EntriesPerTable - 1)
-		copy(path[:], e.refs[:])
+		*(*[addr.Levels - 1]uint64)(path[:]) = e.refs // three stores, no memmove call
 		path[addr.LvlPT] = nd.frame<<addr.PageShift4K + idx*8
 		w := nd.words[idx]
 		if w&peP == 0 {
@@ -426,7 +425,7 @@ func (t *Table) WalkPath(va uint64, path *[addr.Levels]uint64) (pa uint64, s add
 				// Only 4K-leaf paths are cached: they are the only ones
 				// whose interior shape the fast path can assume.
 				*e = wcEntry{tag: va >> 21, gen: t.gen, pt: nd}
-				copy(e.refs[:], path[:])
+				e.refs = [addr.Levels - 1]uint64(path[:])
 			default:
 				panic("pagetable: leaf at PML4 level")
 			}

@@ -17,8 +17,8 @@ func TestOwnerAccountingBasic(t *testing.T) {
 	if got := m.OwnerFrames(OwnerNone); got != 1 {
 		t.Fatalf("pre-tracking frame attributed to OwnerNone: got %d want 1", got)
 	}
-	if o, ok := m.FrameOwner(pre); !ok || o != OwnerNone {
-		t.Fatalf("FrameOwner(pre) = %d,%v want OwnerNone,true", o, ok)
+	if o, _, ok := m.OwnerRun(pre, 1); !ok || o != OwnerNone {
+		t.Fatalf("OwnerRun(pre) = %d,%v want OwnerNone,true", o, ok)
 	}
 
 	prev := m.SetAllocOwner(7)
@@ -69,8 +69,8 @@ func TestOwnerAccountingUntracked(t *testing.T) {
 		t.Fatal("tracking on by default")
 	}
 	f, _ := m.AllocFrame()
-	if o, ok := m.FrameOwner(f); ok || o != OwnerNone {
-		t.Fatalf("FrameOwner untracked = %d,%v want OwnerNone,false", o, ok)
+	if o, _, ok := m.OwnerRun(f, 1); ok || o != OwnerNone {
+		t.Fatalf("OwnerRun untracked = %d,%v want OwnerNone,false", o, ok)
 	}
 	if m.OwnerFrames(OwnerNone) != 0 {
 		t.Fatal("OwnerFrames nonzero while untracked")
@@ -170,7 +170,7 @@ func TestOwnerSurvivesGrowAndCompact(t *testing.T) {
 		t.Fatal("expected compaction moves")
 	}
 	for _, mv := range moves {
-		if o, ok := m.FrameOwner(mv.New); !ok || o != 2 {
+		if o, _, ok := m.OwnerRun(mv.New, 1); !ok || o != 2 {
 			t.Fatalf("moved frame %#x owner = %d,%v want 2,true", mv.New, o, ok)
 		}
 	}

@@ -174,19 +174,9 @@ func (m *Memory) SetAllocOwner(o OwnerID) OwnerID {
 	return prev
 }
 
-// FrameOwner returns the owner of an allocated frame. The second
-// result is false when tracking is off or the frame is not allocated.
-func (m *Memory) FrameOwner(f uint64) (OwnerID, bool) {
-	if m.owners == nil || !m.IsAllocated(f) {
-		return OwnerNone, false
-	}
-	return m.owners[f], true
-}
-
-// OwnerRun returns the owner stamp of allocated frame f and the length
-// n, from 1 up to limit, of the run of allocated frames from f that
-// carry that stamp. tracked is false when tracking is off or f is not
-// allocated.
+// OwnerRun returns the owner of allocated frame f and the length n,
+// from 1 up to limit, of the run of allocated frames from f with that
+// owner. tracked is false when tracking is off or f is not allocated.
 func (m *Memory) OwnerRun(f, limit uint64) (o OwnerID, n uint64, tracked bool) {
 	if m.owners == nil || !m.IsAllocated(f) {
 		return OwnerNone, 0, false

@@ -87,9 +87,8 @@ func (c *Cache) Access(phys uint64) uint64 {
 	return c.cfg.MissCycles
 }
 
-// Probe reads the PTE line at the physical address, filling it on a
-// miss, and reports whether it hit. The MMU prices its references from
-// the hit and miss counts (Stats), not per probe.
+// Probe charges one PTE read at the physical address and reports
+// whether it hit (the MMU prices its reads from Stats' counts).
 func (c *Cache) Probe(phys uint64) (hit bool) {
 	c.refs++
 	c.clock++

@@ -117,20 +117,15 @@ func (r *Rand) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Uint64n returns a value uniform in [0, n). n must be positive.
-//
-// Its panic on n == 0 is an invariant, not an input check: every caller
-// draws below a bound its own construction makes positive. These are
-// constants; Perm's i+1; escape.NewSized's bank size (a positive
-// totalBits/hashes, checked there); a non-empty slice (host's
-// randGuest over the admitted guests, at least one since
-// Config.defaults rejects Guests ≤ 0, and the shared-page pick, which skips a guest
-// with none); a region or memory size (the bad-page pick in
-// experiments.RunWorkload, host's cross-check probes, the host
-// policies' guest memory); and the workload generators' sizes, which
-// are positive for every MemoryMB ≥ 1. FuzzGeneratorContracts builds
-// every workload at 1 to 32 MB, Config.withDefaults turns 0 into 64,
-// and hostsim and tracestat reject a -mem ≤ 0 in checkSizing.
+// Uint64n returns a value uniform in [0, n). Its panic on n == 0 is an
+// invariant, not an input check: each caller's bound is positive by
+// construction. Bounds are constants, Perm's i+1, escape.NewSized's
+// checked bank size, a slice checked non-empty (host's randGuest, as
+// host.Config rejects Guests ≤ 0; the shared-page pick), a region or
+// memory size (experiments' bad pages, host's probes and policies), or
+// a workload generator's size, positive at any MemoryMB ≥ 1:
+// FuzzGeneratorContracts builds every workload at 1–32 MB, withDefaults
+// maps 0 to 64, and hostsim's and tracestat's checkSizing reject -mem ≤ 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("trace: Uint64n(0)")
@@ -175,13 +170,9 @@ type Zipf struct {
 }
 
 // NewZipf creates a Zipf sampler over n items with exponent s > 0, s != 1
-// handled via the generalized harmonic integral.
-//
-// Its panic on n == 0 is an invariant, not an input check: the one
-// caller, the memcached generator, passes its item count, which is
-// positive for every MemoryMB ≥ 1 (the budget less a bucket array of at
-// least 1024 words leaves over 1700 512-byte items at 1 MB), and
-// MemoryMB is never below 1 (see Uint64n).
+// handled via the generalized harmonic integral. Its panic on n == 0 is
+// an invariant: the one caller, the memcached generator, passes its item
+// count, over 1700 at the smallest MemoryMB, 1 (see Uint64n).
 func NewZipf(r *Rand, n uint64, s float64) *Zipf {
 	if n == 0 {
 		panic("trace: NewZipf with n=0")

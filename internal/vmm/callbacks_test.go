@@ -152,6 +152,29 @@ func TestOwnerVM(t *testing.T) {
 	}
 }
 
+// TestOwnerRun checks the run query behind the host layer's per-run
+// accounting check: a contiguously backed VM's frames form one run
+// registered to it, and the frames after it one unowned run.
+func TestOwnerRun(t *testing.T) {
+	h := NewHost(16 << 20)
+	vm, err := h.CreateVM(VMConfig{Name: "vm", MemorySize: 4 << 20, NestedPageSize: addr.Page4K, ContiguousBacking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpa, _, ok := vm.NPT.Translate(0)
+	if !ok {
+		t.Fatal("gPA 0 unbacked")
+	}
+	f := physmem.AddrToFrame(hpa)
+	owner, n := h.OwnerRun(f)
+	if owner != vm || n != vm.BackedFrames() {
+		t.Fatalf("OwnerRun = (%v, %d), want (vm, %d)", owner, n, vm.BackedFrames())
+	}
+	if next, m := h.OwnerRun(f + n); next != nil || f+n+m > h.Mem.Frames() {
+		t.Fatalf("OwnerRun after the backing = (%v, %d), want an unowned run within the host", next, m)
+	}
+}
+
 // TestDestroyVM checks teardown frees every frame the VM held —
 // backing and nested-table pages both — and that a VM entangled in
 // copy-on-write sharing refuses to die.

@@ -139,19 +139,14 @@ func (h *Host) OwnerVM(frame uint64) (*VM, uint64, bool) {
 	return vm, gpa, vm != nil
 }
 
-// OwnerRun returns the VM whose guest pages host frame f backs (nil for
-// an unowned frame, as OwnerVM) and the length n ≥ 1 of the run of
-// frames from f registered to that same VM, or all unowned.
+// OwnerRun returns OwnerVM(f)'s VM (nil if host frame f is unowned)
+// and the length n ≥ 1 of the run of frames from f with that same VM.
 func (h *Host) OwnerRun(f uint64) (vm *VM, n uint64) {
-	if f >= uint64(len(h.owners)) {
-		return nil, 1
-	}
-	id, end := h.owners[f]&^ownerGPBits, f+1
-	for end < uint64(len(h.owners)) && h.owners[end]&^ownerGPBits == id {
-		end++
+	id := h.owners[f] &^ ownerGPBits
+	for n = 1; f+n < uint64(len(h.owners)) && h.owners[f+n]&^ownerGPBits == id; n++ {
 	}
 	vm, _ = h.ownerRef(h.owners[f])
-	return vm, end - f
+	return vm, n
 }
 
 // MemorySlot maps a contiguous guest physical range to host virtual

@@ -131,13 +131,10 @@ func register(name string, class Class, f factory) {
 }
 
 // lookup returns the named registry entry; it panics on unknown names,
-// which are harness bugs. The panic is an invariant, not an input
-// check: every name a user supplies is checked with Exists before it
-// reaches New or ClassOf (vdirect.RunCell, RunCells and WorkloadExists,
-// hostsim's -workload, tracestat's -workload, host.Config's defaults,
+// which are harness bugs: a user's name is checked with Exists first
+// (vdirect.RunCell and RunCells, hostsim, tracestat, host.Config,
 // experiments.HostStudy and ConsolidationStudy), and every other name
-// comes from Names, BigMemoryNames or ComputeNames, which list only
-// registered workloads.
+// comes from Names, BigMemoryNames or ComputeNames.
 func lookup(name string) entry {
 	e, ok := registry[name]
 	if !ok {
