@@ -56,6 +56,7 @@ func translateAll(t *testing.T, e *env, gva, n uint64) uint64 {
 
 // TestWalkCyclesIdentityTerms runs 2D walks with and without a VMM
 // segment, so every term of the identity is nonzero, and checks that
+// every counted reference probed the PTE cache once, and that
 // WalkCycles is the identity over the counts and the PTE-cache misses,
 // and the sum of the accesses' Result cycles.
 func TestWalkCyclesIdentityTerms(t *testing.T) {
@@ -73,6 +74,9 @@ func TestWalkCyclesIdentityTerms(t *testing.T) {
 	sum += translateAll(t, e, 0x400000, 16)
 
 	st, x := e.m.Stats(), e.m.PTECacheMisses()
+	if refs, _ := e.m.ptc.Stats(); refs != st.WalkMemRefs {
+		t.Fatalf("%d PTE-cache probes, %d WalkMemRefs", refs, st.WalkMemRefs)
+	}
 	if st.SegmentChecks == 0 || st.L2Hits == 0 || st.L2Misses == 0 || st.NestedTLBHits == 0 ||
 		x == 0 || x == st.WalkMemRefs {
 		t.Fatalf("a cost term is zero: %d checks, %d/%d L2 hits/misses, %d nested TLB hits, %d of %d refs missed",
@@ -94,6 +98,7 @@ func TestWalkCyclesAfterResetStats(t *testing.T) {
 	e.mapGuest(t, 0x400000, 0x800000, 64)
 	translateAll(t, e, 0x400000, 32)
 	e.m.ResetStats()
+	refs0, _ := e.m.ptc.Stats()
 	if x := e.m.PTECacheMisses(); x != 0 {
 		t.Fatalf("%d PTE-cache misses right after ResetStats", x)
 	}
@@ -101,6 +106,9 @@ func TestWalkCyclesAfterResetStats(t *testing.T) {
 	st, x := e.m.Stats(), e.m.PTECacheMisses()
 	if x == 0 {
 		t.Fatal("the measured phase has no PTE-cache misses")
+	}
+	if refs, _ := e.m.ptc.Stats(); refs-refs0 != st.WalkMemRefs {
+		t.Fatalf("%d PTE-cache probes since ResetStats, %d WalkMemRefs", refs-refs0, st.WalkMemRefs)
 	}
 	if want := costIdentity(e.m.cfg, st, x); st.WalkCycles != want {
 		t.Errorf("WalkCycles %d, identity %d", st.WalkCycles, want)

@@ -32,8 +32,9 @@ func (r *fuzzReader) next() byte {
 // identities hold: every access is exactly one of L1 hit/miss, every
 // L1 miss resolves as exactly one of 0D/L2 hit/walk, references stay
 // within the 24-per-walk mode-table bound, the escape filter is probed
-// at least as often as it fires, and WalkCycles is the cost identity
-// over the counts and the PTE cache's misses.
+// at least as often as it fires, every counted reference probes the
+// PTE cache once, and WalkCycles is the cost identity over the counts
+// and the PTE cache's misses.
 //
 // Each script runs twice, plain and with a WalkProbe plus a period-1
 // sampler installed. Observation must not perturb the run (equal
@@ -56,6 +57,11 @@ func FuzzTranslateStats(f *testing.F) {
 			return
 		}
 		st, m, _ := runStatsScript(t, data, nil, nil)
+		// The identity prices each counted reference by one PTE-cache
+		// probe; the script never resets, so the lifetime counts agree.
+		if refs, _ := m.ptc.Stats(); refs != st.WalkMemRefs {
+			t.Fatalf("%d PTE-cache probes, %d WalkMemRefs", refs, st.WalkMemRefs)
+		}
 		if want := costIdentity(m.cfg, st, m.PTECacheMisses()); st.WalkCycles != want {
 			t.Fatalf("WalkCycles %d != cost identity %d", st.WalkCycles, want)
 		}

@@ -237,8 +237,7 @@ func (m *Memory) unstamp(f uint64) {
 // total, and a full rescan of the owner stamps must reproduce each
 // owner's count. The rescan counts each run of allocated frames with
 // equal stamps and adds the run once, so a guest's contiguous backing
-// costs one map update, not one per frame, and skips a free bitmap word
-// (64 frames) in one compare. It returns nil when
+// costs one map update, not one per frame. It returns nil when
 // tracking is off (nothing to check).
 func (m *Memory) CheckOwnerAccounting() error {
 	if m.owners == nil {
@@ -254,16 +253,13 @@ func (m *Memory) CheckOwnerAccounting() error {
 	}
 	rescan := map[OwnerID]uint64{}
 	for f := uint64(0); f < m.frames; {
-		switch {
-		case m.alloc[f/64] == 0:
-			f = f&^63 + 64 // a wholly free bitmap word
-		case !m.bit(m.alloc, f):
+		if !m.bit(m.alloc, f) {
 			f++
-		default:
-			o, n, _ := m.OwnerRun(f, m.frames-f)
-			rescan[o] += n
-			f += n
+			continue
 		}
+		o, n, _ := m.OwnerRun(f, m.frames-f)
+		rescan[o] += n
+		f += n
 	}
 	if len(rescan) != len(m.ownerCount) {
 		return fmt.Errorf("physmem %s: rescan found %d owners, books say %d",
