@@ -122,6 +122,59 @@ func TestOverlapRejected(t *testing.T) {
 	if err := tbl.Map(0x400000, 0xa00000, addr.Page2M); err != ErrOverlap {
 		t.Errorf("2M over 4K err = %v", err)
 	}
+
+	// MapRange4K stops at an overlap exactly where ascending per-page Map
+	// calls would: same count, error, leaves and table pages. The present
+	// entry sits at the first, a middle or the last entry of the PT span
+	// [span, span+2M), or past the PT boundary the run crosses.
+	const span, next = 0x400000, 0x600000
+	cases := []struct {
+		name    string
+		va, n   uint64
+		present uint64
+		size    addr.PageSize
+	}{
+		{"first", span, 16, span, addr.Page4K},
+		{"middle", span + 8<<12, 300, span + 200<<12, addr.Page4K},
+		{"last", span + 500<<12, 12, span + 511<<12, addr.Page4K},
+		{"crossing-first", span + 500<<12, 40, next, addr.Page4K},
+		{"crossing-middle", span + 500<<12, 40, next + 20<<12, addr.Page4K},
+		{"crossing-2M", span + 500<<12, 40, next, addr.Page2M},
+		{"crossing-clear", span + 500<<12, 40, next + 2<<20, addr.Page4K},
+	}
+	for _, c := range cases {
+		bulk, _ := newTable(t)
+		ref, _ := newTable(t)
+		for _, tb := range []*Table{bulk, ref} {
+			if err := tb.Map(c.present, 0x2000000, c.size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const pa = 0x1000000
+		got, gotErr := bulk.MapRange4K(c.va, pa, c.n)
+		var want uint64
+		var wantErr error
+		for ; want < c.n; want++ {
+			if wantErr = ref.Map(c.va+want<<12, pa+want<<12, addr.Page4K); wantErr != nil {
+				break
+			}
+		}
+		if got != want || gotErr != wantErr {
+			t.Errorf("%s: MapRange4K = (%d, %v), per-page Map (%d, %v)", c.name, got, gotErr, want, wantErr)
+		}
+		if bulk.Mappings() != ref.Mappings() || bulk.TablePages() != ref.TablePages() {
+			t.Errorf("%s: MapRange4K leaves %d leaves in %d table pages, per-page Map %d in %d",
+				c.name, bulk.Mappings(), bulk.TablePages(), ref.Mappings(), ref.TablePages())
+		}
+		for va := c.va; va < c.va+c.n<<12; va += addr.PageSize4K {
+			pa1, s1, ok1 := bulk.Translate(va)
+			pa2, s2, ok2 := ref.Translate(va)
+			if pa1 != pa2 || s1 != s2 || ok1 != ok2 {
+				t.Fatalf("%s: va %#x translates to (%#x, %v, %v) after MapRange4K, (%#x, %v, %v) after Map",
+					c.name, va, pa1, s1, ok1, pa2, s2, ok2)
+			}
+		}
+	}
 }
 
 func TestWalkMissRecordsPartialRefs(t *testing.T) {
