@@ -131,16 +131,18 @@ func (c *Config) defaults() error {
 // GuestSize returns the guest physical memory size one guest of this
 // configuration needs (used by the density studies to size the host).
 func (c *Config) GuestSize() uint64 {
-	w := workload.New(c.Workload, c.WL)
-	prim := w.PrimaryRegion()
+	prim := workload.PrimaryRegionOf(c.Workload, c.WL)
 	perTenant := addr.AlignUp(prim.Size, addr.PageSize4K) + addr.PageSize4K
 	return addr.AlignUp(uint64(c.TenantsPerGuest)*perTenant+c.GuestHeadroom, addr.PageSize4K)
 }
 
-// MaxHostMemory bounds the host memory a cell may model. The VMM and
-// physmem keep about 10 bytes of bookkeeping per 4K host frame, so a
-// larger host would exhaust the simulator's own memory before the
-// first guest is admitted; NewSim refuses it up front instead.
+// MaxHostMemory bounds the host memory a cell may model. A whole-host
+// simulation keeps about 10 bytes of bookkeeping per 4K host frame:
+// physmem's owner stamps, and the VMM's reverse map once a host-level
+// reader (the accounting check, a policy op, compaction or sharing)
+// has built it. A larger host would exhaust the simulator's own memory
+// before the first guest is admitted; NewSim refuses it up front
+// instead.
 const MaxHostMemory = 256 << 30
 
 // KneeHostMemory returns the fixed host size for a density sweep of

@@ -218,20 +218,28 @@ func (t *Table) MapRange4K(va, pa uint64, n uint64) (uint64, error) {
 			}
 			nd = nd.kids[idx]
 		}
-		// Fill leaf entries until the PT ends or the run is exhausted.
+		// Fill the PT's entries up to its end, the run's end or the first
+		// present entry, whichever comes first, in one pass.
 		idx := addr.Index(va, addr.LvlPT)
-		for idx < addr.EntriesPerTable && done < n {
-			if nd.words[idx]&peP != 0 {
-				return done, ErrOverlap
-			}
-			nd.words[idx] = peP | peL | (pa>>addr.PageShift4K)<<peShift
-			nd.used++
-			t.mappings++
-			idx++
-			done++
-			va += addr.PageSize4K
-			pa += addr.PageSize4K
+		end := idx + uint(min(n-done, uint64(addr.EntriesPerTable-idx)))
+		free := idx
+		for free < end && nd.words[free]&peP == 0 {
+			free++
 		}
+		w := peP | peL | (pa>>addr.PageShift4K)<<peShift
+		for i := idx; i < free; i++ {
+			nd.words[i] = w
+			w += 1 << peShift
+		}
+		k := uint64(free - idx)
+		nd.used += int(k)
+		t.mappings += k
+		done += k
+		if free < end {
+			return done, ErrOverlap
+		}
+		va += k << addr.PageShift4K
+		pa += k << addr.PageShift4K
 	}
 	return done, nil
 }

@@ -34,6 +34,10 @@ func FuzzHostMemoryOps(f *testing.F) {
 			return b
 		}
 		host := NewHost(96 << 20)
+		// Build the reverse map now, so the operations below keep it
+		// current and the BackedFrames check compares their bookkeeping
+		// with the leaves, not a map built from those same leaves.
+		host.ownerMap()
 		contig := next()&1 == 0
 		vms := make([]*VM, 0, 3)
 		newVM := func() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"vdirect/internal/addr"
@@ -49,6 +50,32 @@ func TestCreateVMRejectsBadMemorySize(t *testing.T) {
 	}
 	if len(h.vms) != 0 || len(h.ownerVMs) != 0 {
 		t.Fatal("failed CreateVM left host state behind")
+	}
+}
+
+// TestOwnerMapBuiltOnFirstRead: CreateVM leaves the host's reverse map
+// unbuilt, and the first OwnerVM builds it with the VM's backing in it.
+func TestOwnerMapBuiltOnFirstRead(t *testing.T) {
+	h := NewHost(32 << 20)
+	vm, err := h.CreateVM(VMConfig{Name: "vm", MemorySize: 4 << 20, NestedPageSize: addr.Page4K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.owners != nil {
+		t.Fatal("CreateVM built the reverse map")
+	}
+	hpa, _, ok := vm.NPT.Translate(0x5000)
+	if !ok {
+		t.Fatal("gPA 0x5000 unbacked")
+	}
+	if owner, gpa, ok := h.OwnerVM(hpa >> addr.PageShift4K); !ok || owner != vm || gpa != 0x5000 {
+		t.Fatalf("OwnerVM = (%v, %#x, %v), want (vm, 0x5000, true)", owner, gpa, ok)
+	}
+	if uint64(len(h.owners)) != h.Mem.Frames() {
+		t.Fatalf("after OwnerVM the reverse map holds %d frames, want %d", len(h.owners), h.Mem.Frames())
+	}
+	if got, want := vm.BackedFrames(), vm.NPT.Mappings(); got != want {
+		t.Fatalf("BackedFrames = %d, want the %d nested leaves", got, want)
 	}
 }
 
@@ -205,5 +232,36 @@ func TestOwnerMapBuiltLateMatchesEager(t *testing.T) {
 		if len(e.backed) != 2 {
 			t.Fatalf("%s host holds VMs %v, want two", p.name, e.backed)
 		}
+	}
+}
+
+// TestScanAndShareBuildsOwnerMapFirst: a sharing pass that is the
+// host's first reader of its reverse map builds it before remapping,
+// while each frame still has one owner. Built afterwards from the
+// leaves, the canonical frame would go to whichever of its sharers the
+// build visits last.
+func TestScanAndShareBuildsOwnerMapFirst(t *testing.T) {
+	hosts := []*Host{NewHost(64 << 20), NewHost(64 << 20)}
+	hosts[0].OwnerVM(0)
+	for _, h := range hosts {
+		var vms []*VM
+		for _, name := range []string{"a", "b"} {
+			vm, err := h.CreateVM(VMConfig{Name: name, MemorySize: 4 << 20, NestedPageSize: addr.Page4K})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 16; i++ {
+				vm.SetPageContent(i<<12, 0xFEED+i)
+			}
+			vms = append(vms, vm)
+		}
+		if _, err := h.ScanAndShare(vms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	early, late := readOwners(hosts[0]), readOwners(hosts[1])
+	if !slices.Equal(early.frames, late.frames) || !maps.Equal(early.backed, late.backed) {
+		t.Fatalf("reverse map after sharing differs: BackedFrames %v when read before the pass, %v when the pass is the first reader",
+			early.backed, late.backed)
 	}
 }

@@ -50,6 +50,10 @@ func (r SharingReport) SavedFraction() float64 {
 // "VMM segments preclude page sharing"), so covered pages are skipped.
 // Only 4K nested mappings participate.
 func (h *Host) ScanAndShare(vms []*VM) (SharingReport, error) {
+	// Build the reverse map while every frame still has one owner: once
+	// pages are remapped onto a canonical frame, leaves no longer say
+	// which VM owns it.
+	h.ownerMap()
 	var rep SharingReport
 	type loc struct {
 		vm  *VM

@@ -32,7 +32,8 @@ type Host struct {
 	// packed pointer-free (ownerWord) so the array — one word per host
 	// frame, easily megabytes on a dense host — costs the garbage
 	// collector nothing to scan. Zero means unowned (free, page-table
-	// page, or VMM-internal).
+	// page, or VMM-internal). It is nil until ownerMap first builds it:
+	// most hosts never read it.
 	owners []uint64
 	// ownerVMs resolves the VM index stored in an owner word. Slots are
 	// stable for a VM's lifetime on this host and recycled through
@@ -118,11 +119,32 @@ func (h *Host) releaseOwnerID(vm *VM) {
 
 // NewHost creates a host machine with size bytes of physical memory.
 func NewHost(size uint64) *Host {
-	mem := physmem.New(physmem.Config{Name: "host", Size: size})
-	return &Host{
-		Mem:    mem,
-		owners: make([]uint64, mem.Frames()),
+	return &Host{Mem: physmem.New(physmem.Config{Name: "host", Size: size})}
+}
+
+// ownerMap returns the reverse map, building it on the first call from
+// the nested-table leaves of every VM registered on the host, those
+// still being created or migrated in included. Until ScanAndShare runs,
+// no host frame backs two guest pages, so each leaf names its frame's
+// only owner and the built map equals one kept since NewHost; once
+// built, registerBacking and unregisterBacking keep it current.
+// ScanAndShare builds it before its first remap, after which leaves no
+// longer name a unique owner.
+func (h *Host) ownerMap() []uint64 {
+	if h.owners != nil {
+		return h.owners
 	}
+	h.owners = make([]uint64, h.Mem.Frames())
+	for _, vm := range h.ownerVMs {
+		if vm == nil {
+			continue
+		}
+		vm.NPT.VisitLeaves(func(gpa, hpa uint64, s addr.PageSize) bool {
+			vm.registerBacking(gpa, hpa, s.Bytes())
+			return true
+		})
+	}
+	return h.owners
 }
 
 // VMs returns the host's virtual machines.
@@ -132,20 +154,22 @@ func (h *Host) VMs() []*VM { return h.vms }
 // guest physical address it backs. The second result is false for
 // unowned frames (free, page-table pages, VMM-internal).
 func (h *Host) OwnerVM(frame uint64) (*VM, uint64, bool) {
-	if frame >= uint64(len(h.owners)) {
+	owners := h.ownerMap()
+	if frame >= uint64(len(owners)) {
 		return nil, 0, false
 	}
-	vm, gpa := h.ownerRef(h.owners[frame])
+	vm, gpa := h.ownerRef(owners[frame])
 	return vm, gpa, vm != nil
 }
 
 // OwnerRun returns OwnerVM(f)'s VM (nil if host frame f is unowned)
 // and the length n ≥ 1 of the run of frames from f with that same VM.
 func (h *Host) OwnerRun(f uint64) (vm *VM, n uint64) {
-	id := h.owners[f] &^ ownerGPBits
-	for n = 1; f+n < uint64(len(h.owners)) && h.owners[f+n]&^ownerGPBits == id; n++ {
+	owners := h.ownerMap()
+	id := owners[f] &^ ownerGPBits
+	for n = 1; f+n < uint64(len(owners)) && owners[f+n]&^ownerGPBits == id; n++ {
 	}
-	vm, _ = h.ownerRef(h.owners[f])
+	vm, _ = h.ownerRef(owners[f])
 	return vm, n
 }
 
@@ -313,10 +337,11 @@ func (vm *VM) backContiguous() error {
 	vm.contigSize = vm.GuestMem.Size()
 	if err := vm.mapBacking(); err != nil {
 		// Free the run frames the nested table never mapped (the tail
-		// past the failure point); the mapped prefix is released by
-		// CreateVM's releaseAll rollback, which only sees mapped pages.
+		// past the failure point, and the I/O gap's shadow); the mapped
+		// prefix is released by CreateVM's releaseAll rollback, which
+		// only sees mapped pages.
 		for f := first; f < first+frames; f++ {
-			if vm.host.owners[f] == 0 {
+			if _, _, ok := vm.NPT.Translate((f - first) << addr.PageShift4K); !ok {
 				vm.host.Mem.FreeFrame(f)
 			}
 		}
@@ -394,15 +419,25 @@ func (vm *VM) mapBacking() error {
 	return nil
 }
 
+// registerBacking and unregisterBacking keep a built reverse map
+// current; before ownerMap builds it they have nothing to update.
 func (vm *VM) registerBacking(gpa, hpa, size uint64) {
+	owners := vm.host.owners
+	if owners == nil {
+		return
+	}
 	for off := uint64(0); off < size; off += addr.PageSize4K {
-		vm.host.owners[physmem.AddrToFrame(hpa+off)] = ownerWord(vm.id, gpa+off)
+		owners[physmem.AddrToFrame(hpa+off)] = ownerWord(vm.id, gpa+off)
 	}
 }
 
 func (vm *VM) unregisterBacking(hpa, size uint64) {
+	owners := vm.host.owners
+	if owners == nil {
+		return
+	}
 	for off := uint64(0); off < size; off += addr.PageSize4K {
-		vm.host.owners[physmem.AddrToFrame(hpa+off)] = 0
+		owners[physmem.AddrToFrame(hpa+off)] = 0
 	}
 }
 
@@ -466,9 +501,10 @@ func (vm *VM) DisableVMMSegment() { vm.vmmSeg = segment.Disabled() }
 // VM's nested mappings. It returns the number of frames relocated.
 // Callers must invalidate MMU nested state afterwards.
 func (h *Host) Compact() (int, error) {
+	owners := h.ownerMap() // names the owners of the frames about to move
 	moves := h.Mem.Compact()
 	for _, mv := range moves {
-		w := h.owners[mv.Old]
+		w := owners[mv.Old]
 		refVM, refGPA := h.ownerRef(w)
 		if refVM == nil {
 			continue // page-table page or other unowned frame: its data
@@ -486,8 +522,8 @@ func (h *Host) Compact() (int, error) {
 		if err := refVM.NPT.Remap(refGPA, physmem.FrameToAddr(mv.New)); err != nil {
 			return 0, fmt.Errorf("vmm: repairing nested mapping after compaction: %w", err)
 		}
-		h.owners[mv.Old] = 0
-		h.owners[mv.New] = w
+		owners[mv.Old] = 0
+		owners[mv.New] = w
 		if refVM.contig {
 			refVM.contig = false // relocation broke linearity
 		}
@@ -646,7 +682,7 @@ func (vm *VM) HotplugRemove(r addr.Range) error {
 func (vm *VM) BackedFrames() uint64 {
 	var n uint64
 	want := ownerValid | uint64(vm.id)<<ownerIDShift
-	for _, w := range vm.host.owners {
+	for _, w := range vm.host.ownerMap() {
 		if w&^ownerGPBits == want {
 			n++
 		}

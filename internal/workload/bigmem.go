@@ -11,12 +11,16 @@ import (
 )
 
 func init() {
-	register("graph500", BigMemory, newGraph500)
-	register("memcached", BigMemory, newMemcached)
-	register("npb:cg", BigMemory, newNPBCG)
-	register("gups", BigMemory, newGUPS)
-	register("tlbstress", BigMemory, newTLBStress)
+	register("graph500", BigMemory, newGraph500, func(c Config) uint64 { _, _, n := graph500Shape(c); return n })
+	register("memcached", BigMemory, newMemcached, func(c Config) uint64 { _, _, n := memcachedShape(c); return n })
+	register("npb:cg", BigMemory, newNPBCG, func(c Config) uint64 { _, _, n := npbCGShape(c); return n })
+	register("gups", BigMemory, newGUPS, gupsTableBytes)
+	register("tlbstress", BigMemory, newTLBStress, func(Config) uint64 { return tlbStressPages << 12 })
 }
+
+// tlbStressPages is tlbstress's footprint: 1.5 × the 512-entry L2
+// TLB's reach at 4K.
+const tlbStressPages = 768
 
 // newTLBStress is the microbenchmark the paper uses to confirm the
 // TLB-miss inflation mechanism (§IX.A): uniform random 4K-page touches
@@ -26,16 +30,15 @@ func init() {
 // 1.3-1.6× band the paper reports. MemoryMB is ignored — the footprint
 // must track the TLB geometry, not the dataset.
 func newTLBStress(cfg Config) Workload {
-	const pages = 768 // 1.5 × 512-entry L2 reach at 4K
 	b := newBuilder(cfg)
 	b.setStackEvery(0) // pure page stress
 	for !b.full() {
-		p := b.rng.Uint64n(pages)
+		p := b.rng.Uint64n(tlbStressPages)
 		if !b.read(PrimaryBase + p<<12 + b.rng.Uint64n(512)*8) {
 			break
 		}
 	}
-	return b.finish("tlbstress", 20, primarySpan(pages<<12))
+	return b.finish("tlbstress", 20, primarySpan(tlbStressPages<<12))
 }
 
 // newGUPS builds the HPCC RandomAccess micro-benchmark: read-modify-
@@ -52,7 +55,7 @@ func newTLBStress(cfg Config) Workload {
 // the per-access state machine below mirrors builder.access with
 // stackEvery=256.
 func newGUPS(cfg Config) Workload {
-	tableBytes := uint64(cfg.MemoryMB) << 20
+	tableBytes := gupsTableBytes(cfg)
 	g := &gupsStream{
 		seed:    cfg.Seed,
 		elems:   tableBytes / 8,
@@ -63,6 +66,9 @@ func newGUPS(cfg Config) Workload {
 	g.Reset()
 	return g
 }
+
+// gupsTableBytes is the GUPS table's size: the whole memory budget.
+func gupsTableBytes(cfg Config) uint64 { return uint64(cfg.MemoryMB) << 20 }
 
 // gupsStream is a lazy GUPS trace generator. It carries the same
 // cursor state the eager builder evolves (PRNG, access counter, stack
@@ -228,20 +234,12 @@ func (g *gupsStream) StaticRegions() []addr.Range {
 // sequential scans of per-vertex edge lists and random probes of the
 // visited/parent array.
 func newGraph500(cfg Config) Workload {
-	// Memory splits ~1/8 vertex arrays, ~7/8 edge list, as edgefactor-16
-	// graphs do.
-	budget := uint64(cfg.MemoryMB) << 20
-	vertices := budget / 8 / 16 // 8B per parent entry; 16 edges per vertex avg
-	if vertices < 1024 {
-		vertices = 1024
-	}
-	edges := vertices * 16
+	vertices, edges, totalBytes := graph500Shape(cfg)
 
 	// Layout inside the primary region.
 	parentBase := uint64(PrimaryBase)    // vertices * 8
 	rowBase := parentBase + vertices*8   // vertices+1 * 8
 	edgeBase := rowBase + (vertices+1)*8 // edges * 8
-	totalBytes := edgeBase + edges*8 - PrimaryBase
 
 	b := newBuilder(cfg)
 	rng := b.rng
@@ -299,23 +297,25 @@ func newGraph500(cfg Config) Workload {
 	return b.finish("graph500", 96, primarySpan(totalBytes))
 }
 
+// graph500Shape sizes graph500's graph from the memory budget, which
+// splits ~1/8 vertex arrays, ~7/8 edge list, as edgefactor-16 graphs
+// do, and returns the bytes of its parent, row-pointer and edge arrays.
+func graph500Shape(cfg Config) (vertices, edges, totalBytes uint64) {
+	budget := uint64(cfg.MemoryMB) << 20
+	vertices = max(budget/8/16, 1024) // 8B per parent entry; 16 edges per vertex avg
+	edges = vertices * 16
+	return vertices, edges, vertices*8 + (vertices+1)*8 + edges*8
+}
+
 // newMemcached builds the key-value cache pattern: Zipf-skewed GETs
 // (hash a key, probe the bucket array, chase to the item, read the
 // value spanning a few lines) with a small fraction of SETs, plus slab
 // allocation churn — the behaviour that makes memcached the worst case
 // for shadow paging (§IX.D).
 func newMemcached(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	// ~1/8 bucket array, 7/8 item arena; 512B per item slot.
-	buckets := budget / 8 / 8
-	if buckets < 1024 {
-		buckets = 1024
-	}
-	const itemSize = 512
-	items := (budget - buckets*8) / itemSize
+	buckets, items, totalBytes := memcachedShape(cfg)
 	bucketBase := uint64(PrimaryBase)
 	itemBase := bucketBase + buckets*8
-	totalBytes := buckets*8 + items*itemSize
 
 	b := newBuilder(cfg)
 	zipf := trace.NewZipf(b.rng, items, 0.99)
@@ -328,7 +328,7 @@ func newMemcached(cfg Config) Workload {
 		if !b.read(bucketBase + (hash%buckets)*8) {
 			break
 		}
-		itemVA := itemBase + (rank%items)*itemSize
+		itemVA := itemBase + (rank%items)*memcachedItemSize
 		b.read(itemVA)       // item header
 		b.read(itemVA + 64)  // key compare
 		b.read(itemVA + 256) // value
@@ -340,22 +340,26 @@ func newMemcached(cfg Config) Workload {
 	return b.finish("memcached", 98, primarySpan(totalBytes))
 }
 
+// memcachedItemSize is one item slot of memcached's arena.
+const memcachedItemSize = 512
+
+// memcachedShape sizes memcached's bucket array (~1/8 of the budget)
+// and item arena (the rest) and returns their total bytes.
+func memcachedShape(cfg Config) (buckets, items, totalBytes uint64) {
+	budget := uint64(cfg.MemoryMB) << 20
+	buckets = max(budget/8/8, 1024)
+	items = (budget - buckets*8) / memcachedItemSize
+	return buckets, items, buckets*8 + items*memcachedItemSize
+}
+
 // newNPBCG builds the NAS CG kernel: conjugate gradient iterations
 // dominated by sparse matrix-vector products — sequential row/column
 // index scans with gathers of x[col] at banded-random columns.
 func newNPBCG(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	// Matrix ~ 3/4 of memory (8B value + 4B index per nonzero, rounded
-	// to 16B), vectors the rest.
-	nnz := budget * 3 / 4 / 16
-	rows := nnz / 12 // ~12 nonzeros per row
-	if rows < 512 {
-		rows = 512
-	}
+	nnz, rows, totalBytes := npbCGShape(cfg)
 	valBase := uint64(PrimaryBase)
 	colBase := valBase + nnz*8
 	xBase := colBase + nnz*8
-	totalBytes := nnz*16 + rows*8*3 // values+cols, x, p, q vectors
 
 	b := newBuilder(cfg)
 	var cursor uint64
@@ -390,4 +394,14 @@ func newNPBCG(cfg Config) Workload {
 		_ = acc
 	}
 	return b.finish("npb:cg", 5.0, primarySpan(totalBytes))
+}
+
+// npbCGShape sizes CG's sparse matrix (~3/4 of the budget: 8B value
+// + 4B index per nonzero, rounded to 16B) and its vectors, and returns
+// the bytes of values and columns plus the x, p and q vectors.
+func npbCGShape(cfg Config) (nnz, rows, totalBytes uint64) {
+	budget := uint64(cfg.MemoryMB) << 20
+	nnz = budget * 3 / 4 / 16
+	rows = max(nnz/12, 512) // ~12 nonzeros per row
+	return nnz, rows, nnz*16 + rows*8*3
 }

@@ -5,12 +5,23 @@
 package workload
 
 func init() {
-	register("cactusadm", Compute, newCactusADM)
-	register("gemsfdtd", Compute, newGemsFDTD)
-	register("mcf", Compute, newMCF)
-	register("omnetpp", Compute, newOmnetpp)
-	register("canneal", Compute, newCanneal)
-	register("streamcluster", Compute, newStreamcluster)
+	register("cactusadm", Compute, newCactusADM, func(c Config) uint64 { _, _, n := cactusShape(c); return n })
+	register("gemsfdtd", Compute, newGemsFDTD, func(c Config) uint64 { _, _, _, n := gemsShape(c); return n })
+	register("mcf", Compute, newMCF, func(c Config) uint64 { _, n := mcfShape(c); return n })
+	register("omnetpp", Compute, newOmnetpp, func(c Config) uint64 { _, _, n := omnetppShape(c); return n })
+	register("canneal", Compute, newCanneal, func(c Config) uint64 { _, n := cannealShape(c); return n })
+	register("streamcluster", Compute, newStreamcluster, func(c Config) uint64 { _, n := streamclusterShape(c); return n })
+}
+
+// cubeSide returns the largest n ≤ the cube root of budget/pointBytes
+// with n ≥ 1: the edge of the cubic grid a stencil workload fits in its
+// budget at pointBytes per grid point.
+func cubeSide(budget, pointBytes uint64) uint64 {
+	n := uint64(1)
+	for (n+1)*(n+1)*(n+1)*pointBytes <= budget {
+		n++
+	}
+	return n
 }
 
 // newCactusADM models the BSSN numerical-relativity kernel: a 3D
@@ -19,13 +30,7 @@ func init() {
 // every inner-loop iteration touches three widely separated pages —
 // the access pattern behind cactusADM's notoriously high TLB miss rate.
 func newCactusADM(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	// Cube of float64: n^3 * 8 * 2 arrays (in and out).
-	n := uint64(1)
-	for (n+1)*(n+1)*(n+1)*16 <= budget {
-		n++
-	}
-	gridBytes := n * n * n * 8
+	n, gridBytes, totalBytes := cactusShape(cfg)
 	inBase := uint64(PrimaryBase)
 	outBase := inBase + gridBytes
 	plane := n * n * 8
@@ -69,7 +74,15 @@ func newCactusADM(cfg Config) Workload {
 			}
 		}
 	}
-	return b.finish("cactusadm", 1.6, primarySpan(2*gridBytes))
+	return b.finish("cactusadm", 1.6, primarySpan(totalBytes))
+}
+
+// cactusShape sizes cactusADM's grid, a cube of float64 in two arrays
+// (in and out), and returns its edge, one array's bytes and both's.
+func cactusShape(cfg Config) (n, gridBytes, totalBytes uint64) {
+	n = cubeSide(uint64(cfg.MemoryMB)<<20, 8*2)
+	gridBytes = n * n * n * 8
+	return n, gridBytes, 2 * gridBytes
 }
 
 // newGemsFDTD models the finite-difference time-domain solver: six
@@ -78,23 +91,8 @@ func newCactusADM(cfg Config) Workload {
 // multi-array sweeps give GemsFDTD a larger TLB footprint than a single
 // stencil, and its Fourier output phases allocate transient buffers.
 func newGemsFDTD(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	n := uint64(1)
-	for (n+1)*(n+1)*(n+1)*8*6 <= budget {
-		n++
-	}
-	field := n * n * n * 8
+	n, field, stride, totalBytes := gemsShape(cfg)
 	plane := n * n * 8
-	// Field spacing models allocator slack: an odd number of 2M pages
-	// between arrays (so sweep fronts spread across 2M-TLB sets) plus a
-	// small 4K-odd stagger (so they also spread across 4K-TLB sets).
-	// Power-of-two strides would alias all six fronts into one set of
-	// each structure — a layout real allocators do not produce.
-	stridePages := (field + (2 << 20) - 1) / (2 << 20)
-	if stridePages%2 == 0 {
-		stridePages++
-	}
-	stride := stridePages * (2 << 20)
 	bases := make([]uint64, 6)
 	for f := range bases {
 		bases[f] = PrimaryBase + uint64(f)*(stride+17*4096)
@@ -122,7 +120,26 @@ func newGemsFDTD(cfg Config) Workload {
 		}
 		idx++
 	}
-	return b.finish("gemsfdtd", 0.55, primarySpan(6*(stride+2<<20)))
+	return b.finish("gemsfdtd", 0.55, primarySpan(totalBytes))
+}
+
+// gemsShape sizes GemsFDTD's six cubic float64 fields and returns the
+// cube's edge, one field's bytes, the spacing between fields and the
+// span the six take with a 2M margin after each. The spacing models
+// allocator slack: an odd number of 2M pages between arrays (so sweep
+// fronts spread across 2M-TLB sets) plus, at each base, a small 4K-odd
+// stagger (so they also spread across 4K-TLB sets). Power-of-two
+// strides would alias all six fronts into one set of each structure —
+// a layout real allocators do not produce.
+func gemsShape(cfg Config) (n, field, stride, totalBytes uint64) {
+	n = cubeSide(uint64(cfg.MemoryMB)<<20, 8*6)
+	field = n * n * n * 8
+	stridePages := (field + (2 << 20) - 1) / (2 << 20)
+	if stridePages%2 == 0 {
+		stridePages++
+	}
+	stride = stridePages * (2 << 20)
+	return n, field, stride, 6 * (stride + 2<<20)
 }
 
 // newMCF models the network-simplex solver: pointer chasing through
@@ -130,12 +147,7 @@ func newGemsFDTD(cfg Config) Workload {
 // network order — long dependent chains of scattered reads, SPEC's
 // classic TLB tormentor.
 func newMCF(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	const nodeSize = 128 // mcf node struct is ~120B
-	nodes := budget / nodeSize
-	if nodes < 1024 {
-		nodes = 1024
-	}
+	nodes, totalBytes := mcfShape(cfg)
 	nodeBase := uint64(PrimaryBase)
 
 	b := newBuilder(cfg)
@@ -147,7 +159,7 @@ func newMCF(cfg Config) Workload {
 		stride++
 	}
 	for !b.full() {
-		va := nodeBase + cur*nodeSize
+		va := nodeBase + cur*mcfNodeSize
 		if !b.read(va) { // node header (cost, potential)
 			break
 		}
@@ -162,7 +174,16 @@ func newMCF(cfg Config) Workload {
 			cur = (cur + stride) % nodes
 		}
 	}
-	return b.finish("mcf", 12, primarySpan(nodes*nodeSize))
+	return b.finish("mcf", 12, primarySpan(totalBytes))
+}
+
+const mcfNodeSize = 128 // mcf node struct is ~120B
+
+// mcfShape is how many mcf nodes fill the memory budget, and their
+// bytes.
+func mcfShape(cfg Config) (nodes, totalBytes uint64) {
+	nodes = max(uint64(cfg.MemoryMB)<<20/mcfNodeSize, 1024)
+	return nodes, nodes * mcfNodeSize
 }
 
 // newOmnetpp models the discrete-event network simulator: a binary
@@ -170,13 +191,7 @@ func newMCF(cfg Config) Workload {
 // structs scattered across the heap, and steady allocation/free of
 // messages — the churn that hurts shadow paging (§IX.D).
 func newOmnetpp(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	const msgSize = 256
-	msgs := budget * 3 / 4 / msgSize
-	heapSlots := budget / 4 / 8
-	if msgs < 1024 {
-		msgs = 1024
-	}
+	heapSlots, msgs, totalBytes := omnetppShape(cfg)
 	heapBase := uint64(PrimaryBase)
 	msgBase := heapBase + heapSlots*8
 
@@ -196,46 +211,60 @@ func newOmnetpp(cfg Config) Workload {
 			slot = child
 		}
 		// Handle the event's message: scattered struct access.
-		mv := msgBase + b.rng.Uint64n(msgs)*msgSize
+		mv := msgBase + b.rng.Uint64n(msgs)*omnetppMsgSize
 		b.read(mv)
 		b.write(mv + 64)
 		// Schedule a follow-up: heap insert path.
 		b.write(heapBase + b.rng.Uint64n(heapSlots)*8)
 		churn.tick()
 	}
-	return b.finish("omnetpp", 78, primarySpan(heapSlots*8+msgs*msgSize))
+	return b.finish("omnetpp", 78, primarySpan(totalBytes))
+}
+
+const omnetppMsgSize = 256
+
+// omnetppShape splits omnetpp's budget into event-heap slots (1/4) and
+// message structs (3/4), and returns their total bytes.
+func omnetppShape(cfg Config) (heapSlots, msgs, totalBytes uint64) {
+	budget := uint64(cfg.MemoryMB) << 20
+	heapSlots, msgs = budget/4/8, max(budget*3/4/omnetppMsgSize, 1024)
+	return heapSlots, msgs, heapSlots*8 + msgs*omnetppMsgSize
 }
 
 // newCanneal models the simulated-annealing netlist router: pick two
 // random elements of a huge element array, read their net lists, and
 // swap — uniformly random reads and writes over the full footprint.
 func newCanneal(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	const elemSize = 64
-	elems := budget / elemSize
-	if elems < 1024 {
-		elems = 1024
-	}
+	elems, totalBytes := cannealShape(cfg)
 	elemBase := uint64(PrimaryBase)
 
 	b := newBuilder(cfg)
 	churn := newChurner(b, 6100, 32<<10)
 	for !b.full() {
-		a := elemBase + b.rng.Uint64n(elems)*elemSize
-		c := elemBase + b.rng.Uint64n(elems)*elemSize
+		a := elemBase + b.rng.Uint64n(elems)*cannealElemSize
+		c := elemBase + b.rng.Uint64n(elems)*cannealElemSize
 		if !b.read(a) {
 			break
 		}
 		b.read(c)
 		// Evaluate the swap: read a neighbour of each.
-		b.read(elemBase + b.rng.Uint64n(elems)*elemSize)
+		b.read(elemBase + b.rng.Uint64n(elems)*cannealElemSize)
 		if b.rng.Uint64n(2) == 0 { // accepted swap
 			b.write(a)
 			b.write(c)
 		}
 		churn.tick()
 	}
-	return b.finish("canneal", 135, primarySpan(elems*elemSize))
+	return b.finish("canneal", 135, primarySpan(totalBytes))
+}
+
+const cannealElemSize = 64
+
+// cannealShape is how many netlist elements fill the memory budget,
+// and their bytes.
+func cannealShape(cfg Config) (elems, totalBytes uint64) {
+	elems = max(uint64(cfg.MemoryMB)<<20/cannealElemSize, 1024)
+	return elems, elems * cannealElemSize
 }
 
 // newStreamcluster models the online clustering kernel: stream through
@@ -243,14 +272,8 @@ func newCanneal(cfg Config) Workload {
 // resident set of cluster centers — the TLB-friendliest workload here,
 // included as the low-overhead control.
 func newStreamcluster(cfg Config) Workload {
-	budget := uint64(cfg.MemoryMB) << 20
-	const dims = 16 // 16 float64 coordinates per point
-	pointSize := uint64(dims * 8)
-	points := budget / pointSize
-	if points < 1024 {
-		points = 1024
-	}
-	const centers = 32
+	const pointSize, centers = streamclusterPointSize, streamclusterCenters
+	points, totalBytes := streamclusterShape(cfg)
 	pointBase := uint64(PrimaryBase)
 	centerBase := pointBase + points*pointSize
 	assignBase := centerBase + centers*pointSize
@@ -271,6 +294,17 @@ func newStreamcluster(cfg Config) Workload {
 		b.write(assignBase + (p%points)*8)
 		p++
 	}
-	total := points*pointSize + centers*pointSize + points*8
-	return b.finish("streamcluster", 2.9, primarySpan(total))
+	return b.finish("streamcluster", 2.9, primarySpan(totalBytes))
+}
+
+const (
+	streamclusterPointSize = 16 * 8 // 16 float64 coordinates per point
+	streamclusterCenters   = 32
+)
+
+// streamclusterShape is how many points fill the memory budget, and
+// the bytes of the points, the cluster centers and the assignments.
+func streamclusterShape(cfg Config) (points, totalBytes uint64) {
+	points = max(uint64(cfg.MemoryMB)<<20/streamclusterPointSize, 1024)
+	return points, points*streamclusterPointSize + streamclusterCenters*streamclusterPointSize + points*8
 }

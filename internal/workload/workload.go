@@ -120,14 +120,17 @@ type entry struct {
 	build factory
 	class Class
 	order int
+	// primaryBytes is the byte size the factory gives primarySpan, in
+	// closed form from the defaulted Config.
+	primaryBytes func(Config) uint64
 }
 
 type factory func(Config) Workload
 
 var registry = map[string]entry{}
 
-func register(name string, class Class, f factory) {
-	registry[name] = entry{f, class, len(registry)}
+func register(name string, class Class, f factory, primaryBytes func(Config) uint64) {
+	registry[name] = entry{f, class, len(registry), primaryBytes}
 }
 
 // lookup returns the named registry entry; it panics on unknown names,
@@ -149,6 +152,12 @@ func New(name string, cfg Config) Workload { return lookup(name).build(cfg.withD
 // ClassOf reports the named workload's class without building its
 // trace; it panics on unknown names.
 func ClassOf(name string) Class { return lookup(name).class }
+
+// PrimaryRegionOf returns New(name, cfg).PrimaryRegion() without
+// building the trace; it panics on unknown names.
+func PrimaryRegionOf(name string, cfg Config) addr.Range {
+	return primarySpan(lookup(name).primaryBytes(cfg.withDefaults()))
+}
 
 // Exists reports whether a workload name is registered.
 func Exists(name string) bool {

@@ -48,6 +48,21 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestPrimaryRegionOfMatchesNew: the registry's closed-form primary
+// region equals the one each built workload reports, for every
+// workload at sizes from the floors its shape clamps to up to the full
+// report's 6 GB, the default (0) included.
+func TestPrimaryRegionOfMatchesNew(t *testing.T) {
+	for _, name := range Names() {
+		for _, mb := range []int{0, 1, 3, 8, 24, 96, 257, 384, 6144} {
+			cfg := Config{Seed: 3, MemoryMB: mb, Ops: 500}
+			if got, want := PrimaryRegionOf(name, cfg), New(name, cfg).PrimaryRegion(); got != want {
+				t.Errorf("%s at %d MB: PrimaryRegionOf = %+v, New(...).PrimaryRegion() = %+v", name, mb, got, want)
+			}
+		}
+	}
+}
+
 func TestUnknownWorkloadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
