@@ -117,8 +117,12 @@ func ownerScript(t *testing.T, h, dst *Host) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	free := dst.Mem.FreeFrames()
 	if _, err := dst.CreateVM(VMConfig{Name: "no-tables", MemorySize: guest, NestedPageSize: addr.Page4K, ContiguousBacking: true}); err == nil || errors.Is(err, ErrHostFragmented) {
 		t.Fatalf("contiguous CreateVM without room for its nested table: err = %v, want a failure past the reservation", err)
+	}
+	if got := dst.Mem.FreeFrames(); got != free {
+		t.Fatalf("failed contiguous CreateVM left %d free frames, want %d", got, free)
 	}
 	for f := first; f < first+fill; f++ {
 		if err := dst.Mem.FreeFrame(f); err != nil {
