@@ -3,6 +3,7 @@ package mmu
 import (
 	"testing"
 
+	"vdirect/internal/addr"
 	"vdirect/internal/tlb"
 )
 
@@ -11,10 +12,19 @@ import (
 // are demand-mapped by serviceFault.
 const blockScriptMapped = 32
 
-// decodeBlockScript turns fuzz bytes into a configuration and a list of
-// blocks of VAs. Byte 0 holds flags (bit 0: coldConfig, bit 1: a 2-way
-// 8-entry L1 4K structure, so L1 sets evict constantly); each following
-// op byte is one of
+// blockLargeFirst is the first script page that the large-leaf flag
+// redirects into a large guest leaf: pages 0xC0-0xDF land four to a 2M
+// leaf at 0x40000000, pages 0xE0-0xFF sixteen to a 1G leaf at
+// 0x80000000.
+const blockLargeFirst = 0xC0
+
+// decodeBlockScript turns fuzz bytes into a configuration, whether the
+// script runs on large leaves, and a list of blocks of VAs. Byte 0
+// holds flags (bit 0: coldConfig, bit 1: a 2-way 8-entry L1 4K
+// structure and a 2-way 4-entry 2M one, so L1 sets evict constantly;
+// bit 2: a native cell whose guest table also holds eight 2M leaves
+// and two 1G leaves, so one block mixes 4K and large L1 entries); each
+// following op byte is one of
 //
 //	op%4 == 0  one access: page byte, offset byte (16-byte grain)
 //	op%4 == 1  1-8 more accesses to the last page touched
@@ -24,8 +34,9 @@ const blockScriptMapped = 32
 //	op%4 == 3  end of the current block
 //
 // Page p is the gVA 0x400000 + p<<12; p < blockScriptMapped is mapped
-// at the start, the rest fault mid-block.
-func decodeBlockScript(data []byte) (Config, [][]uint64) {
+// at the start, the rest fault mid-block. Under bit 2, pages from
+// blockLargeFirst on are in the large leaves instead and never fault.
+func decodeBlockScript(data []byte) (Config, bool, [][]uint64) {
 	r := &fuzzReader{data: data}
 	flags := r.next()
 	var cfg Config
@@ -35,7 +46,17 @@ func decodeBlockScript(data []byte) (Config, [][]uint64) {
 	if flags&2 != 0 {
 		cfg.L1 = tlb.Geometry{Entries4K: 8, Ways4K: 2, Entries2M: 4, Ways2M: 2, Entries1G: 4, Ways1G: 4}
 	}
-	va := func(page, off byte) uint64 { return 0x400000 + uint64(page)<<12 + uint64(off)<<4 }
+	large := flags&4 != 0
+	va := func(page, off byte) uint64 {
+		switch {
+		case !large || page < blockLargeFirst:
+			return 0x400000 + uint64(page)<<12 + uint64(off)<<4
+		case page < blockLargeFirst+32:
+			return 0x40000000 + uint64(page-blockLargeFirst)<<19 + uint64(off)<<4
+		default:
+			return 0x80000000 + uint64(page-blockLargeFirst-32)<<26 + uint64(off)<<4
+		}
+	}
 	var blocks [][]uint64
 	var cur []uint64
 	var lastPage byte
@@ -60,7 +81,26 @@ func decodeBlockScript(data []byte) (Config, [][]uint64) {
 			cur = nil
 		}
 	}
-	return cfg, append(blocks, cur)
+	return cfg, large, append(blocks, cur)
+}
+
+// mapLargeLeaves makes e native and maps the large leaves the script's
+// large-leaf flag addresses: eight 2M leaves from gVA 0x40000000 and
+// two 1G leaves from 0x80000000. A native walk reads only guest-table
+// pages, so the 1G targets need no backing memory.
+func mapLargeLeaves(t *testing.T, e *env) {
+	t.Helper()
+	e.m.SetNestedPageTable(nil)
+	for k := uint64(0); k < 8; k++ {
+		if err := e.gPT.Map(0x40000000+k<<21, 0x2000000+k<<21, addr.Page2M); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 2; k++ {
+		if err := e.gPT.Map(0x80000000+k<<30, 0x40000000+k<<30, addr.Page1G); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // encodeVAs is the inverse of the access op for the block tests' VAs:
@@ -103,15 +143,30 @@ func FuzzTranslateBlock(f *testing.F) {
 	// (A is older), C's miss evicts A, and B hits. A block that left B
 	// as the last page skips B's probe, evicts B, and misses it.
 	f.Add([]byte{2, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 4, 0, 0, 8, 0, 0, 4, 0})
+	// Large leaves: a walk inserts a 2M entry mid-block (page 0xC0), and
+	// the next accesses touch new 4K pages inside it, which miss the 4K
+	// probe and hit the 2M structure. A cycling run over those pages, a
+	// 1G walk and its hits, 4K misses and hits between them, and a
+	// second block that starts with both large entries resident.
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 5, 0, 0xC0, 0, 0, 0xC1, 1, 0, 0xC2, 2, 0, 0xC3, 3,
+		0, 1, 0, 2, 7, 3, 0xC0, 0, 0xE0, 0, 0, 0xE1, 4, 0, 0xC4, 0, 0, 0, 9,
+		3, 0, 0xE2, 0, 0, 2, 0, 0, 0xC5, 1, 0, 0xC5, 2, 0, 0, 0})
+	// The same on the small L1, whose 2M structure holds two of the
+	// eight 2M leaves a set, under the cold walk configuration.
+	f.Add([]byte{7, 2, 20, 11, 0xC0, 0, 3, 0, 0, 0xC4, 0, 0, 0xC8, 0, 0, 0xCC, 0,
+		0, 0xD0, 0, 0, 0xC0, 0, 2, 31, 7, 0xC0, 0, 0xE0, 0, 3, 2, 15, 11, 0xD8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			return
 		}
-		cfg, blocks := decodeBlockScript(data)
+		cfg, large, blocks := decodeBlockScript(data)
 		var envs [3]*env
 		for k := range envs {
 			envs[k] = newEnv(t, 16, cfg)
 			envs[k].mapGuest(t, 0x400000, 0x200000, blockScriptMapped)
+			if large {
+				mapLargeLeaves(t, envs[k])
+			}
 		}
 		per, nilOut, withOut := envs[0], envs[1], envs[2]
 		var touched []uint64
