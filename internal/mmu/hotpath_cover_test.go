@@ -8,16 +8,18 @@ import (
 	"vdirect/internal/telemetry/walkprof"
 )
 
-// Edge paths of the batched block loop and the 2D walk: large-page
-// handover, pure last-page tails, mid-walk nested faults, nested skip
+// Edge paths of the batched block loop and the 2D walk: large-page L1
+// hits, pure last-page tails, mid-walk nested faults, nested skip
 // clamping, and the per-scheme L2-hit fast exits.
 
-// TestTranslateBlockLargePageHandover drives a native cell whose guest
+// TestTranslateBlockLargePageHits drives a native cell whose guest
 // table mixes 4K and 2M leaves through TranslateBlock and checks it
-// against per-event Translate on a twin: the first 2M insert must hand
-// the rest of the block to the per-event loop, and a later block must
-// skip the batched path entirely (large entries already resident).
-func TestTranslateBlockLargePageHandover(t *testing.T) {
+// against per-event Translate on a twin: after the walk that inserts
+// the 2M entry, a new 4K page inside it misses the 4K probe and must
+// resolve in the block loop as an L1 hit on the 2M structure, and so
+// must the accesses of a later block that starts with the entry
+// resident.
+func TestTranslateBlockLargePageHits(t *testing.T) {
 	build := func() *env {
 		e := newEnv(t, 16, Config{})
 		e.m.SetNestedPageTable(nil) // native
@@ -31,10 +33,10 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 
 	vas := []uint64{
 		0x400010, 0x400020, // 4K page: batched miss, then last-page hit
-		0x40000008,             // 2M page: walk inserts large entry, handover
-		0x40003000, 0x40003008, // same 2M entry, new 4K page: L1 hit + last-page
-		0x401000, // second 4K page: per-event miss after handover
-		0x900000, // unmapped: fault inside the per-event loop
+		0x40000008,             // 2M page: walk inserts large entry
+		0x40003000, 0x40003008, // same 2M entry, new 4K page: 2M hit + last-page
+		0x401000, // second 4K page: batched miss with a 2M entry resident
+		0x900000, // unmapped: fault
 		0x900010, // resumes after service
 		0x400018, // back on the first page
 	}
@@ -81,8 +83,8 @@ func TestTranslateBlockLargePageHandover(t *testing.T) {
 		t.Fatalf("stats diverge:\nblock:     %+v\nper-event: %+v", bs, ps)
 	}
 
-	// A fresh block with the 2M entry still resident must take the
-	// per-event loop from event zero and agree with the reference again.
+	// A fresh block with the 2M entry still resident must agree with the
+	// reference again.
 	vas2 := []uint64{0x400010, 0x40000100, 0x40000108}
 	evs2 := accessEvents(vas2)
 	out2 := make([]Result, len(evs2))

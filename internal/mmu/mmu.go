@@ -440,10 +440,8 @@ type Result struct {
 }
 
 // Translate runs one data access through the pipeline of Figure 5(a).
-func (m *MMU) Translate(gva uint64) (Result, *Fault) { return m.translate(gva, true) }
-
-// translate is Translate, pricing a miss's cycles only if priced.
-func (m *MMU) translate(gva uint64, priced bool) (Result, *Fault) {
+// It is the per-event reference TranslateBlock's batching must match.
+func (m *MMU) Translate(gva uint64) (Result, *Fault) {
 	m.stats.Accesses++
 
 	// Last-page cache: a repeat access to the previous 4K page is by
@@ -462,7 +460,7 @@ func (m *MMU) translate(gva uint64, priced bool) (Result, *Fault) {
 		return Result{HPA: hpa, L1Hit: true}, nil
 	}
 
-	hpa, cycles, fault := m.miss(gva, priced)
+	hpa, cycles, fault := m.miss(gva, true)
 	if fault != nil {
 		return Result{}, fault
 	}
@@ -520,15 +518,10 @@ func (m *MMU) missResult(hpa, cycles uint64) Result {
 // and flush at block end (or before any slow-path entry), so Stats read
 // outside TranslateBlock are identical to per-event Translate calls —
 // this is the tight loop behind the replay engine's AccessBlock hook.
+// The three-structure L1 probe splits into a batched 4K probe and, for
+// the probe that misses it, the 2M and 1G probes (LookupLarge), so one
+// loop serves every page size.
 func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
-	// The batched run path decomposes the three-structure L1 probe into
-	// a 4K-run probe plus empty-structure charges, which is only exact
-	// while the 2M and 1G structures are empty. Large-page workloads
-	// (and any block during which a walk inserts a large entry — the
-	// re-check sits in the loop) take the per-event loop instead.
-	if !m.l1.Only4K() {
-		return m.translateBlockFrom(evs, out, 0)
-	}
 	// hits counts L1 hits not yet flushed to Stats (each also an access).
 	var hits uint64
 	lastValid, lastVBase, lastHBase := m.lastValid, m.lastVBase, m.lastHBase
@@ -593,10 +586,22 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 			continue
 		}
 		// The missing event: its 4K probe was already charged inside the
-		// batched lookup; charge the (empty) 2M/1G probes and resolve.
+		// batched lookup. Its 2M and 1G probes come next: while both
+		// structures are empty, an inline charge; else the probes, where
+		// a hit completes it as an L1 hit.
 		gva := uint64(evs[missAt].VA)
 		vbase := gva &^ (addr.PageSize4K - 1)
-		m.l1.MissLarge()
+		i = missAt + 1
+		if m.l1.Only4K() {
+			m.l1.MissLarge()
+		} else if hpa, _, hit := m.l1.LookupLarge(gva); hit {
+			hits++
+			lastValid, lastVBase, lastHBase = true, vbase, hpa&^(addr.PageSize4K-1)
+			if out != nil {
+				out[missAt] = Result{HPA: hpa, L1Hit: true}
+			}
+			continue
+		}
 		m.stats.Accesses += hits + 1
 		m.stats.L1Hits += hits
 		hits = 0
@@ -609,33 +614,10 @@ func (m *MMU) TranslateBlock(evs []trace.Event, out []Result) (int, *Fault) {
 		if out != nil {
 			out[missAt] = m.missResult(hpa, cycles)
 		}
-		i = missAt + 1
-		if !m.l1.Only4K() {
-			// The walk inserted a large-page entry: finish per-event.
-			m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-			return m.translateBlockFrom(evs, out, i)
-		}
 	}
 	m.stats.Accesses += hits
 	m.stats.L1Hits += hits
 	m.lastValid, m.lastVBase, m.lastHBase = lastValid, lastVBase, lastHBase
-	return len(evs), nil
-}
-
-// translateBlockFrom is the per-event block loop, used for the whole
-// block when large-page L1 entries exist (from > 0 resumes after the
-// batched loop handed over mid-block): per-event translate, priced
-// only for out, stopping at the first fault with that event's index.
-func (m *MMU) translateBlockFrom(evs []trace.Event, out []Result, from int) (int, *Fault) {
-	for i := from; i < len(evs); i++ {
-		res, fault := m.translate(uint64(evs[i].VA), out != nil)
-		if fault != nil {
-			return i, fault
-		}
-		if out != nil {
-			out[i] = res
-		}
-	}
 	return len(evs), nil
 }
 

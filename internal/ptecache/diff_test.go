@@ -74,8 +74,7 @@ func (r *refCache) flush() {
 // TestCacheMatchesReference runs Cache and the reference model over
 // randomized, conflict-heavy address streams with flushes interleaved,
 // comparing the returned cost and Stats after every access. The
-// geometries cover the shipped Default (8-way), 2- and 4-way sets, and
-// a non-power-of-two set count (the modulo indexing fallback).
+// geometries cover the shipped Default (8-way) and 2- and 4-way sets.
 func TestCacheMatchesReference(t *testing.T) {
 	geometries := []struct {
 		name string
@@ -84,7 +83,6 @@ func TestCacheMatchesReference(t *testing.T) {
 		{"default-8way", Default},
 		{"2way", Config{Lines: 32, Ways: 2, HitCycles: 3, MissCycles: 50}},
 		{"4way", Config{Lines: 64, Ways: 4, HitCycles: 5, MissCycles: 90}},
-		{"4way-nonpow2-sets", Config{Lines: 28, Ways: 4, HitCycles: 2, MissCycles: 40}}, // 7 sets
 	}
 	for _, g := range geometries {
 		t.Run(g.name, func(t *testing.T) {

@@ -10,11 +10,15 @@
 // why sequential workloads walk cheaply and GUPS walks at DRAM speed.
 package ptecache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sets the cache geometry and latencies.
 type Config struct {
-	// Lines is the total number of 64-byte lines (power of two).
+	// Lines is the total number of 64-byte lines; Lines/Ways, the set
+	// count, must be a power of two.
 	Lines int
 	// Ways is the associativity.
 	Ways int
@@ -45,36 +49,31 @@ const tagValid = 1 << 63
 
 // Cache is the PTE cost model. Not safe for concurrent use.
 type Cache struct {
-	cfg  Config
-	sets int
+	cfg Config
 	// Line storage interleaved per way: slot 2i holds way i's packed
 	// valid|lineAddr tag word, slot 2i+1 its LRU stamp, so a hit's tag
 	// compare and stamp store touch the same host cache line. (A split
 	// tag-array/stamp-array layout was prototyped and was no faster.)
 	slots []uint64
-	// mask indexes power-of-two set counts without division (all shipped
-	// geometries are powers of two); the modulo path is a fallback.
+	// mask indexes the power-of-two set count without division.
 	mask   uint64
-	pow2   bool
 	clock  uint64
 	refs   uint64
 	misses uint64
 }
 
-// New builds a cache from the config. A bad geometry panics: it is an
-// invariant, not input validation, because no flag or parser sets a
-// Config (the MMU uses Default unless in-repo code overrides it).
+// New builds a cache from the config. A bad geometry (see Config.Lines)
+// panics: it is an invariant, not input validation, because no flag or
+// parser sets a Config (the MMU uses Default unless in-repo code
+// overrides it).
 func New(cfg Config) *Cache {
-	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Lines%cfg.Ways != 0 {
+	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Lines%cfg.Ways != 0 || bits.OnesCount(uint(cfg.Lines/cfg.Ways)) != 1 {
 		panic(fmt.Sprintf("ptecache: bad geometry %d/%d", cfg.Lines, cfg.Ways))
 	}
-	sets := cfg.Lines / cfg.Ways
 	return &Cache{
 		cfg:   cfg,
-		sets:  sets,
 		slots: make([]uint64, cfg.Lines*2),
-		mask:  uint64(sets - 1),
-		pow2:  sets&(sets-1) == 0,
+		mask:  uint64(cfg.Lines/cfg.Ways - 1),
 	}
 }
 
@@ -93,15 +92,9 @@ func (c *Cache) Probe(phys uint64) (hit bool) {
 	c.refs++
 	c.clock++
 	lineAddr := phys >> lineShift
-	var set int
-	if c.pow2 {
-		set = int(lineAddr & c.mask)
-	} else {
-		set = int(lineAddr % uint64(c.sets))
-	}
 	key := tagValid | lineAddr
 	ways := c.cfg.Ways
-	b := set * ways * 2
+	b := int(lineAddr&c.mask) * ways * 2
 	// Hit scan first, victim selection only on a confirmed miss. (A hit
 	// can sit after an invalid way, so the hit scan must cover every way
 	// before a miss is declared.) The full-capacity subslice lets the

@@ -53,13 +53,26 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestBadGeometryPanics: a line count that is not a multiple of the
+// ways, and a set count that is not a power of two (3 and 7 sets), are
+// rejected when the cache is built.
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(Config{Lines: 7, Ways: 2})
+	for _, cfg := range []Config{
+		{Lines: 7, Ways: 2},
+		{Lines: 0, Ways: 2},
+		{Lines: 8, Ways: 0},
+		{Lines: 12, Ways: 4},
+		{Lines: 56, Ways: 8},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestDenseVsRandomMissRates(t *testing.T) {

@@ -163,8 +163,9 @@ func goid() uint64 {
 // complete. The callback is serialized under the progress lock. It
 // replaces the scheduler's old ad-hoc Tracker and, while a run is
 // active, mirrors its state into the registry gauges
-// "sched.cells.done"/"sched.cells.total" so a long run's expvar
-// endpoint shows live progress.
+// "sched.cells.done"/"sched.cells.total", so a long run's -listen
+// endpoint shows live progress on /snapshot and /metrics (the gauges
+// are not expvar variables and do not appear on /debug/vars).
 type Progress struct {
 	mu          sync.Mutex
 	done, total int

@@ -6,37 +6,6 @@ import (
 	"vdirect/internal/addr"
 )
 
-// TestSetAssocNonPow2Geometry exercises the modulo indexing fallback:
-// every shipped geometry is a power of two, but the structure must stay
-// correct for exotic set counts (here 3 sets x 2 ways).
-func TestSetAssocNonPow2Geometry(t *testing.T) {
-	c := NewSetAssoc("t", 6, 2)
-	if c.pow2 {
-		t.Fatal("3 sets misclassified as power of two")
-	}
-	// VPNs 0..8 spread over sets vpn%3; round-trip them all.
-	for vpn := uint64(0); vpn < 9; vpn++ {
-		c.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 100 + vpn})
-	}
-	// Each set holds 2 ways, 3 VPNs competed per set, so the first
-	// insert per set was evicted and the later two survive.
-	for vpn := uint64(0); vpn < 9; vpn++ {
-		ppn, hit := c.Lookup(KindGuest, vpn)
-		if vpn < 3 {
-			if hit {
-				t.Errorf("VPN %d: LRU entry survived in non-pow2 set", vpn)
-			}
-			continue
-		}
-		if !hit || ppn != 100+vpn {
-			t.Errorf("VPN %d: lookup = %d, %v", vpn, ppn, hit)
-		}
-	}
-	if c.Evictions() != 3 {
-		t.Errorf("evictions = %d, want 3", c.Evictions())
-	}
-}
-
 // TestSetAssocASIDTagging pins the PCID model: guest entries hit only
 // under the ASID they were inserted with, nested entries are ASID-blind,
 // and FlushASID removes exactly one address space's guest entries.
@@ -44,8 +13,8 @@ func TestSetAssocASIDTagging(t *testing.T) {
 	// 4 ways so the two ASID-tagged guest copies and the nested entry
 	// can coexist in VPN 1's set without capacity evictions.
 	c := NewSetAssoc("t", 8, 4)
-	c.Insert(Entry{Kind: KindGuest, VPN: 1, PPN: 10})
-	c.Insert(Entry{Kind: KindNested, VPN: 1, PPN: 20})
+	c.Insert(KindGuest, 1, 10)
+	c.Insert(KindNested, 1, 20)
 
 	c.SetASID(7)
 	if _, hit := c.Lookup(KindGuest, 1); hit {
@@ -54,7 +23,7 @@ func TestSetAssocASIDTagging(t *testing.T) {
 	if ppn, hit := c.Lookup(KindNested, 1); !hit || ppn != 20 {
 		t.Errorf("nested entry must be ASID-blind: %d, %v", ppn, hit)
 	}
-	c.Insert(Entry{Kind: KindGuest, VPN: 1, PPN: 17})
+	c.Insert(KindGuest, 1, 17)
 	if ppn, hit := c.Lookup(KindGuest, 1); !hit || ppn != 17 {
 		t.Errorf("ASID 7 entry: %d, %v", ppn, hit)
 	}

@@ -10,7 +10,7 @@ import (
 func BenchmarkSetAssocLookupHit(b *testing.B) {
 	c := NewSetAssoc("b", 512, 4)
 	for i := uint64(0); i < 512; i++ {
-		c.Insert(Entry{Kind: KindGuest, VPN: i, PPN: i})
+		c.Insert(KindGuest, i, i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -26,7 +26,7 @@ func BenchmarkSetAssocLookupHit(b *testing.B) {
 func BenchmarkSetAssocLookupHitRandom(b *testing.B) {
 	c := NewSetAssoc("b", 512, 4)
 	for i := uint64(0); i < 512; i++ {
-		c.Insert(Entry{Kind: KindGuest, VPN: i, PPN: i})
+		c.Insert(KindGuest, i, i)
 	}
 	r := trace.NewRand(1)
 	vpns := make([]uint64, 4096)
@@ -54,7 +54,7 @@ func BenchmarkSetAssocInsert(b *testing.B) {
 	c := NewSetAssoc("b", 512, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Insert(Entry{Kind: KindGuest, VPN: uint64(i), PPN: uint64(i)})
+		c.Insert(KindGuest, uint64(i), uint64(i))
 	}
 }
 

@@ -3,7 +3,6 @@ package tlb
 import (
 	"testing"
 
-	"vdirect/internal/addr"
 	"vdirect/internal/trace"
 )
 
@@ -89,15 +88,15 @@ func (r *refSetAssoc) matches(kind EntryKind, vpn uint64) int {
 	return n
 }
 
-func (r *refSetAssoc) insert(e Entry) {
+func (r *refSetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
 	r.clock++
-	b := r.base(e.VPN)
+	b := r.base(vpn)
 	// Victim: refresh-match or first invalid way, whichever comes first
 	// in way order; else the LRU way.
 	victim, vLRU := b, r.ents[b].lru
 	for j := b; j < b+r.ways; j++ {
 		w := r.ents[j]
-		if r.match(w, e.Kind, e.VPN) || !w.valid {
+		if r.match(w, kind, vpn) || !w.valid {
 			victim = j
 			break
 		}
@@ -108,14 +107,14 @@ func (r *refSetAssoc) insert(e Entry) {
 	w := &r.ents[victim]
 	if !w.valid {
 		r.occupied++
-	} else if !r.match(*w, e.Kind, e.VPN) {
+	} else if !r.match(*w, kind, vpn) {
 		r.evictions++
 	}
 	asid := r.curASID
-	if e.Kind == KindNested {
+	if kind == KindNested {
 		asid = 0
 	}
-	*w = refWay{valid: true, kind: e.Kind, asid: asid, vpn: e.VPN, ppn: e.PPN, lru: r.clock}
+	*w = refWay{valid: true, kind: kind, asid: asid, vpn: vpn, ppn: ppn, lru: r.clock}
 }
 
 func (r *refSetAssoc) flush() {
@@ -161,9 +160,9 @@ func (r *refSetAssoc) invalidatePage(kind EntryKind, vpn uint64) {
 
 // TestSetAssocMatchesReference drives SetAssoc and the reference model
 // through long randomized op streams over several geometries — 4-way
-// (the unrolled path), non-4-way (the generic loop), and a non-power-
-// of-two set count (the modulo indexing fallback) — comparing every
-// lookup result and every counter after every operation. Each geometry
+// (the unrolled path) and 2-, 3- and 8-way (the generic loop) —
+// comparing every lookup result and every counter after every
+// operation. Each geometry
 // must also see lookups hit a set holding their tag in two valid ways,
 // so the first-match rule is exercised, not just stated.
 func TestSetAssocMatchesReference(t *testing.T) {
@@ -174,7 +173,7 @@ func TestSetAssocMatchesReference(t *testing.T) {
 		{"4way-pow2", 32, 4},
 		{"4way-1set", 4, 4},
 		{"2way", 16, 2},
-		{"3way-nonpow2-sets", 21, 3}, // 7 sets: modulo fallback
+		{"3way", 24, 3},
 		{"fully-assoc", 8, 8},
 	}
 	for _, g := range geometries {
@@ -263,9 +262,9 @@ func TestSetAssocMatchesReference(t *testing.T) {
 					if vpn >= vpnMax {
 						vpn = rng.Uint64n(uint64(g.entries) * 3)
 					}
-					e := Entry{Kind: k, VPN: vpn, PPN: rng.Uint64(), Size: addr.Page4K}
-					c.Insert(e)
-					r.insert(e)
+					ppn := rng.Uint64()
+					c.Insert(k, vpn, ppn)
+					r.insert(k, vpn, ppn)
 					check("insert", step)
 				case 10, 11:
 					// Re-insert the last hit under a new PPN: when its set
@@ -276,11 +275,11 @@ func TestSetAssocMatchesReference(t *testing.T) {
 					if !lastHit.ok {
 						continue
 					}
-					e := Entry{Kind: lastHit.kind, VPN: lastHit.vpn, PPN: rng.Uint64(), Size: addr.Page4K}
-					c.Insert(e)
-					r.insert(e)
+					ppn := rng.Uint64()
+					c.Insert(lastHit.kind, lastHit.vpn, ppn)
+					r.insert(lastHit.kind, lastHit.vpn, ppn)
 					check("reinsert", step)
-					lookup(e.Kind, e.VPN, step)
+					lookup(lastHit.kind, lastHit.vpn, step)
 				default:
 					lookup(kinds[rng.Uint64n(4)], randVPN(), step)
 				}
@@ -308,5 +307,5 @@ func TestInsertRejectsOversizedVPN(t *testing.T) {
 			t.Fatal("Insert of VPN ≥ 2^46 did not panic")
 		}
 	}()
-	c.Insert(Entry{Kind: KindGuest, VPN: vpnMax, PPN: 1, Size: addr.Page4K})
+	c.Insert(KindGuest, vpnMax, 1)
 }

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"fmt"
 	"testing"
 
 	"vdirect/internal/addr"
@@ -86,8 +87,8 @@ func TestLookupRunMatchesSequentialLookup(t *testing.T) {
 	// them all in one 20-probe run: exercises multiple 8-wide chunks
 	// with a partial tail chunk.
 	for vpn := uint64(0); vpn < 20; vpn++ {
-		batched.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 100 + vpn})
-		mirror.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 100 + vpn})
+		batched.Insert(KindGuest, vpn, 100+vpn)
+		mirror.Insert(KindGuest, vpn, 100+vpn)
 	}
 	vpns := make([]uint64, 20)
 	for i := range vpns {
@@ -120,7 +121,7 @@ func TestLookupRunMatchesSequentialLookup(t *testing.T) {
 	// probed under ASID 0 and vice versa.
 	for _, c := range []*SetAssoc{batched, mirror} {
 		c.SetASID(1)
-		c.Insert(Entry{Kind: KindGuest, VPN: 300, PPN: 42})
+		c.Insert(KindGuest, 300, 42)
 	}
 	runBoth(t, "asid1", batched, mirror, []uint64{300, 0})
 	for _, c := range []*SetAssoc{batched, mirror} {
@@ -136,12 +137,12 @@ func TestLookupRunMatchesSequentialLookup(t *testing.T) {
 	// so the whole slot image) only matches if every LRU stamp did.
 	set0 := []uint64{0, 16, 32, 48} // 16 sets: all land in set 0
 	for _, vpn := range set0[1:] {
-		batched.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 200 + vpn})
-		mirror.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 200 + vpn})
+		batched.Insert(KindGuest, vpn, 200+vpn)
+		mirror.Insert(KindGuest, vpn, 200+vpn)
 	}
 	runBoth(t, "conflict-touch", batched, mirror, []uint64{32, 0, 48, 16})
-	batched.Insert(Entry{Kind: KindGuest, VPN: 64, PPN: 9})
-	mirror.Insert(Entry{Kind: KindGuest, VPN: 64, PPN: 9})
+	batched.Insert(KindGuest, 64, 9)
+	mirror.Insert(KindGuest, 64, 9)
 	checkSame(t, "post-evict", batched, mirror)
 }
 
@@ -151,8 +152,8 @@ func TestLookupRunFallbackGeometry(t *testing.T) {
 	batched := NewSetAssoc("b", 8, 2)
 	mirror := NewSetAssoc("m", 8, 2)
 	for vpn := uint64(0); vpn < 6; vpn++ {
-		batched.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 50 + vpn})
-		mirror.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: 50 + vpn})
+		batched.Insert(KindGuest, vpn, 50+vpn)
+		mirror.Insert(KindGuest, vpn, 50+vpn)
 	}
 	if n := runBoth(t, "fallback-hit", batched, mirror, []uint64{0, 1, 2, 3, 4, 5}); n != 6 {
 		t.Fatalf("fallback full-hit run returned %d of 6", n)
@@ -163,9 +164,11 @@ func TestLookupRunFallbackGeometry(t *testing.T) {
 }
 
 // TestL1BatchedProbeAccounting pins the L1 decomposition TranslateBlock
-// relies on: while Only4K holds, Lookup4KRun + MissLarge must evolve
-// all three structures' counters exactly as per-event L1.Lookup calls,
-// and Only4K must flip the moment a large entry lands.
+// relies on: Lookup4KRun, then for its missing probe MissLarge while
+// Only4K holds, else LookupLarge, must return what per-event L1.Lookup
+// calls return and evolve all three structures' counters exactly as
+// they do. With a 2M and a 1G entry resident, the large probes cover a
+// hit and a miss in each structure.
 func TestL1BatchedProbeAccounting(t *testing.T) {
 	batched := NewL1(SandyBridgeL1)
 	mirror := NewL1(SandyBridgeL1)
@@ -175,6 +178,23 @@ func TestL1BatchedProbeAccounting(t *testing.T) {
 	for p := uint64(0); p < 8; p++ {
 		batched.Insert(p<<12, (100+p)<<12, addr.Page4K)
 		mirror.Insert(p<<12, (100+p)<<12, addr.Page4K)
+	}
+	sameCounters := func(when string) {
+		t.Helper()
+		for i, pair := range [][2]*SetAssoc{
+			{batched.by4K, mirror.by4K},
+			{batched.by2M, mirror.by2M},
+			{batched.by1G, mirror.by1G},
+		} {
+			bl, bh := pair[0].Stats()
+			ml, mh := pair[1].Stats()
+			if bl != ml || bh != mh {
+				t.Fatalf("%s: structure %d stats diverge: batched %d/%d, mirror %d/%d", when, i, bl, bh, ml, mh)
+			}
+			if pair[0].clock != pair[1].clock {
+				t.Fatalf("%s: structure %d clock diverges: %d vs %d", when, i, pair[0].clock, pair[1].clock)
+			}
+		}
 	}
 
 	// Per-event reference: L1.Lookup on hits and on one miss.
@@ -199,42 +219,63 @@ func TestL1BatchedProbeAccounting(t *testing.T) {
 		t.Fatalf("batched hits %d, per-event hits %d", n, mirrorHits)
 	}
 	batched.MissLarge()
+	sameCounters("4K-only")
 
-	for i, pair := range [][2]*SetAssoc{
-		{batched.by4K, mirror.by4K},
-		{batched.by2M, mirror.by2M},
-		{batched.by1G, mirror.by1G},
-	} {
-		bl, bh := pair[0].Stats()
-		ml, mh := pair[1].Stats()
-		if bl != ml || bh != mh {
-			t.Fatalf("structure %d stats diverge: batched %d/%d, mirror %d/%d", i, bl, bh, ml, mh)
-		}
-		if pair[0].clock != pair[1].clock {
-			t.Fatalf("structure %d clock diverges: %d vs %d", i, pair[0].clock, pair[1].clock)
-		}
-	}
-
-	// Hit PPNs surface the same translations Lookup returns.
+	// Hit PPNs are the inserted translations.
 	for i := 0; i < n; i++ {
-		pa, size, hit := mirror.Lookup(vas[i])
-		if !hit || size != addr.Page4K {
-			t.Fatalf("mirror lost entry %d", i)
-		}
-		if want := pa >> 12; ppns[i] != want {
-			t.Fatalf("ppn %d = %#x, want %#x", i, ppns[i], want)
+		if ppns[i] != 100+vpns[i] {
+			t.Fatalf("ppn %d = %#x, want %#x", i, ppns[i], 100+vpns[i])
 		}
 	}
 
-	// Large inserts break the decomposition's precondition per size.
+	// Large entries resident: each probe is a 4K run of one whose miss
+	// completes through LookupLarge. The 2M page hits in the 2M
+	// structure; the 1G page misses it and hits the 1G structure; the
+	// last va misses both.
+	for _, l := range []*L1{batched, mirror} {
+		l.Insert(1<<21, 5<<21, addr.Page2M)
+		l.Insert(1<<30, 3<<30, addr.Page1G)
+	}
+	if batched.Only4K() {
+		t.Fatal("Only4K still true with large entries resident")
+	}
+	for _, c := range []struct {
+		va, pa uint64
+		size   addr.PageSize
+		hit    bool
+	}{
+		{2 << 12, 102 << 12, addr.Page4K, true},
+		{1<<21 + 0x1234, 5<<21 + 0x1234, addr.Page2M, true},
+		{1<<30 + 5<<21 + 0x5678, 3<<30 + 5<<21 + 0x5678, addr.Page1G, true},
+		{3<<30 + 0x9000, 0, 0, false},
+	} {
+		if pa, size, hit := mirror.Lookup(c.va); pa != c.pa || size != c.size || hit != c.hit {
+			t.Fatalf("va %#x: Lookup (%#x, %v, %v), want (%#x, %v, %v)", c.va, pa, size, hit, c.pa, c.size, c.hit)
+		}
+		var pa uint64
+		var size addr.PageSize
+		hit := batched.Lookup4KRun([]uint64{c.va >> 12}, ppns[:1]) == 1
+		if hit {
+			pa, size = ppns[0]<<12+c.va&0xfff, addr.Page4K
+		} else {
+			pa, size, hit = batched.LookupLarge(c.va)
+		}
+		if pa != c.pa || size != c.size || hit != c.hit {
+			t.Fatalf("va %#x: batched (%#x, %v, %v), want (%#x, %v, %v)", c.va, pa, size, hit, c.pa, c.size, c.hit)
+		}
+		sameCounters(fmt.Sprintf("va %#x", c.va))
+	}
+
+	// Only4K flips with each large size alone.
+	batched.Flush()
+	if !batched.Only4K() {
+		t.Error("Only4K false after full flush")
+	}
 	batched.Insert(1<<21, 5<<21, addr.Page2M)
 	if batched.Only4K() {
 		t.Error("Only4K still true with a 2M entry resident")
 	}
 	batched.Flush()
-	if !batched.Only4K() {
-		t.Error("Only4K false after full flush")
-	}
 	batched.Insert(1<<30, 3<<30, addr.Page1G)
 	if batched.Only4K() {
 		t.Error("Only4K still true with a 1G entry resident")

@@ -37,14 +37,6 @@ func (k EntryKind) String() string {
 	return "nested"
 }
 
-// Entry is one cached translation.
-type Entry struct {
-	Kind EntryKind
-	VPN  uint64 // source page number
-	PPN  uint64 // target page number
-	Size addr.PageSize
-}
-
 // Tag-word layout. Each way's (valid, kind, asid, vpn) is packed into
 // one uint64 so a set probe is ≤ways word compares against a
 // precomputed key — the set's tag words share a cache line, where the
@@ -97,7 +89,6 @@ func plainKey(kind EntryKind, vpn uint64) uint64 {
 // replacement. Entries are keyed by (kind, vpn).
 type SetAssoc struct {
 	name string
-	sets int
 	ways int
 	// Entry storage, interleaved per set: each set owns a block of
 	// 3*ways words laid out [tags×ways][ppns×ways][lrus×ways], so one
@@ -106,11 +97,8 @@ type SetAssoc struct {
 	// shipped 4-way geometries) where separate tag/ppn/lru arrays
 	// spread a hit over three.
 	slots []uint64
-	// mask indexes power-of-two set counts without division; every
-	// shipped geometry (Table VI and the PWC sizes) is a power of two,
-	// so the modulo fallback exists only for exotic test geometries.
+	// mask indexes the power-of-two set count without division.
 	mask    uint64
-	pow2    bool
 	clock   uint64
 	lookups uint64
 	hits    uint64
@@ -130,33 +118,27 @@ type SetAssoc struct {
 }
 
 // NewSetAssoc creates a cache of entries total entries organized as
-// entries/ways sets. entries must be a multiple of ways. A bad geometry
-// panics: it is an invariant, not input validation, because no flag or
-// parser sets a TLB or PWC geometry (they come from Table VI constants,
-// NewPWC and mmu.Config defaults, which only in-repo code overrides).
+// entries/ways sets. entries must be a multiple of ways, and the set
+// count a power of two, as in every Table VI and PWC geometry. A bad
+// geometry panics: it is an invariant, not input validation, because no
+// flag or parser sets a TLB or PWC geometry (they come from Table VI
+// constants, NewPWC and mmu.Config defaults, which only in-repo code
+// overrides).
 func NewSetAssoc(name string, entries, ways int) *SetAssoc {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 || bits.OnesCount(uint(entries/ways)) != 1 {
 		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", entries, ways))
 	}
-	sets := entries / ways
 	return &SetAssoc{
 		name:  name,
-		sets:  sets,
 		ways:  ways,
 		slots: make([]uint64, entries*3),
-		mask:  uint64(sets - 1),
-		pow2:  sets&(sets-1) == 0,
+		mask:  uint64(entries/ways - 1),
 	}
 }
 
 // base returns the first slot index of vpn's set block (3*ways words:
 // tags, then ppns, then lrus).
-func (c *SetAssoc) base(vpn uint64) int {
-	if c.pow2 {
-		return int(vpn&c.mask) * (c.ways * 3)
-	}
-	return int(vpn%uint64(c.sets)) * (c.ways * 3)
-}
+func (c *SetAssoc) base(vpn uint64) int { return int(vpn&c.mask) * (c.ways * 3) }
 
 // Lookup searches for (kind, vpn); on a hit it refreshes LRU state and
 // returns the target page number.
@@ -211,7 +193,7 @@ func b2u(b bool) uint8 {
 
 // hitMask4 folds a 4-way set's tag compares against k into a mask,
 // bit j set when way j holds k. The probe takes the lowest set bit:
-// insert fills an invalid way that comes before a matching one, so a
+// Insert fills an invalid way that comes before a matching one, so a
 // set can hold one tag in two valid ways, and a lookup hits the first
 // in way order.
 //
@@ -330,19 +312,13 @@ func (c *SetAssoc) FlushASID(a uint16) {
 	}
 }
 
-// Insert installs an entry, evicting the LRU way of its set if needed.
-func (c *SetAssoc) Insert(e Entry) {
-	c.insert(e.Kind, e.VPN, e.PPN)
-}
-
-// insert is the lean form of Insert used on the translation hot path:
-// same semantics, no Entry struct to build and copy at the call site.
-// A VPN that does not fit the tag word panics. That is an invariant no
-// user input reaches: the MMU inserts page numbers of addresses it has
-// translated, guest-physical addresses are below 2^58, and
-// vdirect.System.Access rejects virtual addresses at or above 2^48
-// before translating them.
-func (c *SetAssoc) insert(kind EntryKind, vpn, ppn uint64) {
+// Insert caches (kind, vpn) → ppn, evicting the LRU way of its set if
+// needed. A VPN that does not fit the tag word panics. That is an
+// invariant no user input reaches: the MMU inserts page numbers of
+// addresses it has translated, guest-physical addresses are below 2^58,
+// and vdirect.System rejects virtual addresses at or above 2^48 before
+// mapping or translating them.
+func (c *SetAssoc) Insert(kind EntryKind, vpn, ppn uint64) {
 	c.clock++
 	if vpn >= vpnMax {
 		panic(fmt.Sprintf("tlb: %s: VPN %#x exceeds the 46-bit tag-word field", c.name, vpn))
@@ -511,6 +487,13 @@ func (l *L1) Lookup(va uint64) (pa uint64, size addr.PageSize, hit bool) {
 	if ppn, ok := l.by4K.Lookup(KindGuest, va>>addr.PageShift4K); ok {
 		return ppn<<addr.PageShift4K + va&(addr.PageSize4K-1), addr.Page4K, true
 	}
+	return l.LookupLarge(va)
+}
+
+// LookupLarge is the large half of Lookup: the 2M probe, then the 1G
+// one, for a va whose 4K probe missed. With Lookup4KRun it decomposes
+// Lookup exactly, so a block of probes can batch its 4K halves.
+func (l *L1) LookupLarge(va uint64) (pa uint64, size addr.PageSize, hit bool) {
 	// The 2M and 1G structures sit permanently empty for 4K-only
 	// workloads; their empty-structure miss (bump lookups and clock,
 	// scan nothing) is inlined here to save two calls per probe —
@@ -531,22 +514,21 @@ func (l *L1) Lookup(va uint64) (pa uint64, size addr.PageSize, hit bool) {
 	return 0, 0, false
 }
 
-// Only4K reports whether the 2M and 1G structures are empty, meaning a
-// probe decomposes into a 4K probe plus two empty-structure charges
-// (see MissLarge) and the batched 4K run path is exact.
+// Only4K reports whether the 2M and 1G structures are empty, meaning
+// LookupLarge would miss both without a scan (see MissLarge).
 func (l *L1) Only4K() bool { return l.by2M.occupied == 0 && l.by1G.occupied == 0 }
 
 // Lookup4KRun batch-probes the 4K structure for a run of 4K VPNs under
 // the current ASID; see SetAssoc.LookupRun for the stop-at-first-miss
-// contract. Valid only while Only4K() holds — a 4K hit never touches
-// the 2M/1G structures, so a run of 4K hits is probe-for-probe
-// identical to per-event Lookup calls.
+// contract. A 4K hit never touches the 2M/1G structures, so a run of
+// 4K hits is probe-for-probe identical to per-event Lookup calls, and a
+// missing probe completes as one with LookupLarge.
 func (l *L1) Lookup4KRun(vpns, ppns []uint64) int { return l.by4K.LookupRun(vpns, ppns) }
 
-// MissLarge charges the empty 2M and 1G structures' probes for one
-// event whose batched 4K probe missed — the same bump-and-scan-nothing
-// accounting Lookup inlines, in the same probe order. Caller must have
-// checked Only4K.
+// MissLarge is LookupLarge while Only4K holds: it charges the empty 2M
+// and 1G structures' probes — the same bump-and-scan-nothing accounting
+// LookupLarge inlines, in the same probe order — and is small enough to
+// inline where LookupLarge is not. Caller must have checked Only4K.
 func (l *L1) MissLarge() {
 	l.by2M.lookups++
 	l.by2M.clock++
@@ -558,11 +540,11 @@ func (l *L1) MissLarge() {
 func (l *L1) Insert(va, pa uint64, s addr.PageSize) {
 	if s == addr.Page4K {
 		// The dominant insert of every 4K-grain workload, lean: no
-		// struct-size switch, no Entry value to build and copy.
-		l.by4K.insert(KindGuest, va>>addr.PageShift4K, pa>>addr.PageShift4K)
+		// struct-size switch.
+		l.by4K.Insert(KindGuest, va>>addr.PageShift4K, pa>>addr.PageShift4K)
 		return
 	}
-	l.structFor(s).insert(KindGuest, addr.PageNumber(va, s), addr.PageNumber(pa, s))
+	l.structFor(s).Insert(KindGuest, addr.PageNumber(va, s), addr.PageNumber(pa, s))
 }
 
 // Flush empties the L1 (guest context switch without PCID).
@@ -623,7 +605,7 @@ func (l *L2) LookupGuest(va uint64) (pa uint64, hit bool) {
 
 // InsertGuest caches a guest 4K translation.
 func (l *L2) InsertGuest(va, pa uint64) {
-	l.c.insert(KindGuest, va>>addr.PageShift4K, pa>>addr.PageShift4K)
+	l.c.Insert(KindGuest, va>>addr.PageShift4K, pa>>addr.PageShift4K)
 }
 
 // LookupNested probes for a nested gPA→hPA translation at 4K grain.
@@ -638,7 +620,7 @@ func (l *L2) LookupNested(gpa uint64) (hpa uint64, hit bool) {
 // InsertNested caches a nested translation in the shared structure.
 func (l *L2) InsertNested(gpa, hpa uint64) {
 	l.nestedInserts++
-	l.c.insert(KindNested, gpa>>addr.PageShift4K, hpa>>addr.PageShift4K)
+	l.c.Insert(KindNested, gpa>>addr.PageShift4K, hpa>>addr.PageShift4K)
 }
 
 // Flush empties the L2.
@@ -713,11 +695,11 @@ func (p *PWC) FillFrom(va uint64, startLvl, endLvl int) {
 	for lvl := startLvl; lvl < endLvl; lvl++ {
 		switch lvl {
 		case addr.LvlPML4:
-			p.pml4e.Insert(Entry{Kind: KindGuest, VPN: va >> (addr.PageShift1G + 9)})
+			p.pml4e.Insert(KindGuest, va>>(addr.PageShift1G+9), 0)
 		case addr.LvlPDPT:
-			p.pdpte.Insert(Entry{Kind: KindGuest, VPN: va >> addr.PageShift1G})
+			p.pdpte.Insert(KindGuest, va>>addr.PageShift1G, 0)
 		case addr.LvlPD:
-			p.pde.Insert(Entry{Kind: KindGuest, VPN: va >> addr.PageShift2M})
+			p.pde.Insert(KindGuest, va>>addr.PageShift2M, 0)
 		}
 	}
 }

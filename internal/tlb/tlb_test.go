@@ -13,7 +13,7 @@ func TestSetAssocBasic(t *testing.T) {
 	if _, hit := c.Lookup(KindGuest, 5); hit {
 		t.Error("empty cache hit")
 	}
-	c.Insert(Entry{Kind: KindGuest, VPN: 5, PPN: 50})
+	c.Insert(KindGuest, 5, 50)
 	if ppn, hit := c.Lookup(KindGuest, 5); !hit || ppn != 50 {
 		t.Errorf("lookup = %d, %v", ppn, hit)
 	}
@@ -29,8 +29,8 @@ func TestSetAssocBasic(t *testing.T) {
 
 func TestSetAssocReplaceInPlace(t *testing.T) {
 	c := NewSetAssoc("t", 4, 2)
-	c.Insert(Entry{Kind: KindGuest, VPN: 2, PPN: 10})
-	c.Insert(Entry{Kind: KindGuest, VPN: 2, PPN: 20})
+	c.Insert(KindGuest, 2, 10)
+	c.Insert(KindGuest, 2, 20)
 	if ppn, hit := c.Lookup(KindGuest, 2); !hit || ppn != 20 {
 		t.Errorf("replace in place failed: %d, %v", ppn, hit)
 	}
@@ -42,10 +42,10 @@ func TestSetAssocReplaceInPlace(t *testing.T) {
 func TestSetAssocLRUEviction(t *testing.T) {
 	// 2 sets x 2 ways; VPNs 0,2,4 share set 0.
 	c := NewSetAssoc("t", 4, 2)
-	c.Insert(Entry{Kind: KindGuest, VPN: 0, PPN: 100})
-	c.Insert(Entry{Kind: KindGuest, VPN: 2, PPN: 102})
+	c.Insert(KindGuest, 0, 100)
+	c.Insert(KindGuest, 2, 102)
 	c.Lookup(KindGuest, 0) // make VPN 0 MRU
-	c.Insert(Entry{Kind: KindGuest, VPN: 4, PPN: 104})
+	c.Insert(KindGuest, 4, 104)
 	if _, hit := c.Lookup(KindGuest, 2); hit {
 		t.Error("LRU entry survived eviction")
 	}
@@ -60,24 +60,24 @@ func TestSetAssocLRUEviction(t *testing.T) {
 func TestSetAssocEvictionCount(t *testing.T) {
 	// 2 sets x 2 ways; VPNs 0,2,4 share set 0.
 	c := NewSetAssoc("t", 4, 2)
-	c.Insert(Entry{Kind: KindGuest, VPN: 0, PPN: 100})
-	c.Insert(Entry{Kind: KindGuest, VPN: 2, PPN: 102})
+	c.Insert(KindGuest, 0, 100)
+	c.Insert(KindGuest, 2, 102)
 	if c.Evictions() != 0 {
 		t.Errorf("evictions after fills = %d, want 0", c.Evictions())
 	}
 	// Refreshing an existing key in place is not an eviction.
-	c.Insert(Entry{Kind: KindGuest, VPN: 0, PPN: 200})
+	c.Insert(KindGuest, 0, 200)
 	if c.Evictions() != 0 {
 		t.Errorf("in-place refresh counted as eviction: %d", c.Evictions())
 	}
 	// Displacing a valid entry of a different key is.
-	c.Insert(Entry{Kind: KindGuest, VPN: 4, PPN: 104})
+	c.Insert(KindGuest, 4, 104)
 	if c.Evictions() != 1 {
 		t.Errorf("evictions = %d, want 1", c.Evictions())
 	}
 	// Nested and guest entries sharing a set: cross-kind displacement
 	// still counts — that is the capacity-erosion signal.
-	c.Insert(Entry{Kind: KindNested, VPN: 0, PPN: 300})
+	c.Insert(KindNested, 0, 300)
 	if c.Evictions() != 2 {
 		t.Errorf("evictions = %d, want 2", c.Evictions())
 	}
@@ -95,8 +95,8 @@ func TestL2EvictionsExposed(t *testing.T) {
 
 func TestSetAssocFlushAndInvalidate(t *testing.T) {
 	c := NewSetAssoc("t", 8, 2)
-	c.Insert(Entry{Kind: KindGuest, VPN: 1, PPN: 1})
-	c.Insert(Entry{Kind: KindNested, VPN: 2, PPN: 2})
+	c.Insert(KindGuest, 1, 1)
+	c.Insert(KindNested, 2, 2)
 	c.FlushKind(KindNested)
 	if _, hit := c.Lookup(KindNested, 2); hit {
 		t.Error("FlushKind missed nested entry")
@@ -108,20 +108,27 @@ func TestSetAssocFlushAndInvalidate(t *testing.T) {
 	if _, hit := c.Lookup(KindGuest, 1); hit {
 		t.Error("InvalidatePage missed")
 	}
-	c.Insert(Entry{Kind: KindGuest, VPN: 3, PPN: 3})
+	c.Insert(KindGuest, 3, 3)
 	c.Flush()
 	if c.Occupancy() != 0 {
 		t.Error("Flush left entries")
 	}
 }
 
+// TestSetAssocBadGeometryPanics: an entry count that is not a multiple
+// of the ways, and a set count that is not a power of two (3 and 7
+// sets), are rejected when the structure is built.
 func TestSetAssocBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
-		}
-	}()
-	NewSetAssoc("bad", 5, 2)
+	for _, g := range [][2]int{{5, 2}, {0, 4}, {4, 0}, {6, 2}, {21, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSetAssoc(%d entries, %d ways) did not panic", g[0], g[1])
+				}
+			}()
+			NewSetAssoc("bad", g[0], g[1])
+		}()
+	}
 }
 
 func TestL1MultiSizeParallelLookup(t *testing.T) {
@@ -265,7 +272,7 @@ func TestLookupInsertRoundTripProperty(t *testing.T) {
 		// Whatever we just inserted must be immediately findable.
 		for i := 0; i < 200; i++ {
 			vpn := r.Uint64n(1 << 20)
-			c.Insert(Entry{Kind: KindGuest, VPN: vpn, PPN: vpn * 2})
+			c.Insert(KindGuest, vpn, vpn*2)
 			if ppn, hit := c.Lookup(KindGuest, vpn); !hit || ppn != vpn*2 {
 				return false
 			}

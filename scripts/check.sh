@@ -30,7 +30,8 @@
 # recorded statement-coverage floors, mutcheck.sh checks that every
 # mutant in scripts/mutants.txt is still killed by the test it names,
 # and benchgate.sh holds the cell-throughput and TLB-probe benchmarks
-# to within 10% of their recorded ns/op baselines.
+# to within 10% of their recorded ns/op baselines. Last, prodlines.sh
+# prints the production Go line count for the record; it gates nothing.
 set -eu
 cd "$(dirname "$0")/.."
 unformatted=$(gofmt -l .)
@@ -65,3 +66,5 @@ sh scripts/hostcheck.sh
 sh scripts/covergate.sh
 sh scripts/mutcheck.sh
 sh scripts/benchgate.sh
+set +x
+echo "check: $(sh scripts/prodlines.sh) production Go lines (non-test, outside bench/)"

@@ -111,8 +111,19 @@ type System struct {
 var ErrNoSegment = errors.New("vdirect: mode does not use this segment")
 
 // ErrAddressRange is returned by Access for a virtual address at or
-// above addr.VirtualSpan (2^48), which no page table can map.
+// above addr.VirtualSpan (2^48), which no page table can map, and by
+// MapAt, MapEager and Free for a range not inside [0, 2^48).
 var ErrAddressRange = errors.New("vdirect: address outside the 48-bit virtual address space")
+
+// checkSpan rejects a range not inside [0, addr.VirtualSpan), one whose
+// end wraps included: the page walk indexes only bits 47:0, so a page
+// above 2^48 would alias the canonical page below it.
+func checkSpan(base, size uint64) error {
+	if base >= addr.VirtualSpan || size > addr.VirtualSpan-base {
+		return fmt.Errorf("%w: %#x bytes at %#x", ErrAddressRange, size, base)
+	}
+	return nil
+}
 
 // NewSystem builds a machine in the configured mode with one process,
 // through the same assembly as the experiment runner: the stack comes
@@ -177,12 +188,18 @@ func (s *System) Map(size uint64) (uint64, error) {
 
 // MapAt reserves [base, base+size) of virtual address space.
 func (s *System) MapAt(base, size uint64) error {
+	if err := checkSpan(base, size); err != nil {
+		return err
+	}
 	return s.m.Proc.MMapAt(addr.Range{Start: base, Size: size})
 }
 
 // MapEager maps the region with pages of the given size immediately,
 // as big-memory applications requesting explicit page sizes do.
 func (s *System) MapEager(base, size uint64, ps PageSize) error {
+	if err := checkSpan(base, size); err != nil {
+		return err
+	}
 	if err := s.m.Proc.MMapAt(addr.Range{Start: base, Size: size}); err != nil {
 		return err
 	}
@@ -224,6 +241,9 @@ func (s *System) Access(va uint64) (hpa uint64, cycles uint64, err error) {
 
 // Free unmaps the 4K pages of the range and invalidates the TLBs.
 func (s *System) Free(base, size uint64) error {
+	if err := checkSpan(base, size); err != nil {
+		return err
+	}
 	return s.m.Proc.Free(s.m.MMU, addr.Range{Start: base, Size: size}, nil)
 }
 

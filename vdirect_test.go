@@ -348,6 +348,61 @@ func TestSystemAccessRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// TestSystemRangesRejectNonCanonical checks that MapAt, MapEager and
+// Free refuse a range not inside [0, 2^48), one whose end wraps
+// included, before it reaches the guest: above 2^48 the page walk
+// ignores the high bits, so such a range would map, or unmap and free,
+// the canonical pages below it. The mapped canonical page must stay
+// mapped to the same frame, the canonical page 0x7000_0000_0000 must
+// stay unmapped, and no counter may move.
+func TestSystemRangesRejectNonCanonical(t *testing.T) {
+	const high = 0x7000_0000_0000
+	wrap := func(base uint64) uint64 { return -base + 4096 } // base+size = 4096
+	for _, tc := range []struct {
+		name string
+		op   func(s *System, base uint64) error
+	}{
+		{"Free alias", func(s *System, base uint64) error { return s.Free(base+1<<48, 4096) }},
+		{"Free past the end", func(s *System, base uint64) error { return s.Free(1<<48-4096, 8192) }},
+		{"Free wrapping", func(s *System, base uint64) error { return s.Free(base, wrap(base)) }},
+		{"MapAt alias", func(s *System, base uint64) error { return s.MapAt(1<<48+high, 4096) }},
+		{"MapAt wrapping", func(s *System, base uint64) error { return s.MapAt(high, wrap(high)) }},
+		{"MapEager alias", func(s *System, base uint64) error { return s.MapEager(1<<48+high, 4096, Page4K) }},
+		{"MapEager top", func(s *System, base uint64) error { return s.MapEager(^uint64(0)&^0xfff, 4096, Page4K) }},
+		{"MapEager wrapping", func(s *System, base uint64) error { return s.MapEager(high, wrap(high), Page4K) }},
+	} {
+		s, err := NewSystem(Config{Mode: BaseVirtualized, GuestMemory: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Map(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hpa, _, err := s.Access(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if err := tc.op(s, base); !errors.Is(err, ErrAddressRange) {
+			t.Errorf("%s: err = %v, want ErrAddressRange", tc.name, err)
+		}
+		if s.Stats() != before {
+			t.Errorf("%s: a rejected range moved the counters", tc.name)
+		}
+		if _, _, ok := s.Process().PT.Translate(base); !ok {
+			t.Errorf("%s: canonical page %#x unmapped", tc.name, base)
+		}
+		if _, _, ok := s.Process().PT.Translate(high); ok {
+			t.Errorf("%s: canonical page %#x mapped", tc.name, uint64(high))
+		}
+		if got, _, err := s.Access(base); err != nil || got != hpa || s.Stats().GuestFaults != before.GuestFaults {
+			t.Errorf("%s: Access(%#x) = (%#x, %v) with %d new faults, want %#x and none",
+				tc.name, base, got, err, s.Stats().GuestFaults-before.GuestFaults, hpa)
+		}
+	}
+}
+
 // TestSystemAccessMatchesPerEventLoop holds Access — a one-event block
 // through the guest's shared demand-paging loop — to the per-event
 // protocol it replaced, run on a twin System: the same (hpa, cycles)
