@@ -151,16 +151,16 @@ func FuzzTranslateBlock(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 5, 0, 0xC0, 0, 0, 0xC1, 1, 0, 0xC2, 2, 0, 0xC3, 3,
 		0, 1, 0, 2, 7, 3, 0xC0, 0, 0xE0, 0, 0, 0xE1, 4, 0, 0xC4, 0, 0, 0, 9,
 		3, 0, 0xE2, 0, 0, 2, 0, 0, 0xC5, 1, 0, 0xC5, 2, 0, 0, 0})
+	// The same on the small L1, whose 2M structure holds two of the
+	// eight 2M leaves a set, under the cold walk configuration.
+	f.Add([]byte{7, 2, 20, 11, 0xC0, 0, 3, 0, 0, 0xC4, 0, 0, 0xC8, 0, 0, 0xCC, 0,
+		0, 0xD0, 0, 0, 0xC0, 0, 2, 31, 7, 0xC0, 0, 0xE0, 0, 3, 2, 15, 11, 0xD8})
 	// Small L1: the 2M leaves of pages 0xC0, 0xC8 and 0xD0 share a
 	// 2-way set. A large hit on 0xC1 makes 0xC1 the last page; 0xC8's
 	// next access then probes and refreshes its leaf, so 0xD0's walk
 	// evicts 0xC0's and 0xC2 misses. A block that left 0xC8 the last
 	// page skips that probe, evicts 0xC8's leaf instead, and hits 0xC2.
 	f.Add([]byte{6, 0, 0xC0, 0, 0, 0xC8, 0, 0, 0xC1, 0, 0, 0xC8, 1, 0, 0xD0, 0, 0, 0xC2, 0})
-	// The same on the small L1, whose 2M structure holds two of the
-	// eight 2M leaves a set, under the cold walk configuration.
-	f.Add([]byte{7, 2, 20, 11, 0xC0, 0, 3, 0, 0, 0xC4, 0, 0, 0xC8, 0, 0, 0xCC, 0,
-		0, 0xD0, 0, 0, 0xC0, 0, 2, 31, 7, 0xC0, 0, 0xE0, 0, 3, 2, 15, 11, 0xD8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			return
