@@ -28,6 +28,7 @@ var (
 	ErrNoPrimary      = errors.New("guestos: process has no primary region")
 	ErrOutsideVA      = errors.New("guestos: fault outside any mapped region")
 	ErrBackendMissing = errors.New("guestos: operation requires a VMM backend")
+	ErrVASpace        = errors.New("guestos: region would end past the 48-bit virtual address space")
 )
 
 // VMMBackend is the hypervisor-side of the balloon/hotplug protocol the
@@ -117,10 +118,18 @@ func (k *Kernel) CreateProcess(name string) (*Process, error) {
 func (k *Kernel) Processes() []*Process { return k.procs }
 
 // MMap reserves size bytes of virtual address space (rounded up to 4K)
-// and returns its base. Pages are faulted in on demand.
+// and returns its base. Pages are faulted in on demand. A region that
+// would end past addr.VirtualSpan is refused with ErrVASpace, and the
+// next MMap returns the base this one would have.
 func (p *Process) MMap(size uint64) (uint64, error) {
-	size = addr.AlignUp(size, addr.PageSize4K)
 	base := addr.AlignUp(p.nextVA, addr.PageSize2M)
+	// The unaligned size is checked first: AlignUp wraps a size within
+	// 4K of 2^64 to 0.
+	if base > addr.VirtualSpan || size > addr.VirtualSpan-base ||
+		addr.AlignUp(size, addr.PageSize4K) > addr.VirtualSpan-base {
+		return 0, fmt.Errorf("%w: %#x bytes at %#x", ErrVASpace, size, base)
+	}
+	size = addr.AlignUp(size, addr.PageSize4K)
 	p.nextVA = base + size + addr.PageSize2M // guard gap
 	r := addr.Range{Start: base, Size: size}
 	p.regions = append(p.regions, r)

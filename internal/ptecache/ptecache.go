@@ -42,37 +42,56 @@ const lineShift = 6 // 64-byte lines
 
 // tagValid marks a live line in its packed tag word. Line addresses are
 // phys>>6 ≤ 2^58, so the address and the valid bit never collide and a
-// probe is one word compare per way — the tag words of an 8-way set
-// share a single 64-byte cache line of the simulator's own memory,
-// where the old struct-per-line layout spread them over three.
+// probe is one word compare per way.
 const tagValid = 1 << 63
+
+// maxWays is the largest associativity a set's recency word can order:
+// it holds one 4-bit way index per nibble, in 32 bits.
+const maxWays = 8
+
+// nibbles has 1 in every nibble of a recency word.
+const nibbles = 0x11111111
 
 // Cache is the PTE cost model. Not safe for concurrent use.
 type Cache struct {
 	cfg Config
-	// Line storage interleaved per way: slot 2i holds way i's packed
-	// valid|lineAddr tag word, slot 2i+1 its LRU stamp, so a hit's tag
-	// compare and stamp store touch the same host cache line. (A split
-	// tag-array/stamp-array layout was prototyped and was no faster.)
-	slots []uint64
+	// tags holds each set's Ways packed valid|lineAddr words
+	// contiguously, so a probe of an 8-way set reads one 64-byte line of
+	// the simulator's own memory.
+	tags []uint64
+	// order holds one recency word per set: nibble i is the way at
+	// recency position i, from the most (i = 0) to the least recently
+	// used (i = Ways-1). Nibbles past Ways hold 0xF. Each way appears in
+	// exactly one nibble, whether or not it holds a line.
+	order []uint32
 	// mask indexes the power-of-two set count without division.
 	mask   uint64
-	clock  uint64
 	refs   uint64
 	misses uint64
 }
 
 // New builds a cache from the config. A bad geometry (see Config.Lines)
-// panics: it is an invariant, not input validation, because no flag or
-// parser sets a Config (the MMU uses Default unless in-repo code
-// overrides it).
+// or more than eight ways panics: it is an invariant, not input
+// validation, because no flag or parser sets a Config (the MMU uses
+// Default unless in-repo code overrides it).
 func New(cfg Config) *Cache {
-	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Lines%cfg.Ways != 0 || bits.OnesCount(uint(cfg.Lines/cfg.Ways)) != 1 {
+	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Lines%cfg.Ways != 0 || bits.OnesCount(uint(cfg.Lines/cfg.Ways)) != 1 {
 		panic(fmt.Sprintf("ptecache: bad geometry %d/%d", cfg.Lines, cfg.Ways))
+	}
+	// Every set starts with the ways in index order; any permutation
+	// would do, since an empty set fills its invalid ways first.
+	seed := ^uint32(0) << (4 * cfg.Ways)
+	for w := 0; w < cfg.Ways; w++ {
+		seed |= uint32(w) << (4 * w)
+	}
+	order := make([]uint32, cfg.Lines/cfg.Ways)
+	for i := range order {
+		order[i] = seed
 	}
 	return &Cache{
 		cfg:   cfg,
-		slots: make([]uint64, cfg.Lines*2),
+		tags:  make([]uint64, cfg.Lines),
+		order: order,
 		mask:  uint64(cfg.Lines/cfg.Ways - 1),
 	}
 }
@@ -90,47 +109,83 @@ func (c *Cache) Access(phys uint64) uint64 {
 // whether it hit (the MMU prices its reads from Stats' counts).
 func (c *Cache) Probe(phys uint64) (hit bool) {
 	c.refs++
-	c.clock++
 	lineAddr := phys >> lineShift
 	key := tagValid | lineAddr
 	ways := c.cfg.Ways
-	b := int(lineAddr&c.mask) * ways * 2
-	// Hit scan first, victim selection only on a confirmed miss. (A hit
-	// can sit after an invalid way, so the hit scan must cover every way
-	// before a miss is declared.) The full-capacity subslice lets the
-	// loops run without per-way bounds checks — this is the innermost
-	// loop of every simulated page walk.
-	ws := c.slots[b : b+2*ways : b+2*ways]
-	for j := 0; j < ways; j++ {
-		if ws[2*j] == key {
-			ws[2*j+1] = c.clock
+	set := lineAddr & c.mask
+	ord := &c.order[set]
+	b := int(set) * ways
+	// The full-capacity subslice lets the loops run without per-way
+	// bounds checks — this is the innermost loop of every simulated
+	// page walk.
+	ws := c.tags[b : b+ways : b+ways]
+	// A line is filled only after a miss over the whole set, so no set
+	// holds a line twice and at most one way matches.
+	if ways == 8 {
+		// Default: the eight compares fold into a mask with no branch,
+		// since on a random stream the hit way is unpredictable. The
+		// bits are disjoint, so the mask is written as sums, which the
+		// compiler folds pairwise into LEAs.
+		t := (*[8]uint64)(ws)
+		m := b2u(t[0] == key) + b2u(t[1] == key)*2 + (b2u(t[2] == key)+b2u(t[3] == key)*2)*4 +
+			(b2u(t[4] == key)+b2u(t[5] == key)*2+(b2u(t[6] == key)+b2u(t[7] == key)*2)*4)*16
+		if m != 0 {
+			*ord = touch(*ord, uint32(bits.TrailingZeros8(m)))
 			return true
+		}
+	} else {
+		for j, t := range ws {
+			if t == key {
+				*ord = touch(*ord, uint32(j))
+				return true
+			}
 		}
 	}
 	c.misses++
-	// Victim: the first invalid way in scan order, else the LRU way.
-	victim := 0
-	vLRU := ws[1]
-	for j := 0; j < ways; j++ {
-		if ws[2*j]&tagValid == 0 {
-			victim = j
-			break
-		}
-		if l := ws[2*j+1]; l < vLRU {
-			victim, vLRU = j, l
-		}
-	}
-	ws[2*victim] = key
-	ws[2*victim+1] = c.clock
+	// Victim: the way in the last nibble, the least recently used one.
+	// While the set has an invalid way, that way is one (see Flush).
+	victim := *ord >> (4 * (ways - 1)) & 0xF
+	ws[victim] = key
+	*ord = touch(*ord, victim)
 	return false
+}
+
+// touch returns the recency word with way moved to the front (nibble 0)
+// and the ways that were more recent than it moved back one nibble;
+// the ways behind it keep their places. way must be in the word.
+//
+// It takes no branch and no variable shift. XOR with way in every
+// nibble zeroes way's nibble alone, and the SWAR test
+// (x - 0x1…1) &^ x & 0x8…8 sets the top bit of every zero nibble (a
+// borrow may also set it in a higher one, never in a lower one), so
+// the lowest set bit, shifted down to the bottom of its nibble and less
+// one, masks the nibbles ahead of way.
+func touch(order, way uint32) uint32 {
+	x := order ^ way*nibbles
+	z := (x - nibbles) &^ x & (8 * nibbles)
+	ahead := (z&-z)>>3 - 1
+	return order&^(ahead<<4|0xF) | (order&ahead)<<4 | way
+}
+
+// b2u converts a comparison result to 0 or 1; the compiler emits it as
+// a SETcc, so a mask built from b2u terms has no branches.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Stats returns lifetime references and misses.
 func (c *Cache) Stats() (refs, misses uint64) { return c.refs, c.misses }
 
-// Flush invalidates all lines.
-func (c *Cache) Flush() {
-	for i := 0; i < len(c.slots); i += 2 {
-		c.slots[i] = 0
-	}
-}
+// Flush invalidates all lines and leaves the recency words as they are.
+// Only a fill makes a way valid, and a fill touches it; a hit touches a
+// valid way. So since the last Flush (or New) the touched ways are
+// exactly the valid ones, and move-to-front keeps them ahead of the
+// untouched ones: the last nibble holds an invalid way while the set
+// has one, and a set refills every invalid way before it evicts. By
+// the time it is full again every way has been touched since the
+// flush, and its word orders the ways exactly as per-line use stamps
+// would.
+func (c *Cache) Flush() { clear(c.tags) }

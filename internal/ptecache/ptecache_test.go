@@ -54,8 +54,9 @@ func TestFlush(t *testing.T) {
 }
 
 // TestBadGeometryPanics: a line count that is not a multiple of the
-// ways, and a set count that is not a power of two (3 and 7 sets), are
-// rejected when the cache is built.
+// ways, a set count that is not a power of two (3 and 7 sets), and more
+// ways than a recency word can order are rejected when the cache is
+// built.
 func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Lines: 7, Ways: 2},
@@ -63,6 +64,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Lines: 8, Ways: 0},
 		{Lines: 12, Ways: 4},
 		{Lines: 56, Ways: 8},
+		{Lines: 18, Ways: 9},
 	} {
 		func() {
 			defer func() {
@@ -72,6 +74,56 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// word packs a recency order, most recent way first, into a recency
+// word with 0xF in the unused nibbles.
+func word(ways []uint32) uint32 {
+	w := ^uint32(0) << (4 * len(ways))
+	for i, way := range ways {
+		w |= way << (4 * i)
+	}
+	return w
+}
+
+// TestTouch moves every way of an 8-way word from every one of the eight
+// positions to the front and checks the word against the order a slice
+// move-to-front gives; then it checks that after eight distinct touches
+// the last nibble holds the first way touched, and that a 3-way word
+// keeps 0xF in its unused nibbles.
+func TestTouch(t *testing.T) {
+	for way := uint32(0); way < 8; way++ {
+		for pos := 0; pos < 8; pos++ {
+			// The other ways in a scrambled order, with way at pos.
+			var order []uint32
+			for i := uint32(0); i < 8; i++ {
+				if o := (i*5 + 3) % 8; o != way {
+					order = append(order, o)
+				}
+			}
+			order = append(order[:pos], append([]uint32{way}, order[pos:]...)...)
+			want := append([]uint32{way}, append(order[:pos:pos], order[pos+1:]...)...)
+			if got := touch(word(order), way); got != word(want) {
+				t.Errorf("touch(%#08x, %d) = %#08x, want %#08x", word(order), way, got, word(want))
+			}
+		}
+	}
+
+	w := word([]uint32{0, 1, 2, 3, 4, 5, 6, 7})
+	touched := []uint32{5, 2, 7, 0, 3, 6, 1, 4}
+	for _, way := range touched {
+		w = touch(w, way)
+	}
+	if lru := w >> 28; lru != touched[0] {
+		t.Errorf("LRU nibble after %v = %d, want %d", touched, lru, touched[0])
+	}
+	if want := word([]uint32{4, 1, 6, 3, 0, 7, 2, 5}); w != want {
+		t.Errorf("word after %v = %#08x, want %#08x", touched, w, want)
+	}
+
+	if got, want := touch(word([]uint32{0, 1, 2}), 2), word([]uint32{2, 0, 1}); got != want {
+		t.Errorf("3-way touch = %#08x, want %#08x", got, want)
 	}
 }
 

@@ -111,8 +111,9 @@ type System struct {
 var ErrNoSegment = errors.New("vdirect: mode does not use this segment")
 
 // ErrAddressRange is returned by Access for a virtual address at or
-// above addr.VirtualSpan (2^48), which no page table can map, and by
-// MapAt, MapEager and Free for a range not inside [0, 2^48).
+// above addr.VirtualSpan (2^48), which no page table can map, by
+// MapAt, MapEager and Free for a range not inside [0, 2^48), and by Map
+// for a size whose region would end past 2^48.
 var ErrAddressRange = errors.New("vdirect: address outside the 48-bit virtual address space")
 
 // checkSpan rejects a range not inside [0, addr.VirtualSpan), one whose
@@ -182,8 +183,14 @@ func (s *System) Stats() Stats { return s.m.MMU.Stats() }
 func (s *System) ResetStats() { s.m.MMU.ResetStats() }
 
 // Map reserves size bytes of virtual address space, demand-paged at 4K.
+// A size whose region would end past 2^48 is refused with
+// ErrAddressRange and leaves the next Map's base unchanged.
 func (s *System) Map(size uint64) (uint64, error) {
-	return s.m.Proc.MMap(size)
+	base, err := s.m.Proc.MMap(size)
+	if errors.Is(err, guestos.ErrVASpace) {
+		return 0, fmt.Errorf("%w: %w", ErrAddressRange, err)
+	}
+	return base, err
 }
 
 // MapAt reserves [base, base+size) of virtual address space.

@@ -403,6 +403,63 @@ func TestSystemRangesRejectNonCanonical(t *testing.T) {
 	}
 }
 
+// TestSystemMapRejectsOversize checks that Map refuses a size whose
+// region would end past 2^48, a size that wraps when rounded up to 4K
+// included, with ErrAddressRange, and that a refused Map leaves the next
+// Map(4096) at the base it would have had without it. The largest size
+// that fits still maps, and its last page is accessible.
+func TestSystemMapRejectsOversize(t *testing.T) {
+	newSystem := func() *System {
+		s, err := NewSystem(Config{Mode: BaseVirtualized, GuestMemory: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref := newSystem()
+	first, err := ref.Map(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 1<<48 - first
+	for _, tc := range []struct {
+		name string
+		size uint64
+		ok   bool
+	}{
+		{"largest fit", largest, true},
+		{"largest fit less one byte", largest - 1, true},
+		{"one byte past", largest + 1, false},
+		{"2^48", 1 << 48, false},
+		{"rounds to 0", ^uint64(0), false},
+		{"wraps the end", -first, false},
+	} {
+		s := newSystem()
+		base, err := s.Map(tc.size)
+		if tc.ok {
+			if err != nil || base != first {
+				t.Errorf("%s: Map(%#x) = (%#x, %v), want (%#x, nil)", tc.name, tc.size, base, err, first)
+				continue
+			}
+			if _, _, err := s.Access(base + tc.size - 1); err != nil {
+				t.Errorf("%s: Access(last byte %#x) = %v", tc.name, base+tc.size-1, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrAddressRange) {
+			t.Errorf("%s: Map(%#x) = (%#x, %v), want ErrAddressRange", tc.name, tc.size, base, err)
+		}
+		next, err := s.Map(4096)
+		if err != nil || next != first {
+			t.Errorf("%s: next Map(4096) = (%#x, %v), want (%#x, nil)", tc.name, next, err, first)
+			continue
+		}
+		if _, _, err := s.Access(next); err != nil {
+			t.Errorf("%s: Access(%#x) after the refused Map = %v", tc.name, next, err)
+		}
+	}
+}
+
 // TestSystemAccessMatchesPerEventLoop holds Access — a one-event block
 // through the guest's shared demand-paging loop — to the per-event
 // protocol it replaced, run on a twin System: the same (hpa, cycles)
