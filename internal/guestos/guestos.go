@@ -123,10 +123,10 @@ func (k *Kernel) Processes() []*Process { return k.procs }
 // next MMap returns the base this one would have.
 func (p *Process) MMap(size uint64) (uint64, error) {
 	base := addr.AlignUp(p.nextVA, addr.PageSize2M)
-	// The unaligned size is checked first: AlignUp wraps a size within
-	// 4K of 2^64 to 0.
-	if base > addr.VirtualSpan || size > addr.VirtualSpan-base ||
-		addr.AlignUp(size, addr.PageSize4K) > addr.VirtualSpan-base {
+	// The room left is a multiple of 4K, so the size fits exactly when
+	// it does rounded up; checking it unrounded also refuses a size
+	// within 4K of 2^64, which AlignUp wraps to 0.
+	if base > addr.VirtualSpan || size > addr.VirtualSpan-base {
 		return 0, fmt.Errorf("%w: %#x bytes at %#x", ErrVASpace, size, base)
 	}
 	size = addr.AlignUp(size, addr.PageSize4K)

@@ -407,7 +407,8 @@ func TestSystemRangesRejectNonCanonical(t *testing.T) {
 // region would end past 2^48, a size that wraps when rounded up to 4K
 // included, with ErrAddressRange, and that a refused Map leaves the next
 // Map(4096) at the base it would have had without it. The largest size
-// that fits still maps, and its last page is accessible.
+// that fits still maps, its last page is accessible, and no Map fits
+// after it.
 func TestSystemMapRejectsOversize(t *testing.T) {
 	newSystem := func() *System {
 		s, err := NewSystem(Config{Mode: BaseVirtualized, GuestMemory: 64 << 20})
@@ -443,6 +444,9 @@ func TestSystemMapRejectsOversize(t *testing.T) {
 			}
 			if _, _, err := s.Access(base + tc.size - 1); err != nil {
 				t.Errorf("%s: Access(last byte %#x) = %v", tc.name, base+tc.size-1, err)
+			}
+			if next, err := s.Map(4096); !errors.Is(err, ErrAddressRange) {
+				t.Errorf("%s: Map(4096) past the full space = (%#x, %v), want ErrAddressRange", tc.name, next, err)
 			}
 			continue
 		}
