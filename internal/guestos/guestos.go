@@ -122,18 +122,26 @@ func (k *Kernel) Processes() []*Process { return k.procs }
 // would end past addr.VirtualSpan is refused with ErrVASpace, and the
 // next MMap returns the base this one would have.
 func (p *Process) MMap(size uint64) (uint64, error) {
-	base := addr.AlignUp(p.nextVA, addr.PageSize2M)
+	r, err := p.reserve(size, addr.PageSize2M)
+	return r.Start, err
+}
+
+// reserve registers the next size bytes (rounded up to 4K) of virtual
+// address space at the given alignment and moves the bump allocator
+// past them and a 2M guard gap. A region that would end past
+// addr.VirtualSpan is refused with ErrVASpace before anything moves.
+func (p *Process) reserve(size, align uint64) (addr.Range, error) {
+	base := addr.AlignUp(p.nextVA, align)
 	// The room left is a multiple of 4K, so the size fits exactly when
 	// it does rounded up; checking it unrounded also refuses a size
 	// within 4K of 2^64, which AlignUp wraps to 0.
 	if base > addr.VirtualSpan || size > addr.VirtualSpan-base {
-		return 0, fmt.Errorf("%w: %#x bytes at %#x", ErrVASpace, size, base)
+		return addr.Range{}, fmt.Errorf("%w: %#x bytes at %#x", ErrVASpace, size, base)
 	}
-	size = addr.AlignUp(size, addr.PageSize4K)
-	p.nextVA = base + size + addr.PageSize2M // guard gap
-	r := addr.Range{Start: base, Size: size}
+	r := addr.Range{Start: base, Size: addr.AlignUp(size, addr.PageSize4K)}
+	p.nextVA = r.End() + addr.PageSize2M // guard gap
 	p.regions = append(p.regions, r)
-	return base, nil
+	return r, nil
 }
 
 // MMapAt registers a virtual region at a caller-chosen base (MAP_FIXED),
@@ -284,14 +292,16 @@ func (p *Process) PrimaryRegion() addr.Range { return p.primary }
 // bytes and attempts to back it with a contiguous guest physical range
 // so a guest direct segment can map it. On fragmentation it returns
 // ErrFragmented with the virtual region still created (paging works);
-// the caller may self-balloon and retry BackPrimaryRegion.
+// the caller may self-balloon and retry BackPrimaryRegion. A region
+// that would end past addr.VirtualSpan is refused with ErrVASpace, as
+// MMap refuses it, and creates nothing.
 func (p *Process) CreatePrimaryRegion(size uint64) (addr.Range, error) {
-	size = addr.AlignUp(size, addr.PageSize4K)
-	base := addr.AlignUp(p.nextVA, addr.PageSize1G)
-	p.nextVA = base + size + addr.PageSize2M
-	p.primary = addr.Range{Start: base, Size: size}
-	p.regions = append(p.regions, p.primary)
-	return p.primary, p.BackPrimaryRegion()
+	r, err := p.reserve(size, addr.PageSize1G)
+	if err != nil {
+		return addr.Range{}, err
+	}
+	p.primary = r
+	return r, p.BackPrimaryRegion()
 }
 
 // CreatePrimaryRegionAt registers a primary region at a fixed virtual

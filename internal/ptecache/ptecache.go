@@ -115,30 +115,16 @@ func (c *Cache) Probe(phys uint64) (hit bool) {
 	set := lineAddr & c.mask
 	ord := &c.order[set]
 	b := int(set) * ways
-	// The full-capacity subslice lets the loops run without per-way
+	// The full-capacity subslice lets the loop run without per-way
 	// bounds checks — this is the innermost loop of every simulated
 	// page walk.
 	ws := c.tags[b : b+ways : b+ways]
 	// A line is filled only after a miss over the whole set, so no set
 	// holds a line twice and at most one way matches.
-	if ways == 8 {
-		// Default: the eight compares fold into a mask with no branch,
-		// since on a random stream the hit way is unpredictable. The
-		// bits are disjoint, so the mask is written as sums, which the
-		// compiler folds pairwise into LEAs.
-		t := (*[8]uint64)(ws)
-		m := b2u(t[0] == key) + b2u(t[1] == key)*2 + (b2u(t[2] == key)+b2u(t[3] == key)*2)*4 +
-			(b2u(t[4] == key)+b2u(t[5] == key)*2+(b2u(t[6] == key)+b2u(t[7] == key)*2)*4)*16
-		if m != 0 {
-			*ord = touch(*ord, uint32(bits.TrailingZeros8(m)))
+	for j, t := range ws {
+		if t == key {
+			*ord = touch(*ord, uint32(j))
 			return true
-		}
-	} else {
-		for j, t := range ws {
-			if t == key {
-				*ord = touch(*ord, uint32(j))
-				return true
-			}
 		}
 	}
 	c.misses++
@@ -165,15 +151,6 @@ func touch(order, way uint32) uint32 {
 	z := (x - nibbles) &^ x & (8 * nibbles)
 	ahead := (z&-z)>>3 - 1
 	return order&^(ahead<<4|0xF) | (order&ahead)<<4 | way
-}
-
-// b2u converts a comparison result to 0 or 1; the compiler emits it as
-// a SETcc, so a mask built from b2u terms has no branches.
-func b2u(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Stats returns lifetime references and misses.

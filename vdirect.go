@@ -187,10 +187,19 @@ func (s *System) ResetStats() { s.m.MMU.ResetStats() }
 // ErrAddressRange and leaves the next Map's base unchanged.
 func (s *System) Map(size uint64) (uint64, error) {
 	base, err := s.m.Proc.MMap(size)
-	if errors.Is(err, guestos.ErrVASpace) {
-		return 0, fmt.Errorf("%w: %w", ErrAddressRange, err)
+	if err != nil {
+		return 0, addressRange(err)
 	}
-	return base, err
+	return base, nil
+}
+
+// addressRange reports guestos.ErrVASpace, a region that would end past
+// 2^48, as ErrAddressRange.
+func addressRange(err error) error {
+	if errors.Is(err, guestos.ErrVASpace) {
+		return fmt.Errorf("%w: %w", ErrAddressRange, err)
+	}
+	return err
 }
 
 // MapAt reserves [base, base+size) of virtual address space.
@@ -215,14 +224,16 @@ func (s *System) MapEager(base, size uint64, ps PageSize) error {
 
 // CreatePrimaryRegion reserves a primary region of the given size and
 // backs it with a guest direct segment (DirectSegment, GuestDirect and
-// DualDirect modes). It returns the region's base address.
+// DualDirect modes). It returns the region's base address. A size
+// whose region would end past 2^48 is refused with ErrAddressRange and
+// leaves the next Map's base unchanged.
 func (s *System) CreatePrimaryRegion(size uint64) (uint64, error) {
 	if !s.m.Req.GuestSegment {
 		return 0, ErrNoSegment
 	}
 	r, err := s.m.Proc.CreatePrimaryRegion(size)
 	if err != nil {
-		return 0, err
+		return 0, addressRange(err)
 	}
 	s.m.MMU.SetGuestSegment(s.m.Proc.Seg)
 	return r.Start, nil

@@ -464,6 +464,69 @@ func TestSystemMapRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestSystemCreatePrimaryRegionRejectsOversize holds CreatePrimaryRegion
+// to Map's address-space limit: a size whose region would end past 2^48
+// is refused with ErrAddressRange and moves neither the next primary
+// region's base nor the next Map's.
+func TestSystemCreatePrimaryRegionRejectsOversize(t *testing.T) {
+	newSystem := func() *System {
+		s, err := NewSystem(Config{Mode: DualDirect, GuestMemory: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	firstMap, err := newSystem().Map(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := newSystem().CreatePrimaryRegion(8 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 1<<48 - first
+
+	// The largest size that fits is reserved; 64 MB of guest memory
+	// cannot back it, so it fails unbacked, and no Map fits after it.
+	s := newSystem()
+	if _, err := s.CreatePrimaryRegion(largest); err == nil || errors.Is(err, ErrAddressRange) {
+		t.Errorf("CreatePrimaryRegion(largest fit %#x) = %v, want an unbacked region", largest, err)
+	}
+	if next, err := s.Map(4096); !errors.Is(err, ErrAddressRange) {
+		t.Errorf("Map(4096) past the full space = (%#x, %v), want ErrAddressRange", next, err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		size uint64
+	}{
+		{"one byte past", largest + 1},
+		{"2^48", 1 << 48},
+		{"rounds to 0", ^uint64(0)},
+		{"wraps the end", -first},
+	} {
+		s := newSystem()
+		if base, err := s.CreatePrimaryRegion(tc.size); !errors.Is(err, ErrAddressRange) {
+			t.Errorf("%s: CreatePrimaryRegion(%#x) = (%#x, %v), want ErrAddressRange", tc.name, tc.size, base, err)
+		}
+		if base, err := s.CreatePrimaryRegion(8 << 20); err != nil || base != first {
+			t.Errorf("%s: next CreatePrimaryRegion(8 MB) = (%#x, %v), want (%#x, nil)", tc.name, base, err, first)
+		}
+		s = newSystem()
+		if _, err := s.CreatePrimaryRegion(tc.size); !errors.Is(err, ErrAddressRange) {
+			t.Errorf("%s: CreatePrimaryRegion(%#x) = %v, want ErrAddressRange", tc.name, tc.size, err)
+		}
+		next, err := s.Map(4096)
+		if err != nil || next != firstMap {
+			t.Errorf("%s: next Map(4096) = (%#x, %v), want (%#x, nil)", tc.name, next, err, firstMap)
+			continue
+		}
+		if _, _, err := s.Access(next); err != nil {
+			t.Errorf("%s: Access(%#x) after the refused region = %v", tc.name, next, err)
+		}
+	}
+}
+
 // TestSystemAccessMatchesPerEventLoop holds Access — a one-event block
 // through the guest's shared demand-paging loop — to the per-event
 // protocol it replaced, run on a twin System: the same (hpa, cycles)
