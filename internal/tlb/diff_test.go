@@ -173,6 +173,7 @@ func TestSetAssocMatchesReference(t *testing.T) {
 		{"4way-pow2", 32, 4},
 		{"4way-1set", 4, 4},
 		{"2way", 16, 2},
+		{"2way-1set", 2, 2},
 		{"3way", 24, 3},
 		{"fully-assoc", 8, 8},
 	}
