@@ -113,7 +113,7 @@ func BenchmarkAblationL2Capacity(b *testing.B) {
 // doubled one, showing the proposal's gains do not depend on a starved
 // first level.
 func BenchmarkAblationL1Geometry(b *testing.B) {
-	double := tlb.Geometry{Entries4K: 128, Ways4K: 4, Entries2M: 64, Ways2M: 4, Entries1G: 8, Ways1G: 8}
+	double := tlb.Geometry{Entries4K: 128, Ways4K: 4, Entries2M: 64, Ways2M: 4, Entries1G: 8, Ways1G: 4}
 	for _, c := range []struct {
 		name string
 		geo  tlb.Geometry

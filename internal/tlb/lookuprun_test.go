@@ -146,20 +146,21 @@ func TestLookupRunMatchesSequentialLookup(t *testing.T) {
 	checkSame(t, "post-evict", batched, mirror)
 }
 
-// TestLookupRunFallbackGeometry pins the non-4-way fallback: per-probe
-// semantics on a 2-way cache, including the terminating miss charge.
-func TestLookupRunFallbackGeometry(t *testing.T) {
+// TestLookupRunTwoWay pins the batched probe on padded sets: a 2-way
+// cache's run must match per-probe Lookup, including the terminating
+// miss charge, though its pad ways sit in every probed block.
+func TestLookupRunTwoWay(t *testing.T) {
 	batched := NewSetAssoc("b", 8, 2)
 	mirror := NewSetAssoc("m", 8, 2)
 	for vpn := uint64(0); vpn < 6; vpn++ {
 		batched.Insert(KindGuest, vpn, 50+vpn)
 		mirror.Insert(KindGuest, vpn, 50+vpn)
 	}
-	if n := runBoth(t, "fallback-hit", batched, mirror, []uint64{0, 1, 2, 3, 4, 5}); n != 6 {
-		t.Fatalf("fallback full-hit run returned %d of 6", n)
+	if n := runBoth(t, "twoway-hit", batched, mirror, []uint64{0, 1, 2, 3, 4, 5}); n != 6 {
+		t.Fatalf("two-way full-hit run returned %d of 6", n)
 	}
-	if n := runBoth(t, "fallback-miss", batched, mirror, []uint64{0, 99, 1}); n != 1 {
-		t.Fatalf("fallback miss run returned %d hits", n)
+	if n := runBoth(t, "twoway-miss", batched, mirror, []uint64{0, 99, 1}); n != 1 {
+		t.Fatalf("two-way miss run returned %d hits", n)
 	}
 }
 

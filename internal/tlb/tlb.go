@@ -38,7 +38,7 @@ func (k EntryKind) String() string {
 }
 
 // Tag-word layout. Each way's (valid, kind, asid, vpn) is packed into
-// one uint64 so a set probe is ≤ways word compares against a
+// one uint64 so a set probe is four word compares against a
 // precomputed key — the set's tag words share a cache line, where the
 // old struct-per-way layout spread a 4-way set over three, and the
 // ASID comparison costs no extra load or branch because it is part of
@@ -85,17 +85,29 @@ func plainKey(kind EntryKind, vpn uint64) uint64 {
 	return tagValid | uint64(kind)<<62 | vpn
 }
 
-// SetAssoc is a generic set-associative translation cache with LRU
-// replacement. Entries are keyed by (kind, vpn).
+// maxWays is the associativity every set is laid out for: Table VI's
+// TLBs and the PDPTE/PDE caches are 4-way, and the 2-way PML4E cache
+// is padded up to it.
+const maxWays = 4
+
+// setWords is the size of one set's block: [tags×4][ppns×4][lrus×4].
+const setWords = 3 * maxWays
+
+// SetAssoc is a set-associative translation cache of at most four ways
+// with LRU replacement. Entries are keyed by (kind, vpn).
+//
+// Every set is the same 12-word block whatever the associativity, so
+// each operation has one four-way code path. A set of fewer ways pads
+// the block: a pad way's tag word stays zero, which no probe key
+// matches (a key carries the valid bit) and no flush or invalidation
+// has to clear; free keeps Insert from filling it; and its LRU stamp
+// is the largest uint64, so the victim search never picks it.
 type SetAssoc struct {
 	name string
-	ways int
-	// Entry storage, interleaved per set: each set owns a block of
-	// 3*ways words laid out [tags×ways][ppns×ways][lrus×ways], so one
-	// probe touches at most two host cache lines (the tag words plus
-	// the hit way's ppn/lru words sit within one 96-byte block for the
-	// shipped 4-way geometries) where separate tag/ppn/lru arrays
-	// spread a hit over three.
+	// Entry storage, interleaved per set: each set owns a setWords
+	// block, so one probe touches at most two host cache lines (the tag
+	// words plus the hit way's ppn/lru words sit within one 96-byte
+	// block) where separate tag/ppn/lru arrays spread a hit over three.
 	slots []uint64
 	// mask indexes the power-of-two set count without division.
 	mask    uint64
@@ -115,30 +127,39 @@ type SetAssoc struct {
 	// they were inserted with; nested entries are per-VM and ASID-blind.
 	// The default ASID 0 reproduces untagged (flush-on-switch) TLBs.
 	curASID uint16
+	// free has bit j set for each real way j of a set (1<<ways - 1),
+	// masking the pad ways out of Insert's fill search.
+	free uint8
 }
 
 // NewSetAssoc creates a cache of entries total entries organized as
-// entries/ways sets. entries must be a multiple of ways, and the set
-// count a power of two, as in every Table VI and PWC geometry. A bad
-// geometry panics: it is an invariant, not input validation, because no
-// flag or parser sets a TLB or PWC geometry (they come from Table VI
-// constants, NewPWC and mmu.Config defaults, which only in-repo code
-// overrides).
+// entries/ways sets of one to four ways. entries must be a multiple of
+// ways, and the set count a power of two, as in every Table VI and PWC
+// geometry. A bad geometry panics: it is an invariant, not input
+// validation, because no flag or parser sets a TLB or PWC geometry
+// (they come from Table VI constants, NewPWC and mmu.Config defaults,
+// which only in-repo code overrides).
 func NewSetAssoc(name string, entries, ways int) *SetAssoc {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 || bits.OnesCount(uint(entries/ways)) != 1 {
+	if entries <= 0 || ways <= 0 || ways > maxWays || entries%ways != 0 || bits.OnesCount(uint(entries/ways)) != 1 {
 		panic(fmt.Sprintf("tlb: bad geometry %d entries / %d ways", entries, ways))
+	}
+	sets := entries / ways
+	slots := make([]uint64, sets*setWords)
+	for b := 0; b < len(slots); b += setWords {
+		for j := ways; j < maxWays; j++ {
+			slots[b+2*maxWays+j] = ^uint64(0) // a pad way is never the LRU
+		}
 	}
 	return &SetAssoc{
 		name:  name,
-		ways:  ways,
-		slots: make([]uint64, entries*3),
-		mask:  uint64(entries/ways - 1),
+		slots: slots,
+		mask:  uint64(sets - 1),
+		free:  uint8(1<<ways - 1),
 	}
 }
 
-// base returns the first slot index of vpn's set block (3*ways words:
-// tags, then ppns, then lrus).
-func (c *SetAssoc) base(vpn uint64) int { return int(vpn&c.mask) * (c.ways * 3) }
+// base returns the first slot index of vpn's set block.
+func (c *SetAssoc) base(vpn uint64) int { return int(vpn&c.mask) * setWords }
 
 // Lookup searches for (kind, vpn); on a hit it refreshes LRU state and
 // returns the target page number.
@@ -152,32 +173,21 @@ func (c *SetAssoc) Lookup(kind EntryKind, vpn uint64) (ppn uint64, hit bool) {
 	}
 	k := c.key(kind, vpn)
 	b := c.base(vpn)
-	// Unrolled 4-way probe: every shipped TLB/PWC geometry except the
-	// 2-way PML4E cache is 4-way (Table VI). The key carries the ASID,
-	// so a foreign address space's entry for the same vpn is just a
-	// non-matching word. The four compares fold into a hit mask with no
-	// branch: on a random stream the hit way is unpredictable, so a
-	// compare-and-branch chain mispredicts where the mask does not.
-	if c.ways == 4 {
-		t := c.slots[b : b+12 : b+12]
-		m := hitMask4(t[0], t[1], t[2], t[3], k)
-		if m == 0 {
-			return 0, false
-		}
-		// Masked to 0..3 so the stores below need no bounds check.
-		j := bits.TrailingZeros8(m) & 3
-		t[8+j] = c.clock
-		c.hits++
-		return t[4+j], true
+	// The key carries the ASID, so a foreign address space's entry for
+	// the same vpn is just a non-matching word. The four compares fold
+	// into a hit mask with no branch: on a random stream the hit way is
+	// unpredictable, so a compare-and-branch chain mispredicts where the
+	// mask does not.
+	t := c.slots[b : b+setWords : b+setWords]
+	m := hitMask4(t[0], t[1], t[2], t[3], k)
+	if m == 0 {
+		return 0, false
 	}
-	for j := 0; j < c.ways; j++ {
-		if c.slots[b+j] == k {
-			c.slots[b+2*c.ways+j] = c.clock
-			c.hits++
-			return c.slots[b+c.ways+j], true
-		}
-	}
-	return 0, false
+	// Masked to 0..3 so the stores below need no bounds check.
+	j := bits.TrailingZeros8(m) & 3
+	t[8+j] = c.clock
+	c.hits++
+	return t[4+j], true
 }
 
 // b2u converts a comparison result to 0 or 1; the compiler emits it as
@@ -232,19 +242,9 @@ const probeRun = 8
 // Counter and LRU evolution is exactly per-probe Lookup's — including
 // the first missing probe when the return value is < len(vpns), whose
 // lookup/clock charge has then already been taken, so the caller must
-// not re-probe that VPN. Geometries other than the shipped 4-way fall
-// back to per-probe Lookup (identical semantics, no pipelining).
+// not re-probe that VPN. Every geometry, padded or not, takes the same
+// pipelined four-way probe.
 func (c *SetAssoc) LookupRun(vpns, ppns []uint64) int {
-	if c.ways != 4 {
-		for i, vpn := range vpns {
-			ppn, hit := c.Lookup(KindGuest, vpn)
-			if !hit {
-				return i
-			}
-			ppns[i] = ppn
-		}
-		return len(vpns)
-	}
 	n := 0
 	for n < len(vpns) {
 		run := len(vpns) - n
@@ -280,7 +280,7 @@ func (c *SetAssoc) LookupRun(vpns, ppns []uint64) int {
 				return n // out-of-range VPN: missed by construction
 			}
 			b := int(bases[i])
-			t := c.slots[b : b+12 : b+12]
+			t := c.slots[b : b+setWords : b+setWords]
 			m := hitMask4(first[i], t[1], t[2], t[3], k)
 			if m == 0 {
 				return n
@@ -301,11 +301,10 @@ func (c *SetAssoc) SetASID(a uint16) { c.curASID = a }
 // FlushASID invalidates the guest entries of one address space.
 func (c *SetAssoc) FlushASID(a uint16) {
 	want := uint64(tagValid) | uint64(a)<<asidShift
-	stride := c.ways * 3
-	for b := 0; b < len(c.slots); b += stride {
-		for j := 0; j < c.ways; j++ {
-			if c.slots[b+j]&(tagValid|tagKind|asidMask) == want {
-				c.slots[b+j] = 0
+	for b := 0; b < len(c.slots); b += setWords {
+		for j := b; j < b+maxWays; j++ {
+			if c.slots[j]&(tagValid|tagKind|asidMask) == want {
+				c.slots[j] = 0
 				c.occupied--
 			}
 		}
@@ -325,74 +324,39 @@ func (c *SetAssoc) Insert(kind EntryKind, vpn, ppn uint64) {
 	}
 	k := c.key(kind, vpn)
 	b := c.base(vpn)
-	// One interleaved scan, not match-then-victim passes: the victim is
-	// the refresh-match or the first invalid way, whichever appears
-	// first in way order, else the LRU way — an invalid way before a
-	// matching one wins, exactly as the struct-layout code behaved.
-	// A way's scan test is match-or-invalid in one condition: an invalid
-	// tag word can never equal k (k carries the valid bit), so the two
-	// cannot both hold and the first way satisfying either wins, exactly
-	// as the generic loop's paired break conditions do.
-	if c.ways == 4 {
-		// Branch-free like Lookup: the match-or-invalid ways form a mask
-		// whose lowest bit is the scan's first hit, and a full set with
-		// no match takes the LRU way by a branch-free argmin. Way indices
-		// stay relative (masked to the subslice length) so every store
-		// below is bounds-check free.
-		t := c.slots[b : b+12 : b+12]
-		free := uint8(t[0]>>63|t[1]>>63<<1|t[2]>>63<<2|t[3]>>63<<3) ^ 0xF
-		m := hitMask4(t[0], t[1], t[2], t[3], k) | free
-		var v int
-		if m != 0 {
-			v = bits.TrailingZeros8(m)
-		} else {
-			v = lruWay4(t[8], t[9], t[10], t[11])
-		}
-		v &= 3
-		old := t[v]
-		valid := old >> 63
-		c.occupied += int(valid ^ 1)
-		c.evictions += valid & uint64(b2u(old != k))
-		t[v] = k
-		t[4+v] = ppn
-		t[8+v] = c.clock
-		return
+	// The victim is the refresh-match or the first invalid real way,
+	// whichever appears first in way order, else the LRU way — an
+	// invalid way before a matching one wins, exactly as the
+	// struct-layout code behaved. Match and invalid cannot both hold
+	// for one way (an invalid tag word never equals k, which carries
+	// the valid bit), so the match-or-invalid ways form one mask whose
+	// lowest bit is the scan's first hit; a full set with no match takes
+	// the LRU way by a branch-free argmin. Way indices stay relative
+	// (masked to the subslice length) so every store below is
+	// bounds-check free.
+	t := c.slots[b : b+setWords : b+setWords]
+	free := uint8(t[0]>>63|t[1]>>63<<1|t[2]>>63<<2|t[3]>>63<<3) ^ 0xF
+	m := hitMask4(t[0], t[1], t[2], t[3], k) | free&c.free
+	var v int
+	if m != 0 {
+		v = bits.TrailingZeros8(m)
+	} else {
+		v = lruWay4(t[8], t[9], t[10], t[11])
 	}
-	victim := 0
-	{
-		vLRU := c.slots[b+2*c.ways]
-		for j := 0; j < c.ways; j++ {
-			t := c.slots[b+j]
-			if t == k {
-				victim = j // refresh in place
-				break
-			}
-			if t&tagValid == 0 {
-				victim = j
-				break
-			}
-			if l := c.slots[b+2*c.ways+j]; l < vLRU {
-				victim, vLRU = j, l
-			}
-		}
-	}
-	if t := c.slots[b+victim]; t&tagValid == 0 {
-		c.occupied++
-	} else if t != k {
-		c.evictions++
-	}
-	c.slots[b+victim] = k
-	c.slots[b+c.ways+victim] = ppn
-	c.slots[b+2*c.ways+victim] = c.clock
+	v &= 3
+	old := t[v]
+	valid := old >> 63
+	c.occupied += int(valid ^ 1)
+	c.evictions += valid & uint64(b2u(old != k))
+	t[v] = k
+	t[4+v] = ppn
+	t[8+v] = c.clock
 }
 
 // Flush invalidates every entry.
 func (c *SetAssoc) Flush() {
-	stride := c.ways * 3
-	for b := 0; b < len(c.slots); b += stride {
-		for j := 0; j < c.ways; j++ {
-			c.slots[b+j] = 0
-		}
+	for b := 0; b < len(c.slots); b += setWords {
+		clear(c.slots[b : b+maxWays])
 	}
 	c.occupied = 0
 }
@@ -401,11 +365,10 @@ func (c *SetAssoc) Flush() {
 // nested-page-table change).
 func (c *SetAssoc) FlushKind(kind EntryKind) {
 	want := tagValid | uint64(kind)<<62
-	stride := c.ways * 3
-	for b := 0; b < len(c.slots); b += stride {
-		for j := 0; j < c.ways; j++ {
-			if c.slots[b+j]&(tagValid|tagKind) == want {
-				c.slots[b+j] = 0
+	for b := 0; b < len(c.slots); b += setWords {
+		for j := b; j < b+maxWays; j++ {
+			if c.slots[j]&(tagValid|tagKind) == want {
+				c.slots[j] = 0
 				c.occupied--
 			}
 		}
@@ -421,9 +384,9 @@ func (c *SetAssoc) InvalidatePage(kind EntryKind, vpn uint64) {
 	}
 	k := plainKey(kind, vpn)
 	b := c.base(vpn)
-	for j := 0; j < c.ways; j++ {
-		if c.slots[b+j]&^asidMask == k {
-			c.slots[b+j] = 0
+	for j := b; j < b+maxWays; j++ {
+		if c.slots[j]&^asidMask == k {
+			c.slots[j] = 0
 			c.occupied--
 		}
 	}

@@ -116,10 +116,10 @@ func TestSetAssocFlushAndInvalidate(t *testing.T) {
 }
 
 // TestSetAssocBadGeometryPanics: an entry count that is not a multiple
-// of the ways, and a set count that is not a power of two (3 and 7
-// sets), are rejected when the structure is built.
+// of the ways, a set count that is not a power of two (3 and 7 sets),
+// and more than four ways are rejected when the structure is built.
 func TestSetAssocBadGeometryPanics(t *testing.T) {
-	for _, g := range [][2]int{{5, 2}, {0, 4}, {4, 0}, {6, 2}, {21, 3}} {
+	for _, g := range [][2]int{{5, 2}, {0, 4}, {4, 0}, {6, 2}, {21, 3}, {8, 8}, {10, 5}} {
 		func() {
 			defer func() {
 				if recover() == nil {
