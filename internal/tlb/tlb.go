@@ -10,6 +10,9 @@
 // (gPA→hPA) entries occupy the same 512 sets as guest (gVA→hPA) entries,
 // virtualization shrinks the effective TLB and inflates miss counts by
 // the 1.29-1.62× the paper measures (§IX.A).
+//
+// Every structure is a SetAssoc of at most four ways, each set one
+// fixed four-way block; the 2-way PML4E cache pads its set to it.
 package tlb
 
 import (
@@ -85,9 +88,8 @@ func plainKey(kind EntryKind, vpn uint64) uint64 {
 	return tagValid | uint64(kind)<<62 | vpn
 }
 
-// maxWays is the associativity every set is laid out for: Table VI's
-// TLBs and the PDPTE/PDE caches are 4-way, and the 2-way PML4E cache
-// is padded up to it.
+// maxWays is the associativity every set's block is laid out for; a
+// set of fewer ways pads the rest (see SetAssoc).
 const maxWays = 4
 
 // setWords is the size of one set's block: [tags×4][ppns×4][lrus×4].
@@ -300,15 +302,7 @@ func (c *SetAssoc) SetASID(a uint16) { c.curASID = a }
 
 // FlushASID invalidates the guest entries of one address space.
 func (c *SetAssoc) FlushASID(a uint16) {
-	want := uint64(tagValid) | uint64(a)<<asidShift
-	for b := 0; b < len(c.slots); b += setWords {
-		for j := b; j < b+maxWays; j++ {
-			if c.slots[j]&(tagValid|tagKind|asidMask) == want {
-				c.slots[j] = 0
-				c.occupied--
-			}
-		}
-	}
+	c.drop(tagValid|tagKind|asidMask, tagValid|uint64(a)<<asidShift)
 }
 
 // Insert caches (kind, vpn) → ppn, evicting the LRU way of its set if
@@ -354,20 +348,20 @@ func (c *SetAssoc) Insert(kind EntryKind, vpn, ppn uint64) {
 }
 
 // Flush invalidates every entry.
-func (c *SetAssoc) Flush() {
-	for b := 0; b < len(c.slots); b += setWords {
-		clear(c.slots[b : b+maxWays])
-	}
-	c.occupied = 0
-}
+func (c *SetAssoc) Flush() { c.drop(tagValid, tagValid) }
 
 // FlushKind invalidates entries of one kind (e.g. nested entries on a
 // nested-page-table change).
 func (c *SetAssoc) FlushKind(kind EntryKind) {
-	want := tagValid | uint64(kind)<<62
+	c.drop(tagValid|tagKind, tagValid|uint64(kind)<<62)
+}
+
+// drop invalidates every entry whose tag word, under mask, equals want.
+// want carries the valid bit, so invalid and pad ways never match.
+func (c *SetAssoc) drop(mask, want uint64) {
 	for b := 0; b < len(c.slots); b += setWords {
 		for j := b; j < b+maxWays; j++ {
-			if c.slots[j]&(tagValid|tagKind) == want {
+			if c.slots[j]&mask == want {
 				c.slots[j] = 0
 				c.occupied--
 			}
@@ -618,8 +612,9 @@ func (l *L2) Occupancy() int { return l.c.Occupancy() }
 func (l *L2) Evictions() uint64 { return l.c.Evictions() }
 
 // PWC is the set of paging-structure caches (MMU caches) that let the
-// walker skip upper levels: separate small fully-associative caches for
-// PML4E, PDPTE and PDE entries, tagged by the virtual-address prefix.
+// walker skip upper levels: separate small caches for PML4E, PDPTE and
+// PDE entries (one 2-way set, one 4-way set, and eight 4-way sets),
+// tagged by the virtual-address prefix.
 // Sizes follow Intel-like paging-structure caches.
 type PWC struct {
 	pml4e *SetAssoc // tag: va bits 47:39
