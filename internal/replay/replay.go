@@ -20,10 +20,12 @@ import (
 )
 
 // DefaultBlockSize is the events-per-refill the engine uses unless
-// configured otherwise. 4096 events × 24 bytes ≈ 96KiB: large enough
-// to amortize the refill dispatch to noise, small enough that the
-// buffer stays cache-resident while the MMU model's tables compete
-// for the same cache.
+// configured otherwise, large enough to amortize the refill dispatch to
+// noise. 4096 events × 24 bytes ≈ 96 KiB is twice a 48 KiB L1d, so the
+// buffer lives in L2, not L1. Each event is read once, in order, soon
+// after NextBlock wrote it, and blocks of 512–2048 events, which fit an
+// L1d, measured no faster on cactus-hit (EXPERIMENTS.md, "Packed
+// traces").
 const DefaultBlockSize = 4096
 
 // Hooks are the engine's extension points. Nil hooks are skipped, so

@@ -83,7 +83,8 @@ type HostInfo struct {
 // version 0 on disk); v2 adds schema_version itself and the
 // interpolated p50/p95/p99 fields on histogram snapshots; v3 adds the
 // section name to cell timings and the per-section cell sums
-// (sections).
+// (sections). v3 documents may also carry peak_rss_bytes; a reader
+// that predates it ignores the field, so it needed no new version.
 const ManifestSchemaVersion = 3
 
 // Manifest is the serialized run record.
@@ -96,10 +97,13 @@ type Manifest struct {
 	Host          HostInfo          `json:"host"`
 	Start         time.Time         `json:"start"`
 	DurationMS    float64           `json:"duration_ms"`
-	Error         string            `json:"error,omitempty"`
-	Timings       []Timing          `json:"timings,omitempty"`
-	Sections      []SectionTime     `json:"sections,omitempty"`
-	Metrics       Snapshot          `json:"metrics"`
+	// PeakRSSBytes is the process's peak resident set size when the
+	// manifest was assembled (getrusage's ru_maxrss; absent off unix).
+	PeakRSSBytes uint64        `json:"peak_rss_bytes,omitempty"`
+	Error        string        `json:"error,omitempty"`
+	Timings      []Timing      `json:"timings,omitempty"`
+	Sections     []SectionTime `json:"sections,omitempty"`
+	Metrics      Snapshot      `json:"metrics"`
 }
 
 // SectionTime sums the cell spans that ran under one report section.
@@ -154,6 +158,9 @@ func (r *Run) Manifest(runErr error) Manifest {
 		Timings:    timings,
 		Sections:   sectionTimes(timings),
 		Metrics:    Default().Snapshot(),
+	}
+	if rss, ok := peakRSS(); ok {
+		m.PeakRSSBytes = rss
 	}
 	if runErr != nil {
 		m.Error = runErr.Error()

@@ -4,7 +4,10 @@
 //
 // The paper instruments real executions with BadgerTrap to observe each
 // DTLB miss; here the workloads themselves emit every data reference so
-// the simulator can observe all of them, not a sampled subset.
+// the simulator can observe all of them, not a sampled subset. That
+// makes the trace the largest thing a simulation holds, so a stored
+// trace (Slice) keeps each access packed in one 8-byte word and decodes
+// it into a 24-byte Event only when a consumer reads it.
 package trace
 
 import (
@@ -29,15 +32,17 @@ const (
 	Free
 )
 
-// Event is one element of a workload's trace. The two one-byte fields
-// follow the two words, so an Event is 24 bytes, not 32: every trace
-// buffer and every NextBlock copy moves a quarter less memory
-// (TestEventSize pins it).
+// Event is one element of a workload's trace as consumers read it: the
+// replay buffer and every NextBlock destination hold Events. The two
+// one-byte fields follow the two words, so an Event is 24 bytes, not 32
+// (TestEventSize pins it). Stored traces do not keep Events: a Slice
+// packs an access into 8 bytes (see Pack).
 type Event struct {
 	// VA is the guest virtual address touched (Access) or the start of
 	// the region mapped/unmapped (Alloc/Free).
 	VA addr.GVA
-	// Size is the region size for Alloc/Free; unused for Access.
+	// Size is the region size for Alloc/Free. An Access carries none: a
+	// Slice does not store it and reads it back as 0.
 	Size uint64
 	Kind Kind
 	// Write marks store accesses; reads and writes translate the same
@@ -234,43 +239,136 @@ func (z *Zipf) Rank() uint64 {
 	}
 }
 
-// Slice is an in-memory trace, convenient for tests and for replaying a
-// fixed event sequence under several configurations. A Slice never
-// writes its events, so any number of cursors (Cursor) may read them
-// at once.
-type Slice struct {
-	name string
-	evs  []Event
-	pos  int
+// The packed word of one event: the VA in bits 0–55, the Kind in bits
+// 61–62 and Write in bit 63. An Alloc or Free word is followed by a
+// second word holding its Size.
+const (
+	vaBits     = 56
+	vaMask     = 1<<vaBits - 1
+	kindShift  = 61
+	kindMask   = 3 << kindShift
+	writeShift = 63
+)
+
+// Pack encodes an event's VA, Kind and Write flag as its first (for an
+// Access, its only) word; an Alloc or Free record appends its Size as a
+// second word. Pack is the one encoder of stored traces.
+//
+// Its panic on a VA at or above 2^56 or a Kind above Free is an
+// invariant, not an input check: every workload VA lies below 2^48
+// (the churn arena, the stack and primary regions sized by MemoryMB),
+// and no parser of outside input builds events.
+func Pack(va addr.GVA, k Kind, write bool) uint64 {
+	if uint64(va) > vaMask || k > Free {
+		panic("trace: Pack of a VA at or above 2^56 or an unknown Kind")
+	}
+	w := uint64(va) | uint64(k)<<kindShift
+	if write {
+		w |= 1 << writeShift
+	}
+	return w
 }
 
-// NewSlice builds a replayable trace over evs, which it keeps without
-// copying or scanning.
-func NewSlice(name string, evs []Event) *Slice { return &Slice{name: name, evs: evs} }
+// unpack decodes a first word; the caller fills Size for Alloc and Free.
+func unpack(w uint64) Event {
+	return Event{VA: addr.GVA(w & vaMask), Kind: Kind(w >> kindShift & 3), Write: w>>writeShift != 0}
+}
+
+// Slice is an in-memory trace, the storage of every eager workload and
+// a convenience for tests that replay a fixed event sequence under
+// several configurations. It keeps its events packed: 8 bytes per
+// access and 16 per Alloc or Free, against an Event's 24, and decodes
+// them into the caller's buffer as they are read. A Slice never writes
+// its words, so any number of cursors (Cursor) may read them at once.
+type Slice struct {
+	name  string
+	words []uint64
+	n     int // events
+	pos   int // index into words of the next event
+}
+
+// NewSlice builds a replayable trace that holds evs packed; it keeps no
+// reference to evs. It panics where Pack does.
+func NewSlice(name string, evs []Event) *Slice {
+	size := len(evs)
+	for _, ev := range evs {
+		if ev.Kind != Access {
+			size++
+		}
+	}
+	words := make([]uint64, 0, size)
+	for _, ev := range evs {
+		words = append(words, Pack(ev.VA, ev.Kind, ev.Write))
+		if ev.Kind != Access {
+			words = append(words, ev.Size)
+		}
+	}
+	return NewPacked(name, words, len(evs))
+}
+
+// NewPacked adopts words already packed as Pack describes, n events in
+// all, without copying or scanning them.
+func NewPacked(name string, words []uint64, n int) *Slice {
+	return &Slice{name: name, words: words, n: n}
+}
 
 // Cursor returns a new reader of the same events, positioned at the
-// start. It shares the event slice, so it costs one small allocation.
-func (s *Slice) Cursor() *Slice { return NewSlice(s.name, s.evs) }
+// start. It shares the words, so it costs one small allocation.
+func (s *Slice) Cursor() *Slice { return NewPacked(s.name, s.words, s.n) }
 
 // Name implements Generator.
 func (s *Slice) Name() string { return s.name }
 
 // Next implements Generator.
 func (s *Slice) Next() (Event, bool) {
-	if s.pos >= len(s.evs) {
+	if s.pos >= len(s.words) {
 		return Event{}, false
 	}
-	ev := s.evs[s.pos]
+	ev := unpack(s.words[s.pos])
 	s.pos++
+	if ev.Kind != Access {
+		ev.Size = s.words[s.pos]
+		s.pos++
+	}
 	return ev, true
 }
 
-// NextBlock implements BlockGenerator: it copies a run of events into
+// NextBlock implements BlockGenerator: it decodes a run of events into
 // buf and advances the shared cursor, one call per ~len(buf) events
 // instead of one interface call per event.
+//
+// Nearly every word is an access, so the inner loop decodes a run of
+// them with src and dst clipped to one length, which leaves it no
+// bounds check; it stops at the first Alloc or Free word, which the
+// outer loop decodes with its Size word before resuming.
 func (s *Slice) NextBlock(buf []Event) int {
-	n := copy(buf, s.evs[s.pos:])
-	s.pos += n
+	words, p, n := s.words, s.pos, 0
+	for n < len(buf) && p < len(words) {
+		src, dst := words[p:], buf[n:]
+		if len(src) > len(dst) {
+			src = src[:len(dst)]
+		}
+		dst = dst[:len(src)]
+		i := 0
+		for ; i < len(src); i++ {
+			w := src[i]
+			if w&kindMask != 0 {
+				break
+			}
+			dst[i] = Event{VA: addr.GVA(w & vaMask), Write: w>>writeShift != 0}
+		}
+		p += i
+		n += i
+		if i == len(src) {
+			break
+		}
+		ev := unpack(words[p])
+		ev.Size = words[p+1]
+		buf[n] = ev
+		p += 2
+		n++
+	}
+	s.pos = p
 	return n
 }
 
@@ -278,7 +376,7 @@ func (s *Slice) NextBlock(buf []Event) int {
 func (s *Slice) Reset() { s.pos = 0 }
 
 // Len returns the number of events in the trace.
-func (s *Slice) Len() int { return len(s.evs) }
+func (s *Slice) Len() int { return s.n }
 
 // ErrTruncated reports that Collect hit its max before the generator
 // was exhausted, so the returned Slice is a prefix of the full trace.

@@ -134,10 +134,11 @@ func TestBuilderStackPeriod(t *testing.T) {
 				accesses++
 			}
 		}
-		if len(b.evs) != len(want) {
-			t.Fatalf("period %d: %d events, want %d", period, len(b.evs), len(want))
+		evs := events(b.finish("stack", 1, primarySpan(0)), 4096)
+		if len(evs) != len(want) {
+			t.Fatalf("period %d: %d events, want %d", period, len(evs), len(want))
 		}
-		for i, ev := range b.evs {
+		for i, ev := range evs {
 			if stack := ev.VA >= StackBase && ev.VA < StackBase+StackSize; stack != want[i] {
 				t.Fatalf("period %d: event %d stack=%v, want %v", period, i, stack, want[i])
 			}

@@ -165,10 +165,10 @@ func Exists(name string) bool {
 	return ok
 }
 
-// base carries the state all generators share: an eagerly built event
-// slice plus metadata. Eager construction keeps Next allocation-free
-// and makes Reset and Cursor trivial, at the cost of holding the trace
-// in memory. Embedding *trace.Slice also makes every workload a
+// base carries the state all generators share: an eagerly built trace
+// plus metadata. Eager construction keeps Next allocation-free and
+// makes Reset and Cursor trivial, at the cost of holding the trace in
+// memory, 8 bytes per access packed (trace.Pack). Embedding *trace.Slice also makes every workload a
 // trace.BlockGenerator, so the replay engine streams events in blocks
 // rather than one interface call per event.
 type base struct {
@@ -181,7 +181,7 @@ type base struct {
 // Every workload streams in blocks; the replay hot path relies on it.
 var _ trace.BlockGenerator = (*base)(nil)
 
-// Cursor shares the read-only event slice; only the read position is
+// Cursor shares the read-only packed trace; only the read position is
 // new.
 func (b *base) Cursor() Workload {
 	c := *b
@@ -202,9 +202,11 @@ func (b *base) StaticRegions() []addr.Range {
 	}
 }
 
-// builder accumulates events up to the configured op budget.
+// builder accumulates packed events (trace.Pack) up to the configured
+// op budget.
 type builder struct {
-	evs      []trace.Event
+	words    []uint64
+	sized    int // Alloc and Free records, two words each
 	accesses int
 	limit    int
 	rng      *trace.Rand
@@ -221,7 +223,11 @@ type builder struct {
 
 func newBuilder(cfg Config) *builder {
 	b := &builder{
-		evs:   make([]trace.Event, 0, cfg.Ops+cfg.Ops/64+16),
+		// The access budget is kept to at most one past Ops, and the
+		// most frequent churner (one chunk per 3600 accesses) adds four
+		// words per chunk, so the slack past Ops never runs out and
+		// the slice never regrows.
+		words: make([]uint64, 0, cfg.Ops+cfg.Ops/64+16),
 		limit: cfg.Ops,
 		rng:   trace.NewRand(cfg.Seed),
 	}
@@ -241,7 +247,7 @@ func (b *builder) access(va uint64, write bool) bool {
 	if b.full() {
 		return false
 	}
-	b.evs = append(b.evs, trace.Event{Kind: trace.Access, VA: addr.GVA(va), Write: write})
+	b.words = append(b.words, trace.Pack(addr.GVA(va), trace.Access, write))
 	b.accesses++
 	if b.stackIn--; b.stackEvery > 0 && b.stackIn <= 0 {
 		// The stack access is itself an access, so the next multiple
@@ -249,11 +255,7 @@ func (b *builder) access(va uint64, write bool) bool {
 		b.stackIn = b.stackEvery - 1
 		// Stack accesses walk a few hot pages.
 		b.stackPos = (b.stackPos + 8) % (16 << 10)
-		b.evs = append(b.evs, trace.Event{
-			Kind:  trace.Access,
-			VA:    addr.GVA(StackBase + b.stackPos),
-			Write: b.rng.Uint64n(2) == 0,
-		})
+		b.words = append(b.words, trace.Pack(addr.GVA(StackBase+b.stackPos), trace.Access, b.rng.Uint64n(2) == 0))
 		b.accesses++
 	}
 	return !b.full()
@@ -265,12 +267,14 @@ func (b *builder) write(va uint64) bool { return b.access(va, true) }
 
 // allocEvent emits an allocation of size bytes at va.
 func (b *builder) allocEvent(va, size uint64) {
-	b.evs = append(b.evs, trace.Event{Kind: trace.Alloc, VA: addr.GVA(va), Size: size})
+	b.words = append(b.words, trace.Pack(addr.GVA(va), trace.Alloc, false), size)
+	b.sized++
 }
 
 // freeEvent emits a deallocation.
 func (b *builder) freeEvent(va, size uint64) {
-	b.evs = append(b.evs, trace.Event{Kind: trace.Free, VA: addr.GVA(va), Size: size})
+	b.words = append(b.words, trace.Pack(addr.GVA(va), trace.Free, false), size)
+	b.sized++
 }
 
 // churner cycles allocations through the churn arena: allocEvery data
@@ -316,11 +320,11 @@ func (c *churner) tick() {
 	c.prevVA, c.prevSize = va, c.chunk
 }
 
-// finish builds the base from accumulated events; the access count is
-// the one the budget was kept with, so nothing rescans them.
+// finish builds the base from the packed words; the event and access
+// counts are the ones kept while building, so nothing rescans them.
 func (b *builder) finish(name string, cpi float64, primary addr.Range) *base {
 	return &base{
-		Slice:    trace.NewSlice(name, b.evs),
+		Slice:    trace.NewPacked(name, b.words, len(b.words)-b.sized),
 		accesses: uint64(b.accesses),
 		cpi:      cpi,
 		primary:  primary,
