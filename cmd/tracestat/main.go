@@ -125,15 +125,28 @@ func characterize(t *stats.Table, n string, seed uint64, mem, ops int) error {
 	return nil
 }
 
-// checkSizing rejects a -mem or -ops that is not positive before any
-// work starts: a negative -ops panics the generator's trace allocation
-// and a negative -mem never finishes generating.
+// checkSizing rejects a -mem or -ops that is not positive, and a -mem
+// whose data would not fit the guest address space, before any work
+// starts: a negative -ops panics the generator's trace allocation, a
+// negative -mem never finishes generating, and a VA past 2^56 panics
+// trace.Pack.
 func checkSizing(mem, ops int) error {
 	if mem <= 0 {
 		return fmt.Errorf("-mem must be positive, got %d", mem)
 	}
 	if ops <= 0 {
 		return fmt.Errorf("-ops must be positive, got %d", ops)
+	}
+	// The primary region is the one part of a workload's address space
+	// that grows with -mem.
+	space := addr.VirtualSpan >> 20
+	if uint64(mem) > space {
+		return fmt.Errorf("-mem %d MB exceeds the %d MB guest address space", mem, space)
+	}
+	for _, n := range workload.Names() {
+		if r := workload.PrimaryRegionOf(n, workload.Config{MemoryMB: mem, Ops: ops}); r.End() > addr.VirtualSpan {
+			return fmt.Errorf("-mem %d MB puts %s's data past the %d MB guest address space", mem, n, space)
+		}
 	}
 	return nil
 }

@@ -97,13 +97,11 @@ type Manifest struct {
 	Host          HostInfo          `json:"host"`
 	Start         time.Time         `json:"start"`
 	DurationMS    float64           `json:"duration_ms"`
-	// PeakRSSBytes is the process's peak resident set size when the
-	// manifest was assembled (getrusage's ru_maxrss; absent off unix).
-	PeakRSSBytes uint64        `json:"peak_rss_bytes,omitempty"`
-	Error        string        `json:"error,omitempty"`
-	Timings      []Timing      `json:"timings,omitempty"`
-	Sections     []SectionTime `json:"sections,omitempty"`
-	Metrics      Snapshot      `json:"metrics"`
+	PeakRSSBytes  uint64            `json:"peak_rss_bytes,omitempty"` // peak RSS so far; absent off unix
+	Error         string            `json:"error,omitempty"`
+	Timings       []Timing          `json:"timings,omitempty"`
+	Sections      []SectionTime     `json:"sections,omitempty"`
+	Metrics       Snapshot          `json:"metrics"`
 }
 
 // SectionTime sums the cell spans that ran under one report section.
@@ -159,9 +157,7 @@ func (r *Run) Manifest(runErr error) Manifest {
 		Sections:   sectionTimes(timings),
 		Metrics:    Default().Snapshot(),
 	}
-	if rss, ok := peakRSS(); ok {
-		m.PeakRSSBytes = rss
-	}
+	m.PeakRSSBytes = peakRSS()
 	if runErr != nil {
 		m.Error = runErr.Error()
 	}

@@ -160,3 +160,34 @@ func TestPackLimits(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSliceNextBlock decodes a cactus-hit-sized trace (about 254k
+// events, one Alloc per 4096) into a 4096-event block, against "copy",
+// the cost of copying the same events out of an unpacked []Event; both
+// report ns per event.
+func BenchmarkSliceNextBlock(b *testing.B) {
+	evs := make([]Event, 254000)
+	for i := range evs {
+		evs[i] = Event{VA: addr.GVA(0x4000_0000 + i*8), Write: i%3 == 0}
+		if i%4096 == 4095 {
+			evs[i] = Event{VA: 0x2000_0000, Kind: Alloc, Size: 64 << 10}
+		}
+	}
+	buf := make([]Event, 4096)
+	b.Run("packed", func(b *testing.B) {
+		s := NewSlice("bench", evs)
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			for s.NextBlock(buf) > 0 {
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(evs)), "ns/event")
+	})
+	b.Run("copy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for p := 0; p < len(evs); p += copy(buf, evs[p:]) {
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(evs)), "ns/event")
+	})
+}

@@ -255,9 +255,11 @@ const (
 // second word. Pack is the one encoder of stored traces.
 //
 // Its panic on a VA at or above 2^56 or a Kind above Free is an
-// invariant, not an input check: every workload VA lies below 2^48
-// (the churn arena, the stack and primary regions sized by MemoryMB),
-// and no parser of outside input builds events.
+// invariant, not an input check: every workload VA lies below 2^48,
+// since the stack and churn arena are fixed and every MemoryMB that
+// reaches a generator keeps the primary region inside (the experiment
+// scales, hostsim's host memory limit, tracestat's checkSizing), and no
+// parser of outside input builds events.
 func Pack(va addr.GVA, k Kind, write bool) uint64 {
 	if uint64(va) > vaMask || k > Free {
 		panic("trace: Pack of a VA at or above 2^56 or an unknown Kind")
@@ -290,13 +292,7 @@ type Slice struct {
 // NewSlice builds a replayable trace that holds evs packed; it keeps no
 // reference to evs. It panics where Pack does.
 func NewSlice(name string, evs []Event) *Slice {
-	size := len(evs)
-	for _, ev := range evs {
-		if ev.Kind != Access {
-			size++
-		}
-	}
-	words := make([]uint64, 0, size)
+	words := make([]uint64, 0, len(evs))
 	for _, ev := range evs {
 		words = append(words, Pack(ev.VA, ev.Kind, ev.Write))
 		if ev.Kind != Access {
@@ -335,31 +331,16 @@ func (s *Slice) Next() (Event, bool) {
 
 // NextBlock implements BlockGenerator: it decodes a run of events into
 // buf and advances the shared cursor, one call per ~len(buf) events
-// instead of one interface call per event.
-//
-// Nearly every word is an access, so the inner loop decodes a run of
-// them with src and dst clipped to one length, which leaves it no
-// bounds check; it stops at the first Alloc or Free word, which the
-// outer loop decodes with its Size word before resuming.
+// instead of one interface call per event. Nearly every word is an
+// access, so it decodes runs of them with accessRun and steps over each
+// Alloc or Free record, head word and Size word, between runs.
 func (s *Slice) NextBlock(buf []Event) int {
 	words, p, n := s.words, s.pos, 0
 	for n < len(buf) && p < len(words) {
-		src, dst := words[p:], buf[n:]
-		if len(src) > len(dst) {
-			src = src[:len(dst)]
-		}
-		dst = dst[:len(src)]
-		i := 0
-		for ; i < len(src); i++ {
-			w := src[i]
-			if w&kindMask != 0 {
-				break
-			}
-			dst[i] = Event{VA: addr.GVA(w & vaMask), Write: w>>writeShift != 0}
-		}
+		i := accessRun(buf[n:], words[p:])
 		p += i
 		n += i
-		if i == len(src) {
+		if n == len(buf) || p == len(words) {
 			break
 		}
 		ev := unpack(words[p])
@@ -370,6 +351,28 @@ func (s *Slice) NextBlock(buf []Event) int {
 	}
 	s.pos = p
 	return n
+}
+
+// accessRun decodes the access words that lead src into dst, up to the
+// first Alloc or Free word or the end of the shorter slice, and returns
+// how many it decoded. Clipping both slices to one length leaves the
+// loop no bounds check, and keeping it out of NextBlock's loop leaves it
+// registers enough not to spill; either, lost, costs several percent of
+// a hit-dominated cell's replay throughput.
+//
+//go:noinline
+func accessRun(dst []Event, src []uint64) int {
+	if len(src) > len(dst) {
+		src = src[:len(dst)]
+	}
+	dst = dst[:len(src)]
+	for i, w := range src {
+		if w&kindMask != 0 {
+			return i
+		}
+		dst[i] = Event{VA: addr.GVA(w & vaMask), Write: w>>writeShift != 0}
+	}
+	return len(src)
 }
 
 // Reset implements Generator.
