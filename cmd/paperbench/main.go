@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -74,6 +75,15 @@ func run() (retErr error) {
 	if tf.Version {
 		fmt.Println(telemetry.VersionString("paperbench"))
 		return nil
+	}
+	// The report's live heap is small next to what its cells allocate.
+	// Once traces were packed it shrank further, and at the default
+	// GOGC of 100 the collector ran about 40% more cycles and the full
+	// report slowed by a few percent; 150 wins that back and still
+	// keeps peak RSS well below what unpacked traces held
+	// (EXPERIMENTS.md, "Packed traces"). A GOGC in the environment wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(150)
 	}
 
 	scale, err := vdirect.ParseScale(*scaleName)

@@ -168,9 +168,10 @@ func Exists(name string) bool {
 // base carries the state all generators share: an eagerly built trace
 // plus metadata. Eager construction keeps Next allocation-free and
 // makes Reset and Cursor trivial, at the cost of holding the trace in
-// memory, 8 bytes per access packed (trace.Pack). Embedding *trace.Slice also makes every workload a
-// trace.BlockGenerator, so the replay engine streams events in blocks
-// rather than one interface call per event.
+// memory, packed at 8 bytes per access (trace.Pack). Embedding
+// *trace.Slice also makes every workload a trace.BlockGenerator, so the
+// replay engine streams events in blocks rather than one interface call
+// per event.
 type base struct {
 	*trace.Slice
 	accesses uint64
