@@ -154,8 +154,12 @@ func TestPackLimits(t *testing.T) {
 	// The largest VA and every Kind pack, with and without Write.
 	for _, k := range []Kind{Access, Alloc, Free} {
 		for _, w := range []bool{false, true} {
-			if got := unpack(Pack(1<<56-1, k, w)); got != (Event{VA: 1<<56 - 1, Kind: k, Write: w}) {
-				t.Errorf("unpack(Pack(2^56-1, %v, %v)) = %+v", k, w, got)
+			want := Event{VA: 1<<56 - 1, Kind: k, Write: w}
+			if k != Access {
+				want.Size = 1<<64 - 1
+			}
+			if got, _ := decode([]uint64{Pack(want.VA, k, w), want.Size}, 0); got != want {
+				t.Errorf("decode(Pack(2^56-1, %v, %v)) = %+v", k, w, got)
 			}
 		}
 	}

@@ -271,9 +271,16 @@ func Pack(va addr.GVA, k Kind, write bool) uint64 {
 	return w
 }
 
-// unpack decodes a first word; the caller fills Size for Alloc and Free.
-func unpack(w uint64) Event {
-	return Event{VA: addr.GVA(w & vaMask), Kind: Kind(w >> kindShift & 3), Write: w>>writeShift != 0}
+// decode reads the event whose first word is words[p] and returns it
+// with the index of the event after it.
+func decode(words []uint64, p int) (Event, int) {
+	w := words[p]
+	ev := Event{VA: addr.GVA(w & vaMask), Kind: Kind(w >> kindShift & 3), Write: w>>writeShift != 0}
+	if ev.Kind != Access {
+		p++
+		ev.Size = words[p]
+	}
+	return ev, p + 1
 }
 
 // Slice is an in-memory trace, the storage of every eager workload and
@@ -320,12 +327,8 @@ func (s *Slice) Next() (Event, bool) {
 	if s.pos >= len(s.words) {
 		return Event{}, false
 	}
-	ev := unpack(s.words[s.pos])
-	s.pos++
-	if ev.Kind != Access {
-		ev.Size = s.words[s.pos]
-		s.pos++
-	}
+	var ev Event
+	ev, s.pos = decode(s.words, s.pos)
 	return ev, true
 }
 
@@ -343,10 +346,7 @@ func (s *Slice) NextBlock(buf []Event) int {
 		if n == len(buf) || p == len(words) {
 			break
 		}
-		ev := unpack(words[p])
-		ev.Size = words[p+1]
-		buf[n] = ev
-		p += 2
+		buf[n], p = decode(words, p)
 		n++
 	}
 	s.pos = p
