@@ -335,8 +335,8 @@ func (s *Slice) Next() (Event, bool) {
 // NextBlock implements BlockGenerator: it decodes a run of events into
 // buf and advances the shared cursor, one call per ~len(buf) events
 // instead of one interface call per event. Nearly every word is an
-// access, so it decodes runs of them with accessRun and steps over each
-// Alloc or Free record, head word and Size word, between runs.
+// access, so it decodes runs of them with accessRun, and each Alloc or
+// Free record, head word and Size word, between runs.
 func (s *Slice) NextBlock(buf []Event) int {
 	words, p, n := s.words, s.pos, 0
 	for n < len(buf) && p < len(words) {
