@@ -407,6 +407,9 @@ func (m *Memory) AllocRun(max uint64) (uint64, uint64, error) {
 			continue
 		}
 		start += uint64(bits.TrailingZeros64(avail))
+		if start >= m.frames {
+			break // a phantom bit past the last frame
+		}
 		run := m.freeRunLen(start, max)
 		m.markAllocated(start, run)
 		m.numAlloc += run
