@@ -76,7 +76,8 @@ func samePaths(t *testing.T, what string, bulk, ref *Table, va, n uint64) bool {
 // frame, as AllocFrame takes) + Map for Back4K. Both must stop at the
 // same page with the same error and leave the same table pages in the
 // same frames on every walk path, the same translations and the same
-// allocated frames.
+// allocated frames. A successful bulk map must also have used every
+// table page it reserved.
 func TestBulkMapMatchesPerPageMap(t *testing.T) {
 	outcomes := map[string]int{}
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -141,6 +142,10 @@ func TestBulkMapMatchesPerPageMap(t *testing.T) {
 				t.Fatalf("%s = (%d, %v), per-page (%d, %v)", what, got, gotErr, want, wantErr)
 			}
 			outcomes[outcome(gotErr)]++
+			if gotErr == nil && (len(bulk.slab) != 0 || bulk.pending != 0) {
+				t.Fatalf("%s leaves %d reserved nodes and %d pending: the reservation over-counted",
+					what, len(bulk.slab), bulk.pending)
+			}
 			if bulk.TablePages() != ref.TablePages() || bulk.Mappings() != ref.Mappings() {
 				t.Fatalf("%s leaves %d table pages and %d leaves, per-page %d and %d",
 					what, bulk.TablePages(), bulk.Mappings(), ref.TablePages(), ref.Mappings())
@@ -162,5 +167,36 @@ func TestBulkMapMatchesPerPageMap(t *testing.T) {
 		if outcomes[w] == 0 {
 			t.Errorf("no span ended %q; outcomes %v", w, outcomes)
 		}
+	}
+}
+
+// TestBack4KAllocatesSlabs pins the bulk mappers' allocation count: a
+// fresh table's 64 MB Back4K adds 34 table pages (32 PTs, a PD and a
+// PDPT), which fill two slabs, and three child-pointer arrays, one per
+// interior level. One allocation per table page would be 37.
+func TestBack4KAllocatesSlabs(t *testing.T) {
+	const runs = 3
+	var mems [runs + 1]*physmem.Memory
+	var tbls [runs + 1]*Table
+	for i := range tbls {
+		mems[i] = physmem.New(physmem.Config{Name: "slab", Size: 80 << 20})
+		tbl, err := New(mems[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbls[i] = tbl
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := tbls[i].Back4K(1<<30, 64<<20>>addr.PageShift4K, mems[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 5 {
+		t.Errorf("64 MB Back4K made %v allocations, want at most 5", allocs)
+	}
+	if tbls[0].TablePages() != 35 {
+		t.Errorf("64 MB Back4K left %d table pages, want 35 with the root", tbls[0].TablePages())
 	}
 }

@@ -43,7 +43,10 @@ var (
 // Packing matters for simulator speed: a node's 512 words are exactly a
 // 4KB table page, so the walker's read-modify-write of an entry touches
 // one host cache line where the old 24-byte struct layout touched up to
-// two — and page-table-heavy setup clears a third of the memory.
+// two. The words stay inline in the node, so a walk reads an entry with
+// no load besides the node pointer; the 4,136-byte node is carved from
+// a slab (see newNode) rather than rounded up to Go's 4,864-byte size
+// class one page at a time.
 const (
 	peP     = 1 << 0 // present
 	peL     = 1 << 1 // leaf
@@ -51,6 +54,10 @@ const (
 	peD     = 1 << 3 // dirty
 	peShift = 4      // frame field, bits 63:4
 )
+
+// slabNodes caps a slab of table-page nodes at 31 (128,216 bytes), just
+// under 32 host pages, so no slab needs a long run of free heap pages.
+const slabNodes = 31
 
 type node struct {
 	frame uint64 // physical frame holding this table page
@@ -105,6 +112,12 @@ type Table struct {
 	// alone.
 	gen uint64
 	wc  [wcSlots]wcEntry
+
+	// slab holds nodes newNode has not handed out yet, and pending
+	// counts the table pages a bulk mapper reserved (see reserve) that
+	// no slab holds yet. Both are zero outside a bulk map.
+	slab    []node
+	pending uint64
 }
 
 // New creates an empty table, allocating its root page.
@@ -119,13 +132,66 @@ func New(alloc Allocator) (*Table, error) {
 	return t, nil
 }
 
+// newNode allocates a table page: a frame from the allocator and a node
+// from the current slab. An empty slab is refilled with the pending
+// pages, at most slabNodes of them, or with one node outside a bulk map.
 func (t *Table) newNode() (*node, error) {
 	f, err := t.alloc.AllocFrame()
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: allocating table page: %w", err)
 	}
+	if len(t.slab) == 0 {
+		k := min(max(t.pending, 1), slabNodes)
+		t.slab = make([]node, k)
+		t.pending -= min(t.pending, k)
+	}
+	nd := &t.slab[0]
+	t.slab = t.slab[1:]
+	nd.frame = f
 	t.tablePages++
-	return &node{frame: f}, nil
+	return nd, nil
+}
+
+// reserve counts the table pages that mapping n 4K pages from va will
+// add, with one descent per 2M window, and makes them pending for
+// newNode. A missing interior page covers many windows, so each level
+// counts it once, for the first window under it. The count stops at a
+// window under a large leaf, where the map fails with ErrOverlap; on
+// success every reserved page is used.
+func (t *Table) reserve(va, n uint64) {
+	var last [addr.Levels]uint64 // per level, the va prefix of the last page counted
+	for i := range last {
+		last[i] = ^uint64(0)
+	}
+	for n > 0 {
+		nd, lvl := t.root, 0
+		for ; lvl < addr.LvlPT; lvl++ {
+			idx := addr.Index(va, lvl)
+			w := nd.words[idx]
+			if w&peP == 0 {
+				break
+			}
+			if w&peL != 0 {
+				return
+			}
+			nd = nd.kids[idx]
+		}
+		// Levels lvl+1 through LvlPT are missing under this window.
+		for l := lvl + 1; l <= addr.LvlPT; l++ {
+			if key := va >> (addr.PageShift4K + 9*(addr.Levels-l)); key != last[l] {
+				t.pending++
+				last[l] = key
+			}
+		}
+		k := min(n, uint64(addr.EntriesPerTable-addr.Index(va, addr.LvlPT)))
+		n -= k
+		va += k << addr.PageShift4K
+	}
+}
+
+// unreserve drops what a failed bulk map reserved and did not use.
+func (t *Table) unreserve() {
+	t.slab, t.pending = nil, 0
 }
 
 // Root returns the physical frame of the root (CR3 equivalent).
@@ -193,11 +259,23 @@ func (t *Table) Map(va, pa uint64, s addr.PageSize) error {
 // same table-page allocation order — but descending once per 2M span
 // instead of once per page. It returns how many pages were mapped
 // before any error, so callers can account for (or roll back) a
-// partially installed run.
+// partially installed run. The table pages it adds come from slabs
+// sized by reserve.
 func (t *Table) MapRange4K(va, pa uint64, n uint64) (uint64, error) {
 	if !addr.IsAligned(va, addr.Page4K) || !addr.IsAligned(pa, addr.Page4K) {
 		return 0, ErrMisaligned
 	}
+	t.reserve(va, n)
+	done, err := t.mapRange4K(va, pa, n)
+	if err != nil {
+		t.unreserve()
+	}
+	return done, err
+}
+
+// mapRange4K is MapRange4K on aligned addresses, with the table pages
+// already reserved.
+func (t *Table) mapRange4K(va, pa uint64, n uint64) (uint64, error) {
 	var done uint64
 	for done < n {
 		// Descend to the PT covering va, allocating interior tables
@@ -260,10 +338,23 @@ type RunAllocator interface {
 // mapped alone: its descent allocates the window's missing table pages
 // right after the page's own frame, as the per-page loop did, and the
 // rest of the window then goes in runs through MapRange4K, which needs
-// no new table page. placed, if non-nil, sees each installed run as
-// (va, pa, bytes). Back4K returns how many pages it mapped; frames it
-// took but did not map are freed.
+// no new table page. The whole span's table pages are reserved up
+// front, as MapRange4K reserves its own. placed, if non-nil, sees each
+// installed run as (va, pa, bytes). Back4K returns how many pages it
+// mapped; frames it took but did not map are freed.
 func (t *Table) Back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (uint64, error) {
+	if !addr.IsAligned(va, addr.Page4K) {
+		return 0, ErrMisaligned
+	}
+	t.reserve(va, n)
+	done, err := t.back4K(va, n, mem, placed)
+	if err != nil {
+		t.unreserve()
+	}
+	return done, err
+}
+
+func (t *Table) back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (uint64, error) {
 	var done uint64
 	for done < n {
 		window := min(n-done, (addr.PageSize2M-va%addr.PageSize2M)>>addr.PageShift4K)
@@ -273,7 +364,7 @@ func (t *Table) Back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size 
 				return done, err
 			}
 			pa := first << addr.PageShift4K
-			mapped, err := t.MapRange4K(va, pa, got)
+			mapped, err := t.mapRange4K(va, pa, got)
 			if placed != nil {
 				placed(va, pa, mapped<<addr.PageShift4K)
 			}

@@ -302,6 +302,12 @@ func TestMemoryMatchesFrameModel(t *testing.T) {
 					t.Fatalf("%s: BadFrames = %v, want %v", what, got, bad)
 				}
 			}
+			// A memory that never marks a frame allocates neither lazy
+			// bitmap.
+			if !c.marks && (m.offline != nil || m.bad != nil) {
+				t.Errorf("%s seed %d: unmarked memory allocated %d offline and %d bad words",
+					c.name, seed, len(m.offline), len(m.bad))
+			}
 		}
 	}
 }

@@ -47,11 +47,15 @@ type Config struct {
 // Memory is a physical memory frame map. It is not safe for concurrent
 // use; the simulator is single-threaded per experiment.
 type Memory struct {
-	name     string
-	frames   uint64   // total frames spanned (including gap)
-	alloc    []uint64 // allocated bitmap, 1 = in use
-	offline  []uint64 // offline bitmap (I/O gap, unplugged, ballooned)
-	bad      []uint64 // bad-page bitmap
+	name   string
+	frames uint64   // total frames spanned (including gap)
+	alloc  []uint64 // allocated bitmap, 1 = in use
+	// offline (I/O gap, unplugged, ballooned) and bad (the bad-page
+	// list) are allocated when a frame is first marked, and may be
+	// shorter than alloc after a Grow: a word past their end reads as
+	// zero (see word).
+	offline  []uint64
+	bad      []uint64
 	numAlloc uint64
 	numOff   uint64
 	ioGap    bool
@@ -93,12 +97,10 @@ func New(cfg Config) *Memory {
 	frames := cfg.Size >> frameShift
 	words := (frames + 63) / 64
 	m := &Memory{
-		name:    cfg.Name,
-		frames:  frames,
-		alloc:   make([]uint64, words),
-		offline: make([]uint64, words),
-		bad:     make([]uint64, words),
-		ioGap:   cfg.IOGap && cfg.Size > addr.IOGapStart,
+		name:   cfg.Name,
+		frames: frames,
+		alloc:  make([]uint64, words),
+		ioGap:  cfg.IOGap && cfg.Size > addr.IOGapStart,
 	}
 	if m.ioGap {
 		start := addr.IOGapStart >> frameShift
@@ -107,7 +109,7 @@ func New(cfg Config) *Memory {
 			end = frames
 		}
 		for f := start; f < end; f++ {
-			m.setBit(m.offline, f)
+			m.mark(&m.offline, f)
 			m.numOff++
 		}
 	}
@@ -133,14 +135,11 @@ func (m *Memory) AllocatedFrames() uint64 { return m.numAlloc }
 func (m *Memory) FreeFrames() uint64 {
 	var n uint64
 	for w := range m.alloc {
-		unavailable := m.alloc[w] | m.offline[w] | m.bad[w]
-		n += uint64(bits.OnesCount64(^unavailable))
+		n += uint64(bits.OnesCount64(m.availWord(uint64(w))))
 	}
 	// The last word may have phantom bits past the end.
 	if rem := m.frames % 64; rem != 0 {
-		w := len(m.alloc) - 1
-		unavailable := m.alloc[w] | m.offline[w] | m.bad[w]
-		phantom := ^unavailable >> rem
+		phantom := m.availWord(uint64(len(m.alloc)-1)) >> rem
 		n -= uint64(bits.OnesCount64(phantom))
 	}
 	return n
@@ -294,12 +293,35 @@ func (m *Memory) Owners() []OwnerID {
 
 func (m *Memory) setBit(bm []uint64, f uint64)   { bm[f/64] |= 1 << (f % 64) }
 func (m *Memory) clrBit(bm []uint64, f uint64)   { bm[f/64] &^= 1 << (f % 64) }
-func (m *Memory) bit(bm []uint64, f uint64) bool { return bm[f/64]&(1<<(f%64)) != 0 }
+func (m *Memory) bit(bm []uint64, f uint64) bool { return word(bm, f/64)&(1<<(f%64)) != 0 }
+
+// word returns word w of bm, reading a word past bm's end as zero.
+func word(bm []uint64, w uint64) uint64 {
+	if w < uint64(len(bm)) {
+		return bm[w]
+	}
+	return 0
+}
+
+// mark sets frame f in the lazily allocated bitmap *bm, growing it to
+// the alloc bitmap's length first.
+func (m *Memory) mark(bm *[]uint64, f uint64) {
+	if len(*bm) < len(m.alloc) {
+		*bm = append(*bm, make([]uint64, len(m.alloc)-len(*bm))...)
+	}
+	m.setBit(*bm, f)
+}
+
+// availWord returns the availability bits of word w: 1 = a frame that is
+// not allocated, not offline and not bad. Bits past the last frame are
+// set too; callers bound them by m.frames.
+func (m *Memory) availWord(w uint64) uint64 {
+	return ^(m.alloc[w] | word(m.offline, w) | word(m.bad, w))
+}
 
 // available reports whether frame f can be handed out.
 func (m *Memory) available(f uint64) bool {
-	return f < m.frames &&
-		!m.bit(m.alloc, f) && !m.bit(m.offline, f) && !m.bit(m.bad, f)
+	return f < m.frames && m.availWord(f/64)&(1<<(f%64)) != 0
 }
 
 // IsAllocated reports whether the frame is currently in use.
@@ -320,7 +342,7 @@ func (m *Memory) IsBad(f uint64) bool {
 // AllocFrame allocates the lowest-numbered available frame.
 func (m *Memory) AllocFrame() (uint64, error) {
 	for w := m.hint; w < len(m.alloc); w++ {
-		avail := ^(m.alloc[w] | m.offline[w] | m.bad[w])
+		avail := m.availWord(uint64(w))
 		if avail == 0 {
 			if w == m.hint {
 				m.hint = w + 1
@@ -395,13 +417,13 @@ func (m *Memory) AllocRun(max uint64) (uint64, uint64, error) {
 	if max == 0 {
 		return 0, 0, ErrNoContiguous
 	}
-	for m.hint < len(m.alloc) && ^(m.alloc[m.hint]|m.offline[m.hint]|m.bad[m.hint]) == 0 {
+	for m.hint < len(m.alloc) && m.availWord(uint64(m.hint)) == 0 {
 		m.hint++
 	}
 	start := uint64(m.hint) * 64
 	for start < m.frames {
 		w, bit := start/64, start%64
-		avail := ^(m.alloc[w] | m.offline[w] | m.bad[w]) >> bit
+		avail := m.availWord(w) >> bit
 		if avail == 0 {
 			start = (w + 1) * 64
 			continue
@@ -435,7 +457,7 @@ func (m *Memory) AllocContiguous(n, alignFrames uint64) (uint64, error) {
 	// stay O(words touched) amortized instead of rescanning the dense
 	// allocated prefix on every call. Only whole words with no available
 	// frame are skipped, so no candidate start frame is ever passed over.
-	for m.hint < len(m.alloc) && ^(m.alloc[m.hint]|m.offline[m.hint]|m.bad[m.hint]) == 0 {
+	for m.hint < len(m.alloc) && m.availWord(uint64(m.hint)) == 0 {
 		m.hint++
 	}
 	start := uint64(m.hint) * 64
@@ -449,7 +471,7 @@ func (m *Memory) AllocContiguous(n, alignFrames uint64) (uint64, error) {
 		// frame per freeRunLen call, which dominates dense front-to-back
 		// fills like chunked VM backing (one call per 4K chunk).
 		w, bit := start/64, start%64
-		avail := ^(m.alloc[w] | m.offline[w] | m.bad[w]) >> bit
+		avail := m.availWord(w) >> bit
 		if avail == 0 {
 			start = (w + 1) * 64
 			continue
@@ -486,7 +508,7 @@ func (m *Memory) markAllocated(start, n uint64) {
 
 // freeRunLen counts available frames starting at start, up to max. It
 // scans word-wise: a run of available frames shows up as consecutive set
-// bits in the complement of alloc|offline|bad.
+// bits of the availability word.
 func (m *Memory) freeRunLen(start, max uint64) uint64 {
 	if start >= m.frames {
 		return 0
@@ -498,7 +520,7 @@ func (m *Memory) freeRunLen(start, max uint64) uint64 {
 	for run < max {
 		f := start + run
 		w, bit := f/64, f%64
-		avail := ^(m.alloc[w] | m.offline[w] | m.bad[w]) >> bit
+		avail := m.availWord(w) >> bit
 		// Consecutive available frames from f = trailing one-bits of avail.
 		c := uint64(bits.TrailingZeros64(^avail))
 		if c == 0 {
@@ -567,16 +589,16 @@ func (m *Memory) MarkBad(f uint64) error {
 	if f >= m.frames {
 		return ErrOutOfRange
 	}
-	m.setBit(m.bad, f)
+	m.mark(&m.bad, f)
 	return nil
 }
 
 // BadFrames returns all frames on the bad-page list, ascending.
 func (m *Memory) BadFrames() []uint64 {
 	var out []uint64
-	for f := uint64(0); f < m.frames; f++ {
-		if m.bit(m.bad, f) {
-			out = append(out, f)
+	for w, x := range m.bad {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, uint64(w)*64+uint64(bits.TrailingZeros64(x)))
 		}
 	}
 	return out
@@ -596,7 +618,7 @@ func (m *Memory) Offline(r addr.Range) error {
 	}
 	for f := first; f < first+n; f++ {
 		if !m.bit(m.offline, f) {
-			m.setBit(m.offline, f)
+			m.mark(&m.offline, f)
 			m.numOff++
 		}
 	}
@@ -647,15 +669,13 @@ func (m *Memory) Grow(size uint64) (addr.Range, error) {
 	words := (m.frames + 63) / 64
 	for uint64(len(m.alloc)) < words {
 		m.alloc = append(m.alloc, 0)
-		m.offline = append(m.offline, 0)
-		m.bad = append(m.bad, 0)
 	}
 	if m.owners != nil {
 		m.owners = append(m.owners, make([]OwnerID, n)...)
 	}
 	first := r.Start >> frameShift
 	for f := first; f < first+n; f++ {
-		m.setBit(m.offline, f)
+		m.mark(&m.offline, f)
 		m.numOff++
 	}
 	return r, nil
