@@ -44,9 +44,9 @@ var (
 // 4KB table page, so the walker's read-modify-write of an entry touches
 // one host cache line where the old 24-byte struct layout touched up to
 // two. The words stay inline in the node, so a walk reads an entry with
-// no load besides the node pointer; the 4,136-byte node is carved from
-// a slab (see newNode) rather than rounded up to Go's 4,864-byte size
-// class one page at a time.
+// no load besides the node pointer. The 4,136-byte node is carved from
+// a slab (see newNode): allocated alone, Go rounds it up to its
+// 4,864-byte size class.
 const (
 	peP     = 1 << 0 // present
 	peL     = 1 << 1 // leaf
@@ -342,20 +342,16 @@ type RunAllocator interface {
 // front, as MapRange4K reserves its own. placed, if non-nil, sees each
 // installed run as (va, pa, bytes). Back4K returns how many pages it
 // mapped; frames it took but did not map are freed.
-func (t *Table) Back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (uint64, error) {
+func (t *Table) Back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (done uint64, err error) {
 	if !addr.IsAligned(va, addr.Page4K) {
 		return 0, ErrMisaligned
 	}
 	t.reserve(va, n)
-	done, err := t.back4K(va, n, mem, placed)
-	if err != nil {
-		t.unreserve()
-	}
-	return done, err
-}
-
-func (t *Table) back4K(va, n uint64, mem RunAllocator, placed func(va, pa, size uint64)) (uint64, error) {
-	var done uint64
+	defer func() {
+		if err != nil {
+			t.unreserve()
+		}
+	}()
 	for done < n {
 		window := min(n-done, (addr.PageSize2M-va%addr.PageSize2M)>>addr.PageShift4K)
 		for want := uint64(1); window > 0; want = window {
